@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import TruncationError, ZeroDenominatorError
 from .families import FamilyDescriptor
-from .qcore import QContext, exp_, log_, sigma_parity, sqrt_
+from .qcore import QContext, exp_, log_, sigma_parity
 from .sympoly import CharVector, eigenvalue, eval_explicit, recurrence_C
 
 __all__ = [
@@ -149,48 +149,19 @@ def continuous_char_vector(fam: FamilyDescriptor) -> CharVector:
     (beta = [3]/[2] - 2 resp. [5]/[2] - 2), so their limits 3/2 and 5/2
     enter here, not the beta stored at the family's own base.
     """
-    if fam.name == "chebyshev5":
-        return CharVector(-1, 1, -3.0, 2.0)
-    if fam.name == "chebyshev6":
-        return CharVector(-1, 1, -5.0, 2.0)
-    if fam.name == "ultraspherical":
-        theta = fam.params["alpha"] + fam.params["beta"] + 1
-        return CharVector(-1, 1, -2 * theta, 2 * fam.params["alpha"])
-    if fam.name == "hermite":
-        return CharVector(0, -1, 2, 2 * fam.params["p"])
-    return fam.V
+    return fam.limit_V
 
 
 def continuous_weight(fam: FamilyDescriptor, x):
     """The q -> 1 limit weight of a named family.
 
-    ultraspherical: x^(2 alpha) (1 - x^2)^beta on [-1, 1]
-    chebyshev5:     x^2 / sqrt(1 - x^2)
-    chebyshev6:     x^2 sqrt(1 - x^2)
+    ultraspherical: x^(2 alpha) (1 - x^2)^beta on [-1, 1], with the
+                    chebyshev cases at alpha = 1, beta = -1/2 resp. 1/2
     hermite:        x^(-2p) exp(-x^2) on the real line
     """
-    x2 = x * x
-    if fam.name in ("ultraspherical", "chebyshev5", "chebyshev6"):
-        if abs(x) > 1:
-            raise ValueError("x outside the support [-1, 1]")
-        if fam.name == "chebyshev5":
-            return x2 / sqrt_(1 - x2)
-        if fam.name == "chebyshev6":
-            return x2 * sqrt_(1 - x2)
-        alpha, beta = fam.params["alpha"], fam.params["beta"]
-        if x == 0:
-            return 1.0 if alpha == 0 else 0.0
-        if x2 == 1 and beta < 0:
-            raise ValueError("weight singular at |x| = 1 for beta < 0")
-        return x2**alpha * (1 - x2) ** beta
-    if fam.name == "hermite":
-        p = fam.params["p"]
-        if x == 0:
-            if p == 0:
-                return 1.0
-            return float("inf") if p > 0 else 0.0
-        return x2 ** (-p) * exp_(-x2)
-    raise ValueError(f"no continuous weight is defined for family {fam.name!r}")
+    if fam.limit_weight is None:
+        raise ValueError(f"no continuous weight is defined for family {fam.name!r}")
+    return fam.limit_weight(x)
 
 
 def _weight_star_ratio(V: CharVector, ctx: QContext, x, ref):
@@ -284,10 +255,8 @@ def limit_convergence_report(
     if quantity == "weight" and fixed_v:
         raise ValueError("weight limits need a family subject, not a bare CharVector")
 
-    if fixed_v:
-        v_cont = subject
-    else:
-        v_cont = continuous_char_vector(subject(QContext(0.5)))
+    fam0 = None if fixed_v else subject(QContext(0.5))
+    v_cont = subject if fixed_v else continuous_char_vector(fam0)
 
     # continuous target
     if quantity == "C":
@@ -301,7 +270,6 @@ def limit_convergence_report(
         target = continuous_poly(n, v_cont, x)
         scale = max(abs(target), max(abs(ck) * abs(x) ** k for k, ck in enumerate(coeffs)))
     else:
-        fam0 = subject(QContext(0.5))
         target = continuous_weight(fam0, x) / continuous_weight(fam0, WEIGHT_REF_POINT)
         scale = abs(target)
 

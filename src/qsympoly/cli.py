@@ -24,13 +24,10 @@ from dataclasses import dataclass, field
 from .classical import LimitProbe, continuous_weight, limit_convergence_report
 from .errors import QSymPolyError
 from .families import (
+    FAMILIES,
     FamilyDescriptor,
     favard_norm,
-    make_chebyshev5,
-    make_chebyshev6,
     make_custom,
-    make_hermite,
-    make_ultraspherical,
     norm_triple_report,
     orthogonality_matrix,
 )
@@ -117,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument(
             "--family",
-            choices=["ultraspherical", "chebyshev5", "chebyshev6", "hermite"],
-            help="named family; omit when using --custom",
+            choices=list(FAMILIES),
+            default="ultraspherical",
+            help="named family; ignored with --custom",
         )
         sp.add_argument("--custom", metavar="A,B,C,D", help="explicit characteristic vector")
         sp.add_argument("--alpha", default="0.4", help="ultraspherical alpha")
@@ -168,14 +166,8 @@ def _make_family(args, ctx, real) -> FamilyDescriptor:
             return make_custom(a, b, c, d, ctx)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-    name = args.family or "ultraspherical"
-    if name == "ultraspherical":
-        return make_ultraspherical(real(args.alpha), real(args.beta), ctx)
-    if name == "chebyshev5":
-        return make_chebyshev5(ctx)
-    if name == "chebyshev6":
-        return make_chebyshev6(ctx)
-    return make_hermite(real(args.p), ctx)
+    factory, names = FAMILIES[args.family]
+    return factory(*(real(getattr(args, k)) for k in names), ctx)
 
 
 def _parse_grid(spec: str, real) -> tuple:
@@ -243,12 +235,8 @@ def _build_config(args) -> RunConfig:
     # meta echoes the command-line inputs verbatim
     if args.custom:
         raw_params = {"custom": args.custom}
-    elif fam.name == "hermite":
-        raw_params = {"p": args.p}
-    elif fam.name == "ultraspherical":
-        raw_params = {"alpha": args.alpha, "beta": args.beta}
     else:
-        raw_params = {}
+        raw_params = {k: getattr(args, k) for k in FAMILIES[args.family][1]}
     meta = {
         "command": args.command,
         "family": fam.name,
@@ -355,7 +343,7 @@ def cmd_table(cfg: RunConfig) -> int:
     cls = classify_orthogonality(V, ctx, max(cfg.n_max, 1))
     rows = []
     errors = []
-    have_closed = cfg.family.name != "custom"
+    have_closed = cfg.family.closed_norm is not None
     for n in range(cfg.n_max + 1):
         row = {"n": n, "classification": cls.kind}
         try:
@@ -454,19 +442,7 @@ def _check_lines_pearson(cfg) -> list:
 
 def _check_lines_limit(cfg) -> list:
     tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["limit"]
-    fam = cfg.family
-    if fam.name == "custom":
-        subject = fam.V
-    elif fam.name == "hermite":
-        p = fam.params["p"]
-        subject = lambda ctx: make_hermite(p, ctx)
-    elif fam.name == "chebyshev5":
-        subject = make_chebyshev5
-    elif fam.name == "chebyshev6":
-        subject = make_chebyshev6
-    else:
-        al, be = fam.params["alpha"], fam.params["beta"]
-        subject = lambda ctx: make_ultraspherical(al, be, ctx)
+    subject = cfg.family.rebuild or cfg.family.V
     probe = LimitProbe()
     n_hi = cfg.n if cfg.n is not None else min(cfg.n_max, 10)
     lines = []

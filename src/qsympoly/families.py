@@ -5,7 +5,8 @@ polynomials (parameters alpha, beta), the fifth- and sixth-kind
 q-Chebyshev polynomials (ultraspherical at alpha = 1 and
 beta = [3]/[2] - 2 resp. [5]/[2] - 2), and the generalized q-Hermite
 polynomials (parameter p), whose p = 0 case rescales the discrete
-q-Hermite I polynomials.
+q-Hermite I polynomials.  Each family is one FamilyDescriptor record,
+and FAMILIES maps the command-line names to the factories.
 
 Alongside the characteristic vectors this module carries the closed-form
 norm squares exactly as tabulated, the Favard product of recurrence
@@ -19,13 +20,14 @@ and reports both values; it never silently corrects the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from typing import Callable
 
 from .errors import AdmissibilityError, ZeroDenominatorError
 from .jackson import JacksonConfig
 from .qcore import (
     QContext,
+    exp_,
     q_number,
     q_shifted_factorial,
     q_shifted_factorial_inf,
@@ -36,6 +38,7 @@ from .weights import WeightSpec, weight_grid_report, weight_star
 
 __all__ = [
     "FamilyDescriptor",
+    "FAMILIES",
     "make_ultraspherical",
     "make_chebyshev5",
     "make_chebyshev6",
@@ -54,13 +57,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FamilyDescriptor:
-    """A named family instance: parameters, characteristic vector, support."""
+    """A family instance and everything that varies by family.
+
+    ``name`` is a label only.  The ``make_*`` factory fills in the rest:
+    ``rebuild`` maps a QContext to the same family at that base (None for
+    a custom vector); ``closed_norm`` maps n to the tabulated norm square
+    d^2_n; ``limit_V`` is the q -> 1 characteristic vector;
+    ``limit_weight`` maps x to the q -> 1 weight; ``violation`` says why
+    the parameters are not admissible.  None marks what a family lacks.
+    """
 
     name: str
     params: dict
     V: CharVector
     support: float | None
     ctx: QContext
+    limit_V: CharVector
+    rebuild: Callable | None = None
+    closed_norm: Callable | None = None
+    limit_weight: Callable | None = None
+    violation: str | None = None
 
     def weight_spec(self) -> WeightSpec:
         if self.support is None:
@@ -69,59 +85,108 @@ class FamilyDescriptor:
 
     def norm_square(self, n: int):
         """Tabulated closed-form norm square, or None when the family has none."""
-        if self.name in ("ultraspherical", "chebyshev5", "chebyshev6"):
-            return norm_square_ultraspherical(
-                n, self.params["alpha"], self.params["beta"], self.ctx
-            )
-        if self.name == "hermite":
-            return norm_square_hermite(n, self.params["p"], self.ctx)
-        return None
+        return None if self.closed_norm is None else self.closed_norm(n)
 
 
-def make_ultraspherical(
-    alpha, beta, ctx: QContext, _name: str = "ultraspherical"
-) -> FamilyDescriptor:
-    """Generalized q-ultraspherical family on [-1, 1]:
-    V = (-1, 1, -q(q+1)(alpha+beta+1), alpha q (q+1))."""
+def _ultraspherical(name, alpha, beta, beta1, ctx, rebuild) -> FamilyDescriptor:
+    # beta1 is the q -> 1 limit of beta, which differs from beta where beta
+    # itself depends on q (the chebyshev cases)
     q = ctx.q
     theta = alpha + beta + 1
     V = CharVector(-1, 1, -q * (q + 1) * theta, alpha * q * (q + 1))
-    return FamilyDescriptor(_name, {"alpha": alpha, "beta": beta}, V, 1.0, ctx)
+    return FamilyDescriptor(
+        name, {"alpha": alpha, "beta": beta}, V, 1.0, ctx,
+        limit_V=CharVector(-1, 1, -2 * (alpha + beta1 + 1), 2 * alpha),
+        rebuild=rebuild,
+        closed_norm=lambda n: norm_square_ultraspherical(n, alpha, beta, ctx),
+        limit_weight=lambda x: _ultraspherical_limit_weight(alpha, beta1, x),
+    )
+
+
+def make_ultraspherical(alpha, beta, ctx: QContext) -> FamilyDescriptor:
+    """Generalized q-ultraspherical family on [-1, 1]:
+    V = (-1, 1, -q(q+1)(alpha+beta+1), alpha q (q+1))."""
+    return _ultraspherical(
+        "ultraspherical", alpha, beta, beta, ctx, partial(make_ultraspherical, alpha, beta)
+    )
 
 
 def make_chebyshev5(ctx: QContext) -> FamilyDescriptor:
     """Fifth-kind q-Chebyshev: ultraspherical at alpha = 1, beta = [3]/[2] - 2."""
     beta = q_number(3, ctx) / q_number(2, ctx) - 2
-    return make_ultraspherical(1, beta, ctx, _name="chebyshev5")
+    return _ultraspherical("chebyshev5", 1, beta, -0.5, ctx, make_chebyshev5)
 
 
 def make_chebyshev6(ctx: QContext) -> FamilyDescriptor:
     """Sixth-kind q-Chebyshev: ultraspherical at alpha = 1, beta = [5]/[2] - 2."""
     beta = q_number(5, ctx) / q_number(2, ctx) - 2
-    return make_ultraspherical(1, beta, ctx, _name="chebyshev6")
+    return _ultraspherical("chebyshev6", 1, beta, 0.5, ctx, make_chebyshev6)
 
 
 def make_hermite(p, ctx: QContext) -> FamilyDescriptor:
     """Generalized q-Hermite family on [-1/sqrt(1-q^2), 1/sqrt(1-q^2)]:
-    V = (1-q^2, -1, 1+q, p(1+q))."""
+    V = (1-q^2, -1, 1+q, p(1+q)), admissible for p (1-q^2) < 1."""
     q = ctx.q
     # a is computed as (1+q)(1-q) so that a + c(q-1) cancels to exactly zero
     a = (1 + q) * (1 - q)
     V = CharVector(a, -1, 1 + q, p * (1 + q))
-    return FamilyDescriptor("hermite", {"p": p}, V, 1 / sqrt_(a), ctx)
+    violation = None
+    if p * (1 - q * q) >= 1:
+        violation = f"hermite admissibility p (1-q^2) < 1 violated (p={p}, q={q})"
+    return FamilyDescriptor(
+        "hermite", {"p": p}, V, 1 / sqrt_(a), ctx,
+        limit_V=CharVector(0, -1, 2, 2 * p),
+        rebuild=partial(make_hermite, p),
+        closed_norm=lambda n: norm_square_hermite(n, p, ctx),
+        limit_weight=lambda x: _hermite_limit_weight(p, x),
+        violation=violation,
+    )
 
 
 def make_custom(a, b, c, d, ctx: QContext) -> FamilyDescriptor:
     """A family given directly by its characteristic vector.
 
     The support endpoint is the positive root of a x^2 + b = 0 when one
-    exists; weight-based operations are unavailable otherwise.
+    exists; weight-based operations are unavailable otherwise.  The
+    vector is its own q -> 1 limit, and there is no closed-form norm or
+    limit weight.
     """
     V = CharVector(a, b, c, d)
     support = None
     if a != 0 and -b / a > 0:
         support = sqrt_(-b / a)
-    return FamilyDescriptor("custom", {}, V, support, ctx)
+    return FamilyDescriptor("custom", {}, V, support, ctx, limit_V=V)
+
+
+# CLI family name -> (factory, names of the parameters it takes before ctx)
+FAMILIES = {
+    "ultraspherical": (make_ultraspherical, ("alpha", "beta")),
+    "chebyshev5": (make_chebyshev5, ()),
+    "chebyshev6": (make_chebyshev6, ()),
+    "hermite": (make_hermite, ("p",)),
+}
+
+
+def _ultraspherical_limit_weight(alpha, beta, x):
+    """x^(2 alpha) (1 - x^2)^beta on [-1, 1]."""
+    if abs(x) > 1:
+        raise ValueError("x outside the support [-1, 1]")
+    if x == 0:
+        return 1.0 if alpha == 0 else 0.0
+    x2 = x * x
+    if x2 == 1 and beta < 0:
+        raise ValueError("weight singular at |x| = 1 for beta < 0")
+    return x2**alpha * (1 - x2) ** beta
+
+
+def _hermite_limit_weight(p, x):
+    """x^(-2p) exp(-x^2) on the real line."""
+    if x == 0:
+        if p == 0:
+            return 1.0
+        return float("inf") if p > 0 else 0.0
+    x2 = x * x
+    return x2 ** (-p) * exp_(-x2)
 
 
 def _poch(x, base, k, ctx):
@@ -211,8 +276,6 @@ class ReductionReport:
 
     ok_recurrence: bool
     max_recurrence_deviation: float
-    ok_weight_reciprocal: bool
-    max_weight_reciprocal_deviation: float
     max_weight_product_deviation: float
 
 
@@ -223,12 +286,10 @@ def hermite_p0_reduction_check(
     (the rescaled discrete q-Hermite I recurrence); verified here for
     n = 1 .. n_max.
 
-    The weight is checked two ways on the grid alpha q^j: against the
-    reciprocal form 1/(((1-q^2) x^2; q^2)_inf) as tabulated, and against
-    the product form (q^2 (1-q^2) x^2; q^2)_inf that actually solves the
-    family's Pearson relation.  The two forms differ by a factor that is
-    not q-periodic, so at most one of them can match; both deviations are
-    reported.
+    The weight is compared on the grid alpha q^j with the product form
+    (q^2 (1-q^2) x^2; q^2)_inf, the discrete q-Hermite I weight
+    (qy, -qy; q)_inf at y = sqrt(1-q^2) x, which solves the family's
+    Pearson relation; the largest relative deviation is reported.
     """
     q = ctx.q
     fam = make_hermite(0.0, ctx)
@@ -237,21 +298,16 @@ def hermite_p0_reduction_check(
         ref = q ** (n - 1) * (1 - q**n) / (1 - q * q)
         val = recurrence_C(n, fam.V, ctx)
         dev_c = max(dev_c, abs(val - ref) / abs(ref))
-    dev_recip = 0.0
     dev_prod = 0.0
     for j in range(1, n_points + 1):
         x = fam.support * q**j
         w = weight_star(fam.V, ctx, x)
         u = (1 - q * q) * x * x
-        recip = 1 / q_shifted_factorial_inf(u, ctx, base=q * q)
         prod = q_shifted_factorial_inf(q * q * u, ctx, base=q * q)
-        dev_recip = max(dev_recip, abs(w - recip) / abs(recip))
         dev_prod = max(dev_prod, abs(w - prod) / abs(prod))
     return ReductionReport(
         ok_recurrence=dev_c <= tol,
         max_recurrence_deviation=dev_c,
-        ok_weight_reciprocal=dev_recip <= 1e-12,
-        max_weight_reciprocal_deviation=dev_recip,
         max_weight_product_deviation=dev_prod,
     )
 
@@ -261,9 +317,10 @@ def orthogonality_matrix(
     n_max: int,
     cfg: JacksonConfig,
     internal_dps: int | None = 40,
-) -> np.ndarray:
+) -> tuple:
     """Gram matrix G[n][m] = integral of W* phi_n phi_m over [-alpha, alpha]
-    by symmetric Jackson integration, for n, m = 0 .. n_max.
+    by symmetric Jackson integration, for n, m = 0 .. n_max, as a tuple
+    of row tuples.
 
     Opposite-parity entries are exactly zero (odd integrand).  Equal-parity
     entries are assembled from one weight table and one polynomial table
@@ -280,14 +337,8 @@ def orthogonality_matrix(
     arithmetic, or mpf inputs to use the current mpmath precision
     throughout.
     """
-    ctx = fam.ctx
-    q = ctx.q
-    if fam.name == "hermite":
-        p = fam.params["p"]
-        if p * (1 - q * q) >= 1:
-            raise AdmissibilityError(
-                f"hermite admissibility p (1-q^2) < 1 violated (p={p}, q={q})"
-            )
+    if fam.violation is not None:
+        raise AdmissibilityError(fam.violation)
     if fam.support is None:
         raise ValueError("orthogonality needs a family with a support endpoint")
     grid = weight_grid_report(fam.weight_spec(), cfg.n_terms)
@@ -297,13 +348,13 @@ def orthogonality_matrix(
             f"{grid.first_bad_index})"
         )
 
-    if internal_dps is not None and isinstance(q, (int, float)):
+    if internal_dps is not None and isinstance(fam.ctx.q, (int, float)):
         import mpmath
 
         with mpmath.workdps(internal_dps):
             G = _assemble_gram(fam, n_max, cfg, mpmath.mpf, internal_dps)
-        return np.array([[float(v) for v in row] for row in G])
-    return np.array(_assemble_gram(fam, n_max, cfg, None, None))
+        return tuple(tuple(float(v) for v in row) for row in G)
+    return tuple(map(tuple, _assemble_gram(fam, n_max, cfg, None, None)))
 
 
 def _assemble_gram(fam, n_max, cfg, to_mpf, dps):
@@ -399,7 +450,7 @@ def norm_triple_report(
                 )
         elif note is None:
             note = "no closed form for this family"
-        elif fam.name != "custom":
+        else:
             flagged = True
         ok = pair_rel <= pair_tol and (
             flagged or closed is None or closed_rel <= pair_tol

@@ -21,13 +21,13 @@ additive term) and reported via ResonanceError, never regularized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ResonanceError, ZeroDenominatorError
 from .qcore import (
     HypSeriesSpec,
     QContext,
     basic_hypergeometric,
+    isfinite_,
     q_binomial,
     q_number,
     q_shifted_factorial,
@@ -70,6 +70,10 @@ class CharVector:
     d: float
 
     def __post_init__(self) -> None:
+        if not all(isfinite_(v) for v in self.as_tuple()):
+            raise ValueError(
+                f"characteristic vector entries must be finite, got {self.as_tuple()}"
+            )
         if self.a == 0 and self.c == 0:
             raise ValueError("degenerate parameters: a and c must not both vanish")
 
@@ -219,7 +223,6 @@ def recurrence_C_odd(m: int, V: CharVector, ctx: QContext):
     return num / den
 
 
-@lru_cache(maxsize=256)
 def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
     """All monic polynomials phi_0 .. phi_n built by the recurrence
     phi_{k+1} = x phi_k - C_k phi_{k-1}, phi_0 = 1, phi_1 = x."""

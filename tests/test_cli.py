@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +73,14 @@ class TestEval:
         )
         assert code == 2
         assert "precondition" in err
+
+    @pytest.mark.parametrize("family", [["--family", "hermite", "-p", "nan"],
+                                        ["--custom", "inf,1,1,1"]])
+    def test_non_finite_parameters_rejected(self, capsys, family):
+        code, out, err = run(capsys, ["check", "ode"] + family)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestTable:
@@ -210,6 +220,25 @@ class TestExport:
                 if isinstance(v, float):
                     assert math.isfinite(v)
 
+    def test_chebyshev5_limit_weight_endpoints(self, capsys, tmp_path):
+        # the fifth-kind limit weight x^2 / sqrt(1 - x^2) is singular at the
+        # endpoints of the default grid: null cells with an error entry each
+        out_path = tmp_path / "w.json"
+        code, _, _ = run(
+            capsys,
+            ["export", "weight", "--family", "chebyshev5", "-q", "0.5",
+             "-o", str(out_path)],
+        )
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        rows = payload["rows"]
+        assert len(rows) == 101
+        nulls = [i for i, r in enumerate(rows) if r["weight_limit"] is None]
+        assert nulls == [0, 100]
+        errors = [e for e in payload["errors"] if e["column"] == "weight_limit"]
+        assert [e["row"] for e in errors] == [0, 100]
+        assert all("singular" in e["error"] for e in errors)
+
     def test_poly_export(self, capsys, tmp_path):
         out_path = tmp_path / "p.json"
         code, _, _ = run(
@@ -230,6 +259,13 @@ class TestExport:
         assert cli.main(argv + ["-o", str(p2)]) == 0
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, qsympoly.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert res.stdout.strip() == "False"
 
 
 class TestPrecisionEnv:

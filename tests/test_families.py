@@ -206,11 +206,9 @@ class TestReduction:
         rep = qp.hermite_p0_reduction_check(20, CTX)
         assert rep.ok_recurrence
         assert rep.max_recurrence_deviation <= 1e-13
-        # the Pearson-consistent product form matches to rounding; the
-        # tabulated reciprocal form does not (documented discrepancy)
+        # the Pearson-consistent product form (the discrete q-Hermite I
+        # weight) matches to rounding
         assert rep.max_weight_product_deviation <= 1e-12
-        assert not rep.ok_weight_reciprocal
-        assert rep.max_weight_reciprocal_deviation > 1e-2
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_recurrence_collapse_all_q(self, q):

@@ -28,6 +28,22 @@ class TestCharVector:
         V = qp.CharVector(1, 2, 3, 4)
         assert V.as_tuple() == (1, 2, 3, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        import mpmath
+
+        for entry in (bad, mpmath.mpf(bad)):
+            with pytest.raises(ValueError, match="finite"):
+                qp.CharVector(1.0, -1.0, 2.0, entry)
+
+    def test_mpf_and_fraction_accepted(self):
+        from fractions import Fraction
+
+        import mpmath
+
+        V = qp.CharVector(mpmath.mpf(-1), Fraction(1, 3), mpmath.mpf("0.5"), Fraction(2))
+        assert V.b == Fraction(1, 3) and V.c == mpmath.mpf("0.5")
+
 
 class TestEigenvalue:
     def test_zero(self):
@@ -158,6 +174,28 @@ class TestBuildMonic:
             poly = qp.build_monic(n, ULTRA.V, CTX)
             for x in (0.123, 0.77, 1.9):
                 assert poly(-x) == (-1) ** n * poly(x)
+
+    def test_no_float_result_for_mpf_input(self):
+        # mpf(0.9) == 0.9 with equal hashes, so a ladder memoized on
+        # (n, V, ctx) answered mpf requests with float coefficients cached
+        # by an earlier float call
+        import mpmath
+
+        fam = qp.make_hermite(0.3, qp.QContext(0.9))
+        qp.build_monic(8, fam.V, fam.ctx)
+        for dps in (15, 60):
+            with mpmath.workdps(dps):
+                V = qp.CharVector(*(mpmath.mpf(v) for v in fam.V.as_tuple()))
+                ctx = qp.QContext(mpmath.mpf(0.9))
+                poly = qp.build_monic(8, V, ctx)
+                assert all(isinstance(c, mpmath.mpf) for c in poly.coeffs[:-1:2])
+        with mpmath.workdps(60):
+            C = [qp.recurrence_C(k, V, ctx) for k in range(1, 8)]
+            for x in (mpmath.mpf("0.3"), mpmath.mpf("1.7")):
+                prev, cur = 1, x
+                for ck in C:
+                    prev, cur = cur, x * cur - ck * prev
+                assert abs(poly(x) - cur) <= mpmath.mpf("1e-50") * poly.magnitude(x)
 
     def test_invalid_polynomial_rejected(self):
         with pytest.raises(ValueError):
