@@ -245,7 +245,8 @@ def limit_convergence_report(
     Raw errors are relative to the target magnitude; the polynomial
     quantity additionally floors the denominator with the magnitude of
     its largest monomial term, the meaningful scale near a zero of the
-    target.
+    target.  Where the target is exactly 0 (the hermite C_1 limit at
+    p = 1/2, for one), the errors are absolute.
     """
     if quantity not in ("C", "lambda", "poly", "weight"):
         raise ValueError(f"unknown limit quantity {quantity!r}")
@@ -273,6 +274,8 @@ def limit_convergence_report(
         target = continuous_weight(fam0, x) / continuous_weight(fam0, WEIGHT_REF_POINT)
         scale = abs(target)
 
+    if scale == 0:
+        scale = 1
     values = []
     for eps in probe.eps_values:
         # infinite products converge like q^(2j), so the factor budget must

@@ -33,8 +33,8 @@ from .qcore import (
     q_shifted_factorial_inf,
     sqrt_,
 )
-from .sympoly import CharVector, monic_ladder, recurrence_C
-from .weights import WeightSpec, weight_grid_report, weight_star
+from .sympoly import CharVector, recurrence_C
+from .weights import WeightSpec, pearson_ratio, weight_grid_report, weight_star
 
 __all__ = [
     "FamilyDescriptor",
@@ -172,6 +172,8 @@ def _ultraspherical_limit_weight(alpha, beta, x):
     if abs(x) > 1:
         raise ValueError("x outside the support [-1, 1]")
     if x == 0:
+        if alpha < 0:
+            raise ValueError("weight singular at x = 0 for alpha < 0")
         return 1.0 if alpha == 0 else 0.0
     x2 = x * x
     if x2 == 1 and beta < 0:
@@ -323,9 +325,13 @@ def orthogonality_matrix(
     of row tuples.
 
     Opposite-parity entries are exactly zero (odd integrand).  Equal-parity
-    entries are assembled from one weight table and one polynomial table
-    per grid point, summed in ascending grid order; this is algebraically
-    identical to calling q_integral_symmetric entry by entry.
+    entries are summed in ascending grid order from two tables over the
+    grid alpha q^j.  The weight table q^j W*(alpha q^j) takes one
+    weight_star evaluation at alpha and then steps along the grid by the
+    Pearson relation W*(qx) = q^2 pearson_ratio(x) W*(x), which holds
+    exactly on this orbit.  The polynomial values come from the
+    three-term recurrence phi_{k+1} = x phi_k - C_k phi_{k-1} at each
+    grid point.  Each entry depends only on n and m, not on n_max.
 
     The true Gram matrix of the exact polynomials is diagonal, but seeing
     that to 1e-10 relative needs more headroom than double precision
@@ -372,24 +378,29 @@ def _assemble_gram(fam, n_max, cfg, to_mpf, dps):
             alpha = to_mpf(fam.support)
     else:
         q, ictx, V, alpha = ctx.q, ctx, fam.V, fam.support
-    polys = monic_ladder(n_max, V, ictx)
-    xs = [alpha * q**j for j in range(cfg.n_terms + 1)]
-    ws = [weight_star(V, ictx, x) for x in xs]
-    pv = [[poly(x) for poly in polys] for x in xs]
+    Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max)]
+    q3 = q**3
     size = n_max + 1
     G = [[0] * size for _ in range(size)]
+    # t = q^j W*(alpha q^j), stepped along the grid by the Pearson relation
+    # W*(qx) = q^2 pearson_ratio(x) W*(x); its pole a q^2 x^2 + b =
+    # b (1 - q^(2j+2)) never vanishes on this orbit
+    t = weight_star(V, ictx, alpha)
+    for j in range(cfg.n_terms + 1):
+        x = alpha * q**j
+        pv = [1, x]
+        for Ck in Cs:
+            pv.append(x * pv[-1] - Ck * pv[-2])
+        for n in range(size):
+            u = t * pv[n]
+            row = G[n]
+            for m in range(n, size, 2):
+                row[m] = row[m] + u * pv[m]
+        t = t * q3 * pearson_ratio(V, ictx, x)
+    scale = 2 * alpha * (1 - q)
     for n in range(size):
-        for m in range(n, size):
-            if (n + m) % 2:
-                continue
-            s = 0
-            qj = 1 + q * 0
-            for j in range(cfg.n_terms + 1):
-                s = s + qj * ws[j] * pv[j][n] * pv[j][m]
-                qj = qj * q
-            val = 2 * alpha * (1 - q) * s
-            G[n][m] = val
-            G[m][n] = val
+        for m in range(n, size, 2):
+            G[n][m] = G[m][n] = scale * G[n][m]
     return G
 
 
@@ -422,10 +433,20 @@ def norm_triple_report(
     pair_tol: float = 1e-8,
     flag_tol: float = 1e-6,
     internal_dps: int | None = 40,
+    gram: tuple | None = None,
 ) -> tuple:
     """Compare closed-form norms, Favard products and quadrature ratios
-    for n = 0 .. n_max."""
-    G = orthogonality_matrix(fam, n_max, cfg, internal_dps=internal_dps)
+    for n = 0 .. n_max.
+
+    ``gram`` is an orthogonality_matrix of this family and grid of size
+    at least n_max + 1, whose leading block is used; without it the
+    matrix is assembled here.
+    """
+    G = gram
+    if G is None:
+        G = orthogonality_matrix(fam, n_max, cfg, internal_dps=internal_dps)
+    elif len(G) <= n_max:
+        raise ValueError(f"Gram matrix of size {len(G)} has no entry at n = {n_max}")
     mass = G[0][0]
     out = []
     for n in range(n_max + 1):

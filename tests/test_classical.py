@@ -135,6 +135,13 @@ class TestLimitProbe:
 
 
 class TestLimitReports:
+    def test_vanishing_target_gives_absolute_errors(self):
+        rep = qp.limit_convergence_report(
+            "C", lambda ctx: qp.make_hermite(0.5, ctx), 1, qp.LimitProbe()
+        )
+        assert rep.target == 0
+        assert rep.raw_errors == tuple(abs(v) for v in rep.values)
+
     def test_lambda_sweep(self):
         rep = qp.limit_convergence_report(
             "lambda", lambda ctx: qp.make_hermite(0.3, ctx), 5, qp.LimitProbe()

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -164,6 +165,48 @@ class TestCheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(cli, "ode_residual_terms", lambda *args: (nan, nan, nan))
+        code, out, _ = run(
+            capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "-n", "2"]
+        )
+        assert code == 1
+        assert out.startswith("FAIL ode residual")
+
+    def test_limit_with_vanishing_target(self, capsys):
+        # the q -> 1 limit of C_1 is exactly 0 at p = 1/2, and the even
+        # explicit polynomials have no finite limit there
+        code, out, err = run(
+            capsys,
+            ["check", "limit", "--family", "hermite", "-p", "0.5", "-q", "0.3", "-n", "3"],
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS classical limit of C (raw error at eps=1e-4)",
+            "PASS classical limit of lambda (raw error at eps=1e-4)",
+            "FAIL classical limit of poly (raw error at eps=1e-4)",
+        ]
+        assert lines[2].endswith("[limit not evaluable at n=[2]]")
+        assert err == ""
+
+    def test_check_all_assembles_one_gram(self, capsys, monkeypatch):
+        from qsympoly import families
+
+        calls = []
+        real = families.orthogonality_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "orthogonality_matrix", counted)
+        monkeypatch.setattr(families, "orthogonality_matrix", counted)
+        code, _, _ = run(capsys, ["check", "all"])
+        assert code == 0
+        assert calls == [10]
+
     def test_check_all_runs(self, capsys):
         code, out, _ = run(
             capsys,
@@ -239,6 +282,21 @@ class TestExport:
         assert [e["row"] for e in errors] == [0, 100]
         assert all("singular" in e["error"] for e in errors)
 
+    def test_ultraspherical_limit_weight_origin(self, capsys, tmp_path):
+        # x^(2 alpha) diverges at x = 0 for alpha < 0
+        argv = ["export", "weight", "--family", "ultraspherical", "--alpha=-0.3",
+                "--beta", "0.7", "--grid=-0.02:0.02:3"]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [r["weight_limit"] == "" for r in rows] == [False, True, False]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        errors = [e for e in json.loads(out)["errors"] if e["column"] == "weight_limit"]
+        assert errors == [
+            {"row": 1, "column": "weight_limit", "error": "weight singular at x = 0 for alpha < 0"}
+        ]
+
     def test_poly_export(self, capsys, tmp_path):
         out_path = tmp_path / "p.json"
         code, _, _ = run(
@@ -263,8 +321,11 @@ class TestExport:
 
 def test_cli_import_does_not_load_numpy():
     code = "import sys, qsympoly.cli; print('numpy' in sys.modules)"
+    # the child imports the same copy of the package as this test run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=120, env=env)
     assert res.stdout.strip() == "False"
 
 

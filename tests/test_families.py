@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 
 import qsympoly as qp
@@ -138,16 +139,48 @@ class TestOrthogonalityMatrix:
             assert rel(G[n][n] / G[0][0], fav) < 1e-9
 
     def test_matches_q_integral_symmetric(self):
-        # the assembled entries equal literal Jackson integrals
+        # the assembled entries equal literal Jackson integrals, on the scale
+        # of the diagonal: the true off-diagonal entries are rounding noise
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
         G = qp.orthogonality_matrix(fam, 4, CFG, internal_dps=None)
         spec = fam.weight_spec()
-        p2 = qp.build_monic(2, fam.V, CTX)
-        p4 = qp.build_monic(4, fam.V, CTX)
-        direct = qp.q_integral_symmetric(
-            lambda t: spec.star(t) * p2(t) * p4(t), 1.0, CFG
-        ).value
-        assert rel(G[2][4], direct) < 1e-12
+        polys = [qp.build_monic(n, fam.V, CTX) for n in range(5)]
+        for n in range(5):
+            for m in range(n, 5, 2):
+                direct = qp.q_integral_symmetric(
+                    lambda t: spec.star(t) * polys[n](t) * polys[m](t), 1.0, CFG
+                ).value
+                assert abs(G[n][m] - direct) <= 1e-14 * (G[n][n] * G[m][m]) ** 0.5
+
+    @pytest.mark.parametrize(
+        "make,q",
+        [(lambda ctx: qp.make_ultraspherical(mpmath.mpf("0.4"), mpmath.mpf("0.7"), ctx), "0.5"),
+         (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3")],
+        ids=["ultraspherical", "hermite"],
+    )
+    def test_mp40_oracle(self, make, q):
+        # a literal Jackson sum over a direct weight_star table and Horner
+        # values of the monic polynomials, at 40 digits
+        n_max = 6
+        with mpmath.workdps(40):
+            ctx = qp.QContext(mpmath.mpf(q), eps_term=mpmath.mpf(10) ** -46)
+            cfg = qp.JacksonConfig(ctx)
+            fam = make(ctx)
+            G = qp.orthogonality_matrix(fam, n_max, cfg)
+            qm, alpha = ctx.q, fam.support
+            xs = [alpha * qm**j for j in range(cfg.n_terms + 1)]
+            ws = [qm**j * qp.weight_star(fam.V, ctx, x) for j, x in enumerate(xs)]
+            polys = [qp.build_monic(n, fam.V, ctx) for n in range(n_max + 1)]
+            pv = [[p(x) for x in xs] for p in polys]
+            oracle = [
+                [2 * alpha * (1 - qm) * mpmath.fsum(w * a * b for w, a, b in zip(ws, pn, pm))
+                 for pm in pv]
+                for pn in pv
+            ]
+            for n in range(n_max + 1):
+                for m in range(n, n_max + 1, 2):
+                    scale = mpmath.sqrt(oracle[n][n] * oracle[m][m])
+                    assert abs(G[n][m] - oracle[n][m]) <= mpmath.mpf("1e-33") * scale
 
     def test_inadmissible_hermite(self):
         fam = qp.make_hermite(2.0, CTX)  # p (1 - q^2) = 1.5
@@ -172,6 +205,13 @@ class TestOrthogonalityMatrix:
 
 
 class TestNormTriple:
+    def test_reads_leading_block_of_given_gram(self):
+        fam = qp.make_hermite(0.3, CTX)
+        G = qp.orthogonality_matrix(fam, 10, CFG)
+        assert qp.norm_triple_report(fam, 8, CFG, gram=G) == qp.norm_triple_report(fam, 8, CFG)
+        with pytest.raises(ValueError):
+            qp.norm_triple_report(fam, 8, CFG, gram=G[:8])
+
     def test_hermite_report(self):
         fam = qp.make_hermite(0.3, CTX)
         report = qp.norm_triple_report(fam, 8, CFG)
