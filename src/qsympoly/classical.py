@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .errors import TruncationError, ZeroDenominatorError
 from .families import FamilyDescriptor
 from .qcore import QContext, exp_, log_, sigma_parity
-from .sympoly import CharVector, eigenvalue, eval_explicit, recurrence_C
+from .sympoly import CharVector, _polyval, eigenvalue, eval_explicit, recurrence_C
+from .weights import _power_base
 
 __all__ = [
     "LimitProbe",
@@ -91,11 +92,7 @@ def continuous_poly_coeffs(n: int, V: CharVector) -> tuple:
 
 def continuous_poly(n: int, V: CharVector, x):
     """Value of the continuous symmetric polynomial of degree n at x."""
-    coeffs = continuous_poly_coeffs(n, V)
-    acc = 0
-    for ck in reversed(coeffs):
-        acc = acc * x + ck
-    return acc
+    return _polyval(continuous_poly_coeffs(n, V), x)
 
 
 def continuous_C_limit(n: int, V: CharVector):
@@ -125,20 +122,13 @@ def continuous_ode_residual(n: int, V: CharVector, x):
     coeffs = continuous_poly_coeffs(n, V)
     d1 = tuple(k * coeffs[k] for k in range(1, len(coeffs)))
     d2 = tuple(k * d1[k] for k in range(1, len(d1)))
-
-    def val(cs):
-        acc = 0
-        for ck in reversed(cs):
-            acc = acc * x + ck
-        return acc
-
     a, b, c, d = V.as_tuple()
     lam = continuous_lambda_limit(n, V)
     x2 = x * x
     return (
-        x2 * (a * x2 + b) * val(d2)
-        + x * (c * x2 + d) * val(d1)
-        + (lam * x2 - sigma_parity(n) * d) * val(coeffs)
+        x2 * (a * x2 + b) * _polyval(d2, x)
+        + x * (c * x2 + d) * _polyval(d1, x)
+        + (lam * x2 - sigma_parity(n) * d) * _polyval(coeffs, x)
     )
 
 
@@ -146,7 +136,7 @@ def continuous_char_vector(fam: FamilyDescriptor) -> CharVector:
     """The q -> 1 limit of a family's characteristic vector.
 
     The chebyshev parameters are themselves functions of q
-    (beta = [3]/[2] - 2 resp. [5]/[2] - 2), so their limits 3/2 and 5/2
+    (beta = [3]/[2] - 2 resp. [5]/[2] - 2), so their limits -1/2 and 1/2
     enter here, not the beta stored at the family's own base.
     """
     return fam.limit_V
@@ -179,9 +169,7 @@ def _weight_star_ratio(V: CharVector, ctx: QContext, x, ref):
     other), keeping every partial product O(1).
     """
     q = ctx.q
-    base = 1 + V.d * (q - 1) / V.b
-    if base <= 0:
-        raise ZeroDenominatorError("weight power base is not positive")
+    base = _power_base(V, q)
     power = exp_(log_(base) * (log_(x * x) - log_(ref * ref)) / (2 * log_(q)))
     q2 = q * q
     ct = -V.a * q2 / V.b

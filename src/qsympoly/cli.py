@@ -178,6 +178,10 @@ def _parse_grid(spec: str, real) -> tuple:
         raise CLIError(f"malformed grid spec {spec!r}; expected LO:HI:COUNT") from None
     if cnt < 2:
         raise CLIError("grid COUNT must be at least 2")
+    return _linear_grid(lo, hi, cnt)
+
+
+def _linear_grid(lo, hi, cnt: int) -> tuple:
     step = (hi - lo) / (cnt - 1)
     return tuple(lo + step * i for i in range(cnt))
 
@@ -309,30 +313,28 @@ def cmd_eval(cfg: RunConfig) -> int:
     V = cfg.family.V
     ctx = cfg.ctx
     tol = cfg.tol if cfg.tol is not None else 1e-10
-    has_hyp = V.a != 0 and V.b != 0
-    mf = monic_factor(n, V, ctx) if has_hyp else None
+    # (column, name in the error text, evaluation at x), checked in this order
+    forms = [("value_explicit", "explicit", lambda x: eval_explicit_monic(n, V, ctx, x))]
+    if V.a != 0 and V.b != 0:
+        mf = monic_factor(n, V, ctx)
+        forms.append(("value_hypergeometric", "2phi1",
+                      lambda x: mf * eval_hypergeometric(n, V, ctx, x)))
     poly = build_monic(n, V, ctx)
     rows = []
     errors = []
     mismatch = False
     for x in cfg.xs:
         vr = poly(x)
-        ve = eval_explicit_monic(n, V, ctx, x)
-        row = {"n": n, "x": x, "value_recurrence": vr, "value_explicit": ve}
+        row = {"n": n, "x": x, "value_recurrence": vr}
         scale = max(poly.magnitude(x), 1e-300)
-        if _rel_dev(vr, ve, 1e-3 * scale) > tol:
-            mismatch = True
-            errors.append({"x": fmt_num(x, cfg.precision), "error": "explicit form disagrees with recurrence"})
-        if has_hyp:
-            vh = mf * eval_hypergeometric(n, V, ctx, x)
-            row["value_hypergeometric"] = vh
-            if _rel_dev(vr, vh, 1e-3 * scale) > tol:
+        for column, form_name, form in forms:
+            v = row[column] = form(x)
+            if _rel_dev(vr, v, 1e-3 * scale) > tol:
                 mismatch = True
-                errors.append({"x": fmt_num(x, cfg.precision), "error": "2phi1 form disagrees with recurrence"})
+                errors.append({"x": fmt_num(x, cfg.precision),
+                               "error": f"{form_name} form disagrees with recurrence"})
         rows.append(row)
-    columns = ["n", "x", "value_recurrence", "value_explicit"]
-    if has_hyp:
-        columns.append("value_hypergeometric")
+    columns = ["n", "x", "value_recurrence"] + [column for column, _, _ in forms]
     _write_output(cfg, columns, rows, errors)
     return 1 if mismatch else 0
 
@@ -381,14 +383,14 @@ def _worst(residuals):
     return worst
 
 
-# Each suite takes the run configuration and the Gram matrix of the ortho
-# suite (None when that suite is not selected).
+# Each suite takes the run configuration, its tolerance and the Gram matrix
+# of the ortho suite (None when that suite is not selected).
 
-def _check_lines_ode(cfg, gram) -> list:
+def _check_lines_ode(cfg, tol, gram) -> list:
     fam = cfg.family
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["ode"]
     n_hi = cfg.n if cfg.n is not None else cfg.n_max
-    support = fam.support if fam.support is not None else 1.0
+    # sample points in the type of q, so mpf runs do not round them to float
+    support = (fam.support if fam.support is not None else 1.0) + 0 * cfg.ctx.q
     residuals = []
     for n in range(n_hi + 1):
         for i in range(1, 11):
@@ -400,8 +402,7 @@ def _check_lines_ode(cfg, gram) -> list:
     return [("ode residual (scaled)", worst, tol, worst <= tol, "")]
 
 
-def _check_lines_ortho(cfg, G) -> list:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["ortho"]
+def _check_lines_ortho(cfg, tol, G) -> list:
     size = cfg.n_max + 1
     parity_ok = all(G[i][j] == 0 for i in range(size) for j in range(i + 1, size, 2))
     worst = _worst(
@@ -416,8 +417,7 @@ def _check_lines_ortho(cfg, G) -> list:
     ]
 
 
-def _check_lines_norm(cfg, gram) -> list:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["norm"]
+def _check_lines_norm(cfg, tol, gram) -> list:
     n_hi = min(cfg.n_max, 8)
     report = norm_triple_report(cfg.family, n_hi, cfg.jackson, pair_tol=tol, gram=gram)
     lines = []
@@ -440,8 +440,7 @@ def _check_lines_norm(cfg, gram) -> list:
     return lines
 
 
-def _check_lines_pearson(cfg, gram) -> list:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["pearson"]
+def _check_lines_pearson(cfg, tol, gram) -> list:
     fam = cfg.family
     if fam.support is None:
         raise CLIError("pearson check needs a family with a support endpoint")
@@ -456,8 +455,7 @@ def _check_lines_pearson(cfg, gram) -> list:
     return [("pearson ratio W(qx)/W(x)", worst, tol, worst <= tol, "")]
 
 
-def _check_lines_limit(cfg, gram) -> list:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["limit"]
+def _check_lines_limit(cfg, tol, gram) -> list:
     subject = cfg.family.rebuild or cfg.family.V
     probe = LimitProbe()
     n_hi = cfg.n if cfg.n is not None else min(cfg.n_max, 10)
@@ -485,8 +483,7 @@ def _check_lines_limit(cfg, gram) -> list:
     return lines
 
 
-def _check_lines_boundary(cfg, gram) -> list:
-    tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS["boundary"]
+def _check_lines_boundary(cfg, tol, gram) -> list:
     spec = cfg.family.weight_spec()
     rep = boundary_vanishing_check(spec, cfg.ctx, tol=tol)
     return [("boundary A(alpha) W(alpha) = 0", rep.ratio, tol, rep.ok, "")]
@@ -508,12 +505,14 @@ def cmd_check(cfg: RunConfig) -> int:
         if s == "ortho":
             # assembled once: the norm suite reads its leading block
             gram = orthogonality_matrix(cfg.family, cfg.n_max, cfg.jackson)
-        lines.extend(suites[s](cfg, gram))
+        tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS[s]
+        lines.extend(suites[s](cfg, tol, gram))
     all_ok = all(ok for (_, _, _, ok, _) in lines)
     rows = []
     for name, residual, tol, ok, note in lines:
         status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: max residual {residual:.3e} (tol {tol:.1e})"
+        # mpf residuals under QSYMPOLY_PRECISION have no "e" format
+        print(f"{status} {name}: max residual {float(residual):.3e} (tol {tol:.1e})"
               + (f" [{note}]" if note else ""))
         rows.append({"check": name, "residual": residual, "tolerance": tol,
                      "passed": ok, "note": note})
@@ -531,25 +530,20 @@ def cmd_export(cfg: RunConfig) -> int:
         if fam.support is None:
             raise CLIError("weight export needs a family with a support endpoint")
         xs = cfg.xs or _default_grid(fam)
+        weights = (("weight_star", fam.weight_spec().star),
+                   ("weight_limit", lambda x: continuous_weight(fam, x)))
         rows = []
         for i, x in enumerate(xs):
             row = {"x": x}
-            try:
-                w = fam.weight_spec().star(x)
-                if not isfinite_(w):
-                    raise QSymPolyError(f"non-finite weight value {w!r}")
-                row["weight_star"] = w
-            except (QSymPolyError, ValueError) as exc:
-                row["weight_star"] = None
-                errors.append({"row": i, "column": "weight_star", "error": str(exc)})
-            try:
-                wl = continuous_weight(fam, x)
-                if not isfinite_(wl):
-                    raise QSymPolyError(f"non-finite weight value {wl!r}")
-                row["weight_limit"] = wl
-            except (QSymPolyError, ValueError) as exc:
-                row["weight_limit"] = None
-                errors.append({"row": i, "column": "weight_limit", "error": str(exc)})
+            for column, weight in weights:
+                try:
+                    w = weight(x)
+                    if not isfinite_(w):
+                        raise QSymPolyError(f"non-finite weight value {w!r}")
+                    row[column] = w
+                except (QSymPolyError, ValueError) as exc:
+                    row[column] = None
+                    errors.append({"row": i, "column": column, "error": str(exc)})
             rows.append(row)
         _write_output(cfg, ["x", "weight_star", "weight_limit"], rows, errors)
         return 0
@@ -564,10 +558,7 @@ def cmd_export(cfg: RunConfig) -> int:
 
 def _default_grid(fam) -> tuple:
     hi = fam.support if fam.support is not None else 1.0
-    lo = -hi
-    cnt = 101
-    step = (hi - lo) / (cnt - 1)
-    return tuple(lo + step * i for i in range(cnt))
+    return _linear_grid(-hi, hi, 101)
 
 
 def main(argv=None) -> int:

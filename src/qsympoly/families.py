@@ -348,9 +348,9 @@ def orthogonality_matrix(
     if fam.support is None:
         raise ValueError("orthogonality needs a family with a support endpoint")
     grid = weight_grid_report(fam.weight_spec(), cfg.n_terms)
-    if not (grid.positive and grid.even_exact):
+    if not grid.positive:
         raise AdmissibilityError(
-            f"weight is not positive/even on the grid (first bad index "
+            f"weight is not positive on the grid (first bad index "
             f"{grid.first_bad_index})"
         )
 
@@ -466,7 +466,7 @@ def norm_triple_report(
             if closed_rel > flag_tol:
                 flagged = True
                 note = (
-                    f"closed form deviates from Favard product by {closed_rel:.3e}; "
+                    f"closed form deviates from Favard product by {float(closed_rel):.3e}; "
                     "both values reported"
                 )
         elif note is None:

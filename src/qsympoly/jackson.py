@@ -87,18 +87,11 @@ def q_integral_symmetric(f: Callable, b, cfg: JacksonConfig) -> QIntegralResult:
 
     Odd integrands cancel pairwise and integrate to exactly zero.
     """
-    q = cfg.ctx.q
-    if b == 0:
-        return QIntegralResult(0.0, 0.0)
-    total = 0
-    last = 0
-    qn = 1 + q * 0
-    for _ in range(cfg.n_terms + 1):
-        xn = qn * b
-        last = qn * (_check_value(f(xn), xn) + _check_value(f(-xn), -xn))
-        total = total + last
-        qn = qn * q
-    return QIntegralResult(b * (1 - q) * total, abs(b * last))
+
+    def even_part(x):
+        return _check_value(f(x), x) + _check_value(f(-x), -x)
+
+    return q_integral_zero_to(even_part, b, cfg)
 
 
 def q_integral_real_line(f: Callable, cfg: JacksonConfig) -> QIntegralResult:

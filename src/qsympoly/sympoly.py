@@ -60,6 +60,13 @@ __all__ = [
 RESONANCE_GUARD = 1e-13
 
 
+def _resonant(den, t1, t2, t3=0) -> bool:
+    """True when den, the sum of the additive terms t1, t2 (and t3), vanishes
+    against the largest of them: the one resonance test of the package."""
+    scale = max(abs(t1), abs(t2), abs(t3))
+    return scale == 0 or abs(den) <= RESONANCE_GUARD * scale
+
+
 @dataclass(frozen=True)
 class CharVector:
     """The four free parameters (a, b, c, d) of one symmetric family."""
@@ -147,8 +154,7 @@ def delta(n: int, V: CharVector, ctx: QContext):
     sn1 = sigma_parity(n - 1)
     t1 = a * q**3
     t2 = q ** (2 * n) * _a_eff(V, q)
-    scale = max(abs(t1), abs(t2))
-    if scale == 0 or abs(t1 - t2) <= RESONANCE_GUARD * scale:
+    if _resonant(t1 - t2, t1, t2):
         raise ResonanceError(f"delta denominator vanishes at n={n}")
     num = q**2 * (
         -b * (q - 1) * q * q_number(n - 1, ctx) * q_number(n, ctx)
@@ -158,14 +164,10 @@ def delta(n: int, V: CharVector, ctx: QContext):
     return num / ((q + 1) * (t1 - t2))
 
 
-def _checked_den(parts, what: str):
-    den = 0
-    scale = 0.0
-    for p in parts:
-        den = den + p
-        scale = max(scale, abs(p))
-    if scale == 0 or abs(den) <= RESONANCE_GUARD * scale:
-        raise ResonanceError(f"{what} denominator vanishes")
+def _checked_den(t1, t2, t3, n: int):
+    den = t1 + t2 + t3
+    if _resonant(den, t1, t2, t3):
+        raise ResonanceError(f"C_{n} denominator vanishes")
     return den
 
 
@@ -177,8 +179,7 @@ def recurrence_C(n: int, V: CharVector, ctx: QContext):
     sn = sigma_parity(n)
     sn1 = sigma_parity(n - 1)
     den = _checked_den(
-        (a * a * q**4, q ** (4 * n) * ae * ae, -a * (q**3 + q) * q ** (2 * n) * ae),
-        f"C_{n}",
+        a * a * q**4, q ** (4 * n) * ae * ae, -a * (q**3 + q) * q ** (2 * n) * ae, n
     )
     num = q ** (n + 1) * (
         q ** (2 * n) * ae * ((d - d * q) * sn - b)
@@ -194,8 +195,7 @@ def recurrence_C_even(m: int, V: CharVector, ctx: QContext):
     a, b, c, d = V.as_tuple()
     ae = _a_eff(V, q)
     den = _checked_den(
-        (a * a * q**4, q ** (8 * m) * ae * ae, -a * (q**3 + q) * q ** (4 * m) * ae),
-        f"C_{2 * m}",
+        a * a * q**4, q ** (8 * m) * ae * ae, -a * (q**3 + q) * q ** (4 * m) * ae, 2 * m
     )
     num = (
         -q ** (2 * m + 1)
@@ -212,8 +212,10 @@ def recurrence_C_odd(m: int, V: CharVector, ctx: QContext):
     a, b, c, d = V.as_tuple()
     ae = _a_eff(V, q)
     den = _checked_den(
-        (a * a * q, q ** (8 * m + 1) * ae * ae, -a * (q * q + 1) * q ** (4 * m) * ae),
-        f"C_{2 * m + 1}",
+        a * a * q,
+        q ** (8 * m + 1) * ae * ae,
+        -a * (q * q + 1) * q ** (4 * m) * ae,
+        2 * m + 1,
     )
     num = (
         -q ** (2 * m)
@@ -266,8 +268,7 @@ def _explicit_ratio_products(n: int, V: CharVector, ctx: QContext) -> list:
         t1 = b * q_number(i_den, ctx)
         t2 = d * q**i_den
         den = t1 + t2
-        scale = max(abs(t1), abs(t2))
-        if scale == 0 or abs(den) <= RESONANCE_GUARD * scale:
+        if _resonant(den, t1, t2):
             raise ZeroDenominatorError(
                 f"explicit-form denominator b[{i_den}] + d q^{i_den} vanishes"
             )

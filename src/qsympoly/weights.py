@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidBaseError, ZeroDenominatorError
 from .qcore import QContext, exp_, isfinite_, log_, q_shifted_factorial_inf
-from .sympoly import RESONANCE_GUARD, CharVector
+from .sympoly import CharVector, _resonant
 
 __all__ = [
     "WeightSpec",
@@ -38,8 +38,7 @@ def pearson_ratio(V: CharVector, ctx: QContext, x):
     q = ctx.q
     t1 = V.a * q * q * x * x
     den = t1 + V.b
-    scale = max(abs(t1), abs(V.b))
-    if scale == 0 or abs(den) <= RESONANCE_GUARD * scale:
+    if _resonant(den, t1, V.b):
         raise ZeroDenominatorError("Pearson ratio pole: a q^2 x^2 = -b")
     num = x * x * (V.a + V.c * (q - 1)) + V.b + V.d * (q - 1)
     return num / (q * q * den)
@@ -54,8 +53,12 @@ def _power_base(V: CharVector, q):
     return base
 
 
-def _weight_products(V: CharVector, ctx: QContext, x):
+def _weight_factors(V: CharVector, ctx: QContext, x, base):
+    """(power * top, bot) at x != 0: the real power base^(log x^2 / (2 log q))
+    times the numerator product, and the denominator product."""
     q = ctx.q
+    # exp(0 * ...) is exactly 1, so base == 1 skips the logarithms
+    power = 1 if base == 1 else exp_(log_(base) * log_(x * x) / (2 * log_(q)))
     top = q_shifted_factorial_inf(-V.a * q * q * x * x / V.b, ctx, base=q * q)
     bden = V.b + V.d * (q - 1)
     bot = q_shifted_factorial_inf(
@@ -63,7 +66,7 @@ def _weight_products(V: CharVector, ctx: QContext, x):
     )
     if bot == 0:
         raise ZeroDenominatorError("weight denominator product vanishes")
-    return top, bot
+    return power * top, bot
 
 
 def weight_general(V: CharVector, ctx: QContext, x):
@@ -80,11 +83,8 @@ def weight_general(V: CharVector, ctx: QContext, x):
         raise ValueError("the closed-form weight needs a != 0 and b != 0")
     if x == 0:
         raise ValueError("W has a 1/x^2 singularity at x = 0; use weight_star")
-    q = ctx.q
-    base = _power_base(V, q)
-    power = exp_(log_(base) * log_(x * x) / (2 * log_(q)))
-    top, bot = _weight_products(V, ctx, x)
-    return power * top / (x * x * bot)
+    power_top, bot = _weight_factors(V, ctx, x, _power_base(V, ctx.q))
+    return power_top / (x * x * bot)
 
 
 def weight_star(V: CharVector, ctx: QContext, x):
@@ -96,18 +96,13 @@ def weight_star(V: CharVector, ctx: QContext, x):
     """
     if V.a == 0 or V.b == 0:
         raise ValueError("the closed-form weight needs a != 0 and b != 0")
-    q = ctx.q
-    base = _power_base(V, q)
+    base = _power_base(V, ctx.q)
     if x == 0:
         if base == 1:
             return 1.0
         return 0.0 if base < 1 else float("inf")
-    if base == 1:
-        power = 1
-    else:
-        power = exp_(log_(base) * log_(x * x) / (2 * log_(q)))
-    top, bot = _weight_products(V, ctx, x)
-    return power * top / bot
+    power_top, bot = _weight_factors(V, ctx, x, base)
+    return power_top / bot
 
 
 @dataclass(frozen=True)
@@ -140,32 +135,31 @@ class WeightSpec:
 @dataclass(frozen=True)
 class WeightGridReport:
     positive: bool
-    even_exact: bool
     min_value: float
     max_value: float
     first_bad_index: int | None
 
 
 def weight_grid_report(spec: WeightSpec, n_terms: int = 256) -> WeightGridReport:
-    """Evenness and positivity of W* on the geometric grid +-alpha q^j."""
+    """Positivity of W* on the geometric grid alpha q^j.
+
+    W* reads x only through x^2, so it is even bit for bit and the
+    mirrored points -alpha q^j need no evaluation of their own.
+    """
     q = spec.ctx.q
     positive = True
-    even = True
     vmin, vmax = None, None
     bad = None
     for j in range(n_terms + 1):
         x = spec.support * q**j
         w = spec.star(x)
-        if spec.star(-x) != w:
-            even = False
-            bad = bad if bad is not None else j
         if not (isfinite_(w) and w > 0):
             positive = False
             bad = bad if bad is not None else j
             continue
         vmin = w if vmin is None else min(vmin, w)
         vmax = w if vmax is None else max(vmax, w)
-    return WeightGridReport(positive, even, vmin, vmax, bad)
+    return WeightGridReport(positive, vmin, vmax, bad)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,13 @@ class TestLimitReports:
         assert rep.monotone
         assert rep.raw_errors[-1] < 1e-3
 
+    def test_weight_invalid_power_base(self):
+        # 1 + p (1 - q^2) < 0 at q = 0.99: the same error as weight_star's
+        with pytest.raises(qp.InvalidBaseError):
+            qp.limit_convergence_report(
+                "weight", lambda ctx: qp.make_hermite(-100.0, ctx), 0, qp.LimitProbe(), x=0.8
+            )
+
     def test_fixed_vector_subject(self):
         V = qp.CharVector(1.3, -0.6, 0.8, 0.0)
         rep = qp.limit_convergence_report("C", V, 4, qp.LimitProbe())

@@ -344,6 +344,31 @@ class TestPrecisionEnv:
         assert isinstance(v, str)
         assert abs(float(v) - (0.49 - 2 / 3)) < 1e-15
 
+    def run_check(self, capsys, monkeypatch, argv):
+        import mpmath
+
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "30")
+        with mpmath.workdps(mpmath.mp.dps):  # the CLI sets the global precision
+            code, out, err = run(capsys, ["check"] + argv)
+        lines = out.splitlines()
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        return code, lines, err
+
+    def test_check_all(self, capsys, monkeypatch):
+        # mpf residuals used to end the run in a format TypeError
+        code, lines, err = self.run_check(
+            capsys, monkeypatch, ["all", "--family", "hermite", "-p", "0.3"])
+        assert len(lines) == 10
+        assert err == ""
+        assert code in (0, 1)
+
+    def test_ode_points_at_working_precision(self, capsys, monkeypatch):
+        code, lines, _ = self.run_check(
+            capsys, monkeypatch, ["ode", "--family", "ultraspherical"])
+        assert code == 0
+        residual = float(lines[0].split("max residual ")[1].split()[0])
+        assert residual < 1e-25
+
     def test_rejects_garbage(self, capsys, monkeypatch):
         monkeypatch.setenv("QSYMPOLY_PRECISION", "many")
         code, _, err = run(capsys, ["eval", "--family", "hermite", "-n", "1", "-x", "0.1"])

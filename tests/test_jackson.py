@@ -94,6 +94,11 @@ class TestSymmetric:
         half = 2 * qp.q_integral_zero_to(f, 0.8, CFG).value
         assert rel(sym, half) < 1e-14
 
+    def test_nonfinite_mirror_side(self):
+        # only f(-x) is bad; the error names the mirrored point itself
+        with pytest.raises(ValueError, match=r"x=-1\.0"):
+            qp.q_integral_symmetric(lambda t: math.nan if t < 0 else 1.0, 1.0, CFG)
+
 
 class TestRealLine:
     def test_odd_function(self):

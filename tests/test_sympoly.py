@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qsympoly as qp
@@ -356,3 +358,36 @@ class TestClassify:
 def test_parity_property(n, x):
     poly = qp.build_monic(n, ULTRA.V, CTX)
     assert poly(-x) == (-1) ** n * poly(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*(st.fractions(-3, 3, max_denominator=7) for _ in range(4))),
+    st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10),
+    st.fractions(-2, 2, max_denominator=5),
+    st.integers(1, 8),
+)
+def test_exact_fraction_oracle(abcd, q, x, n):
+    # in exact arithmetic each identity holds with equality, not to a tolerance
+    a, b, c, d = abcd
+    assume(a != 0 or c != 0)
+    V = qp.CharVector(a, b, c, d)
+    ctx = qp.QContext(q)
+    m = n // 2
+    C_parity = qp.recurrence_C_odd if n % 2 else qp.recurrence_C_even
+    try:
+        C = qp.recurrence_C(n, V, ctx)
+        phi = qp.build_monic(n, V, ctx)(x)
+        residuals = {
+            "telescoping": qp.delta(n, V, ctx) - qp.delta(n + 1, V, ctx) - C,
+            "parity": C_parity(m, V, ctx) - C,
+            "ode": qp.ode_residual(n, V, ctx, x),
+            "explicit": qp.eval_explicit_monic(n, V, ctx, x) - phi,
+        }
+        if a != 0 and b != 0:
+            hyp = qp.monic_factor(n, V, ctx) * qp.eval_hypergeometric(n, V, ctx, x)
+            residuals["2phi1"] = hyp - phi
+    except (qp.ResonanceError, qp.ZeroDenominatorError):
+        assume(False)
+    assert type(phi) is Fraction
+    assert residuals == dict.fromkeys(residuals, 0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import oracle_qpoch_inf, rel
@@ -117,8 +119,29 @@ class TestWeightStar:
     def test_positive_even_grid(self):
         for fam in (ULTRA, HERM, HERM0, qp.make_chebyshev5(CTX), qp.make_chebyshev6(CTX)):
             report = qp.weight_grid_report(fam.weight_spec(), n_terms=256)
-            assert report.positive and report.even_exact
+            assert report.positive
             assert report.min_value > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.05, 0.95),
+        st.one_of(
+            st.tuples(st.just("ultraspherical"), st.floats(-0.45, 2), st.floats(-0.9, 2)),
+            st.tuples(st.just("hermite"), st.floats(-0.9, 0.99)),
+        ),
+        st.integers(0, 60),
+    )
+    def test_even_bit_for_bit(self, q, draw, j):
+        # the grid report evaluates only +alpha q^j and relies on this
+        ctx = qp.QContext(q)
+        if draw[0] == "ultraspherical":
+            fam = qp.make_ultraspherical(draw[1], draw[2], ctx)
+        else:
+            fam = qp.make_hermite(draw[1], ctx)
+        x = fam.support * q**j
+        w = qp.weight_star(fam.V, ctx, x)
+        assert qp.weight_star(fam.V, ctx, -x) == w
+        assert w > 0
 
 
 class TestBoundary:
