@@ -8,13 +8,14 @@ bitwise).
 
 The environment variable QSYMPOLY_PRECISION, when set to an integer
 number of decimal digits above 17, switches all numeric inputs to
-mpmath at that precision; values are then printed through mpmath with
-the configured digit count.
+mpmath at that precision for the duration of the command; values are
+then printed through mpmath with the configured digit count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -60,7 +61,7 @@ DEFAULT_TOLS = {
 }
 
 
-class CLIError(Exception):
+class CLIError(ValueError):
     """Usage/validation failure; maps to exit code 2."""
 
 
@@ -162,10 +163,7 @@ def _make_family(args, ctx, real) -> FamilyDescriptor:
             a, b, c, d = (real(s.strip()) for s in parts)
         except Exception as exc:
             raise CLIError(f"could not parse --custom: {exc}") from None
-        try:
-            return make_custom(a, b, c, d, ctx)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        return make_custom(a, b, c, d, ctx)
     factory, names = FAMILIES[args.family]
     return factory(*(real(getattr(args, k)) for k in names), ctx)
 
@@ -186,32 +184,28 @@ def _linear_grid(lo, hi, cnt: int) -> tuple:
     return tuple(lo + step * i for i in range(cnt))
 
 
-def _build_config(args) -> RunConfig:
-    precision = None
+def _env_precision() -> int | None:
+    """QSYMPOLY_PRECISION as a digit count, or None when it is unset."""
     env = os.environ.get("QSYMPOLY_PRECISION")
-    if env:
-        try:
-            precision = int(env)
-        except ValueError:
-            raise CLIError(f"QSYMPOLY_PRECISION must be an integer, got {env!r}")
-        if precision < 1:
-            raise CLIError("QSYMPOLY_PRECISION must be positive")
-        import mpmath
+    if not env:
+        return None
+    try:
+        precision = int(env)
+    except ValueError:
+        raise CLIError(f"QSYMPOLY_PRECISION must be an integer, got {env!r}") from None
+    if precision < 1:
+        raise CLIError("QSYMPOLY_PRECISION must be positive")
+    return precision
 
-        mpmath.mp.dps = max(precision, 15)
+
+def _build_config(args, precision) -> RunConfig:
     real = _real_parser(precision)
     try:
         q = real(args.q)
     except Exception as exc:
         raise CLIError(f"could not parse q: {exc}") from None
-    try:
-        ctx = QContext(q)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    try:
-        jackson = JacksonConfig(ctx, n_terms=args.n_terms)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    ctx = QContext(q)
+    jackson = JacksonConfig(ctx, n_terms=args.n_terms)
     fam = _make_family(args, ctx, real)
 
     n_max = getattr(args, "n_max", 10)
@@ -568,17 +562,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _build_config(args)
-        handler = {
-            "eval": cmd_eval,
-            "table": cmd_table,
-            "check": cmd_check,
-            "export": cmd_export,
-        }[cfg.command]
-        return handler(cfg)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        precision = _env_precision()
+        scope = contextlib.nullcontext()
+        if precision is not None:
+            import mpmath
+
+            # the precision holds for this call only, not for the process
+            scope = mpmath.workdps(max(precision, 15))
+        with scope:
+            cfg = _build_config(args, precision)
+            handler = {
+                "eval": cmd_eval,
+                "table": cmd_table,
+                "check": cmd_check,
+                "export": cmd_export,
+            }[cfg.command]
+            return handler(cfg)
     except QSymPolyError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2

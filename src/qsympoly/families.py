@@ -28,13 +28,14 @@ from .jackson import JacksonConfig
 from .qcore import (
     QContext,
     exp_,
+    isfinite_,
     q_number,
     q_shifted_factorial,
     q_shifted_factorial_inf,
     sqrt_,
 )
 from .sympoly import CharVector, recurrence_C
-from .weights import WeightSpec, pearson_ratio, weight_grid_report, weight_star
+from .weights import WeightSpec, pearson_ratio, weight_star
 
 __all__ = [
     "FamilyDescriptor",
@@ -53,6 +54,12 @@ __all__ = [
     "NormTriple",
     "norm_triple_report",
 ]
+
+# least working precision of the Gram assembly, in decimal digits
+GRAM_DPS = 40
+# relative deviation of a tabulated norm from the Favard product above
+# which norm_triple_report flags the tabulated form
+CLOSED_FORM_FLAG_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +321,7 @@ def hermite_p0_reduction_check(
     )
 
 
-def orthogonality_matrix(
-    fam: FamilyDescriptor,
-    n_max: int,
-    cfg: JacksonConfig,
-    internal_dps: int | None = 40,
-) -> tuple:
+def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) -> tuple:
     """Gram matrix G[n][m] = integral of W* phi_n phi_m over [-alpha, alpha]
     by symmetric Jackson integration, for n, m = 0 .. n_max, as a tuple
     of row tuples.
@@ -329,55 +331,41 @@ def orthogonality_matrix(
     grid alpha q^j.  The weight table q^j W*(alpha q^j) takes one
     weight_star evaluation at alpha and then steps along the grid by the
     Pearson relation W*(qx) = q^2 pearson_ratio(x) W*(x), which holds
-    exactly on this orbit.  The polynomial values come from the
-    three-term recurrence phi_{k+1} = x phi_k - C_k phi_{k-1} at each
-    grid point.  Each entry depends only on n and m, not on n_max.
+    exactly on this orbit.  Every entry of that table must be positive
+    and finite, else AdmissibilityError names the first bad index j.
+    The polynomial values come from the three-term recurrence
+    phi_{k+1} = x phi_k - C_k phi_{k-1} at each grid point.  Each entry
+    depends only on n and m, not on n_max.
 
     The true Gram matrix of the exact polynomials is diagonal, but seeing
     that to 1e-10 relative needs more headroom than double precision
     offers: ulp-level rounding of the recurrence coefficients is
     amplified by the norm ratio d^2_0 / d^2_n, around 1e10 at n = 10.
-    Float inputs are therefore promoted exactly to mpmath at
-    ``internal_dps`` digits for the assembly and the entries demoted back
-    to float.  Pass internal_dps=None to integrate in the ambient
-    arithmetic, or mpf inputs to use the current mpmath precision
-    throughout.
+    The inputs are therefore promoted exactly to mpmath and the matrix is
+    assembled at max(GRAM_DPS, mp.dps) digits.  The entries come back in
+    the type of q: floats for float input, mpf at the caller's precision
+    for mpf input.
     """
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
     if fam.support is None:
         raise ValueError("orthogonality needs a family with a support endpoint")
-    grid = weight_grid_report(fam.weight_spec(), cfg.n_terms)
-    if not grid.positive:
-        raise AdmissibilityError(
-            f"weight is not positive on the grid (first bad index "
-            f"{grid.first_bad_index})"
-        )
+    import mpmath
 
-    if internal_dps is not None and isinstance(fam.ctx.q, (int, float)):
-        import mpmath
-
-        with mpmath.workdps(internal_dps):
-            G = _assemble_gram(fam, n_max, cfg, mpmath.mpf, internal_dps)
-        return tuple(tuple(float(v) for v in row) for row in G)
-    return tuple(map(tuple, _assemble_gram(fam, n_max, cfg, None, None)))
+    with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
+        G = _assemble_gram(fam, n_max, cfg, mpmath.mpf, mpmath.mp.dps)
+    out = mpmath.mpf if isinstance(fam.ctx.q, mpmath.mpf) else float
+    return tuple(tuple(out(v) for v in row) for row in G)
 
 
 def _assemble_gram(fam, n_max, cfg, to_mpf, dps):
-    ctx = fam.ctx
-    if to_mpf is not None:
-        q = to_mpf(ctx.q)
-        ictx = QContext(q, eps_term=10.0 ** (-(dps + 6)), max_terms=4 * ctx.max_terms)
-        V = CharVector(*(to_mpf(v) for v in fam.V.as_tuple()))
-        # the endpoint must be the root of a x^2 + b at *working* precision,
-        # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
-        # re-enters the off-diagonal entries at the double-rounding level
-        if V.a != 0 and -V.b / V.a > 0:
-            alpha = sqrt_(-V.b / V.a)
-        else:
-            alpha = to_mpf(fam.support)
-    else:
-        q, ictx, V, alpha = ctx.q, ctx, fam.V, fam.support
+    q = to_mpf(fam.ctx.q)
+    ictx = QContext(q, eps_term=10.0 ** (-(dps + 6)), max_terms=4 * fam.ctx.max_terms)
+    V = CharVector(*(to_mpf(v) for v in fam.V.as_tuple()))
+    # the endpoint must be the root of a x^2 + b at *working* precision,
+    # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
+    # re-enters the off-diagonal entries at the double-rounding level
+    alpha = sqrt_(-V.b / V.a)
     Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max)]
     q3 = q**3
     size = n_max + 1
@@ -387,6 +375,10 @@ def _assemble_gram(fam, n_max, cfg, to_mpf, dps):
     # b (1 - q^(2j+2)) never vanishes on this orbit
     t = weight_star(V, ictx, alpha)
     for j in range(cfg.n_terms + 1):
+        if not (isfinite_(t) and t > 0):
+            raise AdmissibilityError(
+                f"weight is not positive on the grid (first bad index {j})"
+            )
         x = alpha * q**j
         pv = [1, x]
         for Ck in Cs:
@@ -431,20 +423,20 @@ def norm_triple_report(
     n_max: int,
     cfg: JacksonConfig,
     pair_tol: float = 1e-8,
-    flag_tol: float = 1e-6,
-    internal_dps: int | None = 40,
     gram: tuple | None = None,
 ) -> tuple:
     """Compare closed-form norms, Favard products and quadrature ratios
     for n = 0 .. n_max.
 
+    A tabulated norm that deviates from the Favard product by more than
+    CLOSED_FORM_FLAG_TOL relative is flagged and reported, not failed.
     ``gram`` is an orthogonality_matrix of this family and grid of size
     at least n_max + 1, whose leading block is used; without it the
     matrix is assembled here.
     """
     G = gram
     if G is None:
-        G = orthogonality_matrix(fam, n_max, cfg, internal_dps=internal_dps)
+        G = orthogonality_matrix(fam, n_max, cfg)
     elif len(G) <= n_max:
         raise ValueError(f"Gram matrix of size {len(G)} has no entry at n = {n_max}")
     mass = G[0][0]
@@ -463,7 +455,7 @@ def norm_triple_report(
         flagged = False
         if closed is not None:
             closed_rel = abs(closed - fav) / max(abs(closed), abs(fav))
-            if closed_rel > flag_tol:
+            if closed_rel > CLOSED_FORM_FLAG_TOL:
                 flagged = True
                 note = (
                     f"closed form deviates from Favard product by {float(closed_rel):.3e}; "

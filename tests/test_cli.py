@@ -108,6 +108,17 @@ class TestTable:
         header = out.splitlines()[0]
         assert header.startswith("n,lambda,delta,C,favard_norm")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["-q", "1.5"], "base q must satisfy 0 < q < 1, got 1.5"),
+        (["-q", "0.1", "--n-terms", "400"], "q**n_terms underflows for q=0.1, n_terms=400"),
+        (["--custom", "0,1,0,1"], "degenerate parameters: a and c must not both vanish"),
+    ])
+    def test_invalid_input_message(self, capsys, argv, message):
+        code, out, err = run(capsys, ["table"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestCheck:
     def test_ortho_pass(self, capsys):
@@ -206,6 +217,19 @@ class TestCheck:
         code, _, _ = run(capsys, ["check", "all"])
         assert code == 0
         assert calls == [10]
+
+    def test_weight_below_float_range(self, capsys):
+        # the power base 1 + p (1 - q^2) = 0.05 takes a float W* below the
+        # smallest double from grid index 257 on; the table the Gram
+        # integrates stays positive
+        code, out, err = run(
+            capsys,
+            ["check", "ortho", "--family", "hermite", "-p=-5", "-q", "0.9",
+             "--n-terms", "700"],
+        )
+        assert (code, err) == (0, "")
+        residual = float(out.splitlines()[0].split("max residual ")[1].split()[0])
+        assert residual < 1e-30
 
     def test_check_all_runs(self, capsys):
         code, out, _ = run(
@@ -344,12 +368,19 @@ class TestPrecisionEnv:
         assert isinstance(v, str)
         assert abs(float(v) - (0.49 - 2 / 3)) < 1e-15
 
-    def run_check(self, capsys, monkeypatch, argv):
+    def test_precision_scoped_to_call(self, capsys, monkeypatch):
         import mpmath
 
         monkeypatch.setenv("QSYMPOLY_PRECISION", "30")
-        with mpmath.workdps(mpmath.mp.dps):  # the CLI sets the global precision
-            code, out, err = run(capsys, ["check"] + argv)
+        dps = mpmath.mp.dps
+        code, _, _ = run(
+            capsys, ["eval", "--family", "hermite", "-n", "2", "-x", "0.7"])
+        assert code == 0
+        assert mpmath.mp.dps == dps == 15
+
+    def run_check(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "30")
+        code, out, err = run(capsys, ["check"] + argv)
         lines = out.splitlines()
         assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
         return code, lines, err

@@ -139,10 +139,10 @@ class TestOrthogonalityMatrix:
             assert rel(G[n][n] / G[0][0], fav) < 1e-9
 
     def test_matches_q_integral_symmetric(self):
-        # the assembled entries equal literal Jackson integrals, on the scale
-        # of the diagonal: the true off-diagonal entries are rounding noise
+        # the promoted assembly equals literal float Jackson integrals, on the
+        # scale of the diagonal: the true off-diagonal entries are rounding noise
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
-        G = qp.orthogonality_matrix(fam, 4, CFG, internal_dps=None)
+        G = qp.orthogonality_matrix(fam, 4, CFG)
         spec = fam.weight_spec()
         polys = [qp.build_monic(n, fam.V, CTX) for n in range(5)]
         for n in range(5):
@@ -186,6 +186,32 @@ class TestOrthogonalityMatrix:
         fam = qp.make_hermite(2.0, CTX)  # p (1 - q^2) = 1.5
         with pytest.raises(qp.AdmissibilityError):
             qp.orthogonality_matrix(fam, 4, CFG)
+
+    def test_weight_not_positive_on_grid(self):
+        # beta = -1.5 makes W* negative at the endpoint alpha = 1 (j = 0)
+        fam = qp.make_ultraspherical(0.4, -1.5, CTX)
+        bad = qp.weight_grid_report(fam.weight_spec(), CFG.n_terms).first_bad_index
+        assert bad == 0
+        with pytest.raises(qp.AdmissibilityError, match=f"first bad index {bad}\\)"):
+            qp.orthogonality_matrix(fam, 4, CFG)
+
+    @pytest.mark.parametrize("dps", [20, 60])
+    def test_mpf_input_at_caller_precision(self, dps):
+        # the assembly runs at no fewer digits than the float path, and the
+        # entries come back as mpf at the caller's precision
+        with mpmath.workdps(dps):
+            ctx = qp.QContext(mpmath.mpf("0.5"))
+            fam = qp.make_hermite(mpmath.mpf("0.3"), ctx)
+            G = qp.orthogonality_matrix(fam, 10, qp.JacksonConfig(ctx))
+            assert mpmath.mp.dps == dps
+            worst = max(
+                abs(G[i][j]) / mpmath.sqrt(G[i][i] * G[j][j])
+                for i in range(11)
+                for j in range(i + 2, 11, 2)
+            )
+            assert worst <= 1e-30
+            # rounding to the caller's precision changes no entry
+            assert all(isinstance(v, mpmath.mpf) and +v == v for row in G for v in row)
 
     @pytest.mark.parametrize("q,n_terms", [(0.3, 256), (0.9, 700)])
     def test_other_bases(self, q, n_terms):

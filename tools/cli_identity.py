@@ -1,0 +1,94 @@
+"""Compare the command-line output of two source trees, run by run.
+
+    python tools/cli_identity.py PARENT_SRC CHANGE_SRC
+
+Each SRC is a directory that contains the ``qsympoly`` package (a
+checkout's ``src``).  The matrix is 8 families x q in {0.3, 0.5, 0.9} x
+{check all, check limit, check norm, check ode, table json, table csv,
+eval -n 6 --grid=-0.9:0.9:7, export poly, export weight json, export
+weight csv}, plus ``check all -q 0.9 --n-terms 700`` for
+ultraspherical(0.4, 0.7) and hermite(0.3): 242 runs.  Every run is a
+``python -m qsympoly`` subprocess in float arithmetic (QSYMPOLY_PRECISION
+is removed from its environment), two at a time.  Each run whose
+stdout, stderr or exit code differs between the trees is listed; the
+exit code is 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+FAMILIES = (
+    ("--family", "ultraspherical", "--alpha", "0.4", "--beta", "0.7"),
+    ("--family", "ultraspherical", "--alpha=-0.3", "--beta", "1.2"),
+    ("--family", "chebyshev5"),
+    ("--family", "chebyshev6"),
+    ("--family", "hermite", "-p", "0"),
+    ("--family", "hermite", "-p", "0.3"),
+    ("--family", "hermite", "-p", "0.5"),
+    ("--custom=-1,1,-1.5,0.2",),
+)
+QS = ("0.3", "0.5", "0.9")
+COMMANDS = (
+    ("check", "all"),
+    ("check", "limit"),
+    ("check", "norm"),
+    ("check", "ode"),
+    ("table", "--format", "json"),
+    ("table", "--format", "csv"),
+    ("eval", "-n", "6", "--grid=-0.9:0.9:7"),
+    ("export", "poly"),
+    ("export", "weight", "--format", "json"),
+    ("export", "weight", "--format", "csv"),
+)
+DEEP = (FAMILIES[0], FAMILIES[5])
+JOBS = 2
+
+
+def matrix() -> list:
+    """The argv of every run, in a fixed order."""
+    runs = [cmd + fam + ("-q", q) for fam in FAMILIES for q in QS for cmd in COMMANDS]
+    runs += [("check", "all") + fam + ("-q", "0.9", "--n-terms", "700") for fam in DEEP]
+    return runs
+
+
+def run(src: str, argv: tuple) -> tuple:
+    env = {k: v for k, v in os.environ.items() if k != "QSYMPOLY_PRECISION"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    res = subprocess.run([sys.executable, "-m", "qsympoly", *argv],
+                         capture_output=True, text=True, env=env, timeout=600)
+    return res.returncode, res.stdout, res.stderr
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    args = ap.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not os.path.isdir(os.path.join(src, "qsympoly")):
+            ap.error(f"{src} has no qsympoly package")
+    runs = matrix()
+
+    def compare(argv):
+        return run(args.parent_src, argv), run(args.change_src, argv)
+
+    with ThreadPoolExecutor(JOBS) as pool:
+        results = list(pool.map(compare, runs))
+    differing = 0
+    for argv, (old, new) in zip(runs, results):
+        parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
+                 if a != b]
+        if parts:
+            differing += 1
+            print(f"DIFF {' '.join(argv)}: {', '.join(parts)}")
+    print(f"{differing} of {len(runs)} runs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
