@@ -327,24 +327,38 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     of row tuples.
 
     Opposite-parity entries are exactly zero (odd integrand).  Equal-parity
-    entries are summed in ascending grid order from two tables over the
-    grid alpha q^j.  The weight table q^j W*(alpha q^j) takes one
-    weight_star evaluation at alpha and then steps along the grid by the
-    Pearson relation W*(qx) = q^2 pearson_ratio(x) W*(x), which holds
-    exactly on this orbit.  Every entry of that table must be positive
-    and finite, else AdmissibilityError names the first bad index j.
-    The polynomial values come from the three-term recurrence
-    phi_{k+1} = x phi_k - C_k phi_{k-1} at each grid point.  Each entry
-    depends only on n and m, not on n_max.
+    entries are sums over the grid x_j = alpha q^j, j = 0 .. n_terms, of
+    the weight table t_j = q^j W*(x_j) times the recurrence values
+    phi_n(x_j) phi_m(x_j).  Each entry depends only on n and m, not on
+    n_max.
 
     The true Gram matrix of the exact polynomials is diagonal, but seeing
     that to 1e-10 relative needs more headroom than double precision
     offers: ulp-level rounding of the recurrence coefficients is
     amplified by the norm ratio d^2_0 / d^2_n, around 1e10 at n = 10.
-    The inputs are therefore promoted exactly to mpmath and the matrix is
-    assembled at max(GRAM_DPS, mp.dps) digits.  The entries come back in
-    the type of q: floats for float input, mpf at the caller's precision
-    for mpf input.
+    The inputs are therefore promoted exactly to mpmath, and the matrix
+    is assembled at max(GRAM_DPS, mp.dps) digits, prec bits.
+
+    The weight table stays in mpf: one weight_star evaluation at alpha,
+    then steps by the Pearson relation W*(qx) = q^2 pearson_ratio(x) W*(x),
+    which holds exactly on this orbit.  The table can span hundreds of
+    decades (940 for hermite p = -5 at q = 0.9, n_terms = 700), so its
+    positivity guard reads the mpf entries: every one must be positive
+    and finite, else AdmissibilityError names the first bad index j.
+
+    The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
+    and the sums run on Python ints scaled by 2^F: the weights by
+    2^(F - e), where 2^e bounds the largest entry.  The sums are exact;
+    the rounding is in the weights, whose smallest entries become 0, and
+    in the grid and recurrence, at 2^-F each.  Relative to
+    sqrt(G_nn G_mm) these cost about (n_terms + 1) (1 + psi_n)^2 2^-F /
+    (d^2_n / d^2_0), where psi_n bounds |phi_n| on [-alpha, alpha]
+    (psi_{k+1} = alpha psi_k + |C_k| psi_{k-1}) and d^2_n / d^2_0 is the
+    Favard product C_1 ... C_n.  F is prec plus the bits of the largest
+    such factor over n <= n_max, so the entries keep prec bits.
+
+    The entries come back in the type of q: floats for float input, mpf
+    at the caller's precision for mpf input.
     """
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
@@ -353,46 +367,79 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     import mpmath
 
     with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
-        G = _assemble_gram(fam, n_max, cfg, mpmath.mpf, mpmath.mp.dps)
+        G = _assemble_gram(fam, n_max, cfg)
     out = mpmath.mpf if isinstance(fam.ctx.q, mpmath.mpf) else float
     return tuple(tuple(out(v) for v in row) for row in G)
 
 
-def _assemble_gram(fam, n_max, cfg, to_mpf, dps):
-    q = to_mpf(fam.ctx.q)
-    ictx = QContext(q, eps_term=10.0 ** (-(dps + 6)), max_terms=4 * fam.ctx.max_terms)
-    V = CharVector(*(to_mpf(v) for v in fam.V.as_tuple()))
+def _assemble_gram(fam, n_max, cfg):
+    import mpmath
+    from mpmath.libmp import to_fixed
+
+    mpf = mpmath.mpf
+    q = mpf(fam.ctx.q)
+    ictx = QContext(
+        q, eps_term=10.0 ** (-(mpmath.mp.dps + 6)), max_terms=4 * fam.ctx.max_terms
+    )
+    V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
     # the endpoint must be the root of a x^2 + b at *working* precision,
     # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
     # re-enters the off-diagonal entries at the double-rounding level
     alpha = sqrt_(-V.b / V.a)
-    Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max)]
-    q3 = q**3
-    size = n_max + 1
-    G = [[0] * size for _ in range(size)]
-    # t = q^j W*(alpha q^j), stepped along the grid by the Pearson relation
-    # W*(qx) = q^2 pearson_ratio(x) W*(x); its pole a q^2 x^2 + b =
-    # b (1 - q^(2j+2)) never vanishes on this orbit
+    # C_1 .. C_n_max; the recurrence up to phi_n_max uses all but the last
+    Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max + 1)]
+
+    # t_{j+1} = q^3 pearson_ratio(x_j) t_j = t_j (A1 s + B1) / (A2 s + B2) at
+    # s = x_j^2.  The pole A2 s + B2 = b (1 - q^(2j+2)) is nearest to zero at
+    # j = 0, so pearson_ratio's resonance test at alpha covers the orbit.
     t = weight_star(V, ictx, alpha)
+    pearson_ratio(V, ictx, alpha)
+    A1, B1 = q * (V.a + V.c * (q - 1)), q * (V.b + V.d * (q - 1))
+    A2, B2 = V.a * q * q, V.b
+    q2 = q * q
+    s = alpha * alpha
+    table = []
     for j in range(cfg.n_terms + 1):
         if not (isfinite_(t) and t > 0):
             raise AdmissibilityError(
                 f"weight is not positive on the grid (first bad index {j})"
             )
-        x = alpha * q**j
-        pv = [1, x]
-        for Ck in Cs:
-            pv.append(x * pv[-1] - Ck * pv[-2])
+        table.append(t)
+        t = t * (A1 * s + B1) / (A2 * s + B2)
+        s = s * q2
+
+    # guard bits: the largest (n_terms + 1) (1 + psi_n)^2 / (C_1 ... C_n)
+    # over n <= n_max (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
+    psi_prev, psi, norm_ratio, worst = mpf(1), alpha, mpf(1), mpf(4)
+    for Ck in Cs:
+        norm_ratio = norm_ratio * Ck
+        worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
+        psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
+    F = mpmath.mp.prec + mpmath.mag((cfg.n_terms + 1) * worst)
+    e = mpmath.mag(max(table))
+    weights = [to_fixed(t._mpf_, F - e) for t in table]
+    Cf = [to_fixed(Ck._mpf_, F) for Ck in Cs[:-1]]
+    X = to_fixed(alpha._mpf_, F)
+    Q = to_fixed(q._mpf_, F)
+    one, half = 1 << F, 1 << (F - 1)
+    size = n_max + 1
+    acc = [[0] * size for _ in range(size)]
+    for T in weights:
+        pv = [one, X]
+        for Ck in Cf:
+            pv.append((X * pv[-1] - Ck * pv[-2] + half) >> F)
         for n in range(size):
-            u = t * pv[n]
-            row = G[n]
+            u = T * pv[n]
+            row = acc[n]
             for m in range(n, size, 2):
-                row[m] = row[m] + u * pv[m]
-        t = t * q3 * pearson_ratio(V, ictx, x)
+                row[m] += u * pv[m]
+        X = (X * Q + half) >> F
+    # acc[n][m] carries the scale 2^(F - e) 2^F 2^F
     scale = 2 * alpha * (1 - q)
+    G = [[0] * size for _ in range(size)]
     for n in range(size):
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * G[n][m]
+            G[n][m] = G[m][n] = scale * mpf((acc[n][m], e - 3 * F))
     return G
 
 

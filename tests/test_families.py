@@ -153,18 +153,21 @@ class TestOrthogonalityMatrix:
                 assert abs(G[n][m] - direct) <= 1e-14 * (G[n][n] * G[m][m]) ** 0.5
 
     @pytest.mark.parametrize(
-        "make,q",
-        [(lambda ctx: qp.make_ultraspherical(mpmath.mpf("0.4"), mpmath.mpf("0.7"), ctx), "0.5"),
-         (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3")],
-        ids=["ultraspherical", "hermite"],
+        "make,q,n_terms",
+        [(lambda ctx: qp.make_ultraspherical(mpmath.mpf("0.4"), mpmath.mpf("0.7"), ctx), "0.5", 256),
+         (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3", 256),
+         # power base 1 + p (1 - q^2) = 0.0025: the weight table spans about
+         # 210 decades, so its smallest entries round to 0 in the fixed point
+         (lambda ctx: qp.make_hermite(mpmath.mpf("-5.25"), ctx), "0.9", 80)],
+        ids=["ultraspherical", "hermite", "hermite-wide-table"],
     )
-    def test_mp40_oracle(self, make, q):
+    def test_mp40_oracle(self, make, q, n_terms):
         # a literal Jackson sum over a direct weight_star table and Horner
         # values of the monic polynomials, at 40 digits
         n_max = 6
         with mpmath.workdps(40):
             ctx = qp.QContext(mpmath.mpf(q), eps_term=mpmath.mpf(10) ** -46)
-            cfg = qp.JacksonConfig(ctx)
+            cfg = qp.JacksonConfig(ctx, n_terms=n_terms)
             fam = make(ctx)
             G = qp.orthogonality_matrix(fam, n_max, cfg)
             qm, alpha = ctx.q, fam.support

@@ -10,8 +10,9 @@ weight csv}, plus ``check all -q 0.9 --n-terms 700`` for
 ultraspherical(0.4, 0.7) and hermite(0.3): 242 runs.  Every run is a
 ``python -m qsympoly`` subprocess in float arithmetic (QSYMPOLY_PRECISION
 is removed from its environment), two at a time.  Each run whose
-stdout, stderr or exit code differs between the trees is listed; the
-exit code is 1 if any does, else 0.
+stdout, stderr or exit code differs between the trees is listed, with
+the first pair of stdout lines that differ; the exit code is 1 if any
+run differs, else 0.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ def matrix() -> list:
     return runs
 
 
+def first_difference(old: str, new: str):
+    """(line number from 1, old line, new line) of the first line that
+    differs between two outputs, or None when they are equal.  A line
+    that one output lacks reads as None."""
+    a, b = old.splitlines(), new.splitlines()
+    for k in range(max(len(a), len(b))):
+        pair = (a[k] if k < len(a) else None, b[k] if k < len(b) else None)
+        if pair[0] != pair[1]:
+            return (k + 1, *pair)
+    return None
+
+
 def run(src: str, argv: tuple) -> tuple:
     env = {k: v for k, v in os.environ.items() if k != "QSYMPOLY_PRECISION"}
     env["PYTHONPATH"] = os.path.abspath(src)
@@ -86,6 +99,10 @@ def main(argv=None) -> int:
         if parts:
             differing += 1
             print(f"DIFF {' '.join(argv)}: {', '.join(parts)}")
+            diff = first_difference(old[1], new[1])
+            if diff is not None:
+                line, a, b = diff
+                print(f"  stdout line {line}:\n  - {a}\n  + {b}")
     print(f"{differing} of {len(runs)} runs differ")
     return 1 if differing else 0
 
