@@ -28,14 +28,13 @@ from .jackson import JacksonConfig
 from .qcore import (
     QContext,
     exp_,
-    isfinite_,
     q_number,
     q_shifted_factorial,
     q_shifted_factorial_inf,
     sqrt_,
 )
 from .sympoly import CharVector, recurrence_C
-from .weights import WeightSpec, pearson_ratio, weight_star
+from .weights import WeightSpec, _power_base, pearson_ratio, weight_star
 
 __all__ = [
     "FamilyDescriptor",
@@ -181,7 +180,7 @@ def _ultraspherical_limit_weight(alpha, beta, x):
     if x == 0:
         if alpha < 0:
             raise ValueError("weight singular at x = 0 for alpha < 0")
-        return 1.0 if alpha == 0 else 0.0
+        return x * 0 + (1.0 if alpha == 0 else 0.0)  # in the type of x
     x2 = x * x
     if x2 == 1 and beta < 0:
         raise ValueError("weight singular at |x| = 1 for beta < 0")
@@ -191,9 +190,10 @@ def _ultraspherical_limit_weight(alpha, beta, x):
 def _hermite_limit_weight(p, x):
     """x^(-2p) exp(-x^2) on the real line."""
     if x == 0:
+        # x * 0 + v is v in the type of x
         if p == 0:
-            return 1.0
-        return float("inf") if p > 0 else 0.0
+            return x * 0 + 1.0
+        return x * 0 + (float("inf") if p > 0 else 0.0)
     x2 = x * x
     return x2 ** (-p) * exp_(-x2)
 
@@ -339,12 +339,16 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     The inputs are therefore promoted exactly to mpmath, and the matrix
     is assembled at max(GRAM_DPS, mp.dps) digits, prec bits.
 
-    The weight table stays in mpf: one weight_star evaluation at alpha,
-    then steps by the Pearson relation W*(qx) = q^2 pearson_ratio(x) W*(x),
-    which holds exactly on this orbit.  The table can span hundreds of
-    decades (940 for hermite p = -5 at q = 0.9, n_terms = 700), so its
-    positivity guard reads the mpf entries: every one must be positive
-    and finite, else AdmissibilityError names the first bad index j.
+    The weight table comes from the Pearson relation alone, with no
+    infinite product.  With s_j = q^(2j), beta = 1 + d(q-1)/b the power
+    base and gamma = 1 + c(q-1)/a, t_{j+1} / t_j = q (beta - gamma s_j) /
+    (1 - q^2 s_j).  From a depth J >= n_terms on, both q-products of W*
+    are 1 to 2^-F, so t_J = q^J beta^(log(alpha^2) / (2 log q) + J); the
+    table is stepped down from there to t_0 on F-bit integer mantissas
+    with binary exponents.  It can span hundreds of decades (940 for
+    hermite p = -5 at q = 0.9, n_terms = 700), and its positivity guard
+    reads the mantissas: a negative one raises AdmissibilityError naming
+    the first bad index j.
 
     The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
     and the sums run on Python ints scaled by 2^F: the weights by
@@ -378,9 +382,7 @@ def _assemble_gram(fam, n_max, cfg):
 
     mpf = mpmath.mpf
     q = mpf(fam.ctx.q)
-    ictx = QContext(
-        q, eps_term=10.0 ** (-(mpmath.mp.dps + 6)), max_terms=4 * fam.ctx.max_terms
-    )
+    ictx = QContext(q)
     V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
     # the endpoint must be the root of a x^2 + b at *working* precision,
     # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
@@ -388,25 +390,9 @@ def _assemble_gram(fam, n_max, cfg):
     alpha = sqrt_(-V.b / V.a)
     # C_1 .. C_n_max; the recurrence up to phi_n_max uses all but the last
     Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max + 1)]
-
-    # t_{j+1} = q^3 pearson_ratio(x_j) t_j = t_j (A1 s + B1) / (A2 s + B2) at
-    # s = x_j^2.  The pole A2 s + B2 = b (1 - q^(2j+2)) is nearest to zero at
-    # j = 0, so pearson_ratio's resonance test at alpha covers the orbit.
-    t = weight_star(V, ictx, alpha)
+    # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
+    # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
-    A1, B1 = q * (V.a + V.c * (q - 1)), q * (V.b + V.d * (q - 1))
-    A2, B2 = V.a * q * q, V.b
-    q2 = q * q
-    s = alpha * alpha
-    table = []
-    for j in range(cfg.n_terms + 1):
-        if not (isfinite_(t) and t > 0):
-            raise AdmissibilityError(
-                f"weight is not positive on the grid (first bad index {j})"
-            )
-        table.append(t)
-        t = t * (A1 * s + B1) / (A2 * s + B2)
-        s = s * q2
 
     # guard bits: the largest (n_terms + 1) (1 + psi_n)^2 / (C_1 ... C_n)
     # over n <= n_max (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
@@ -415,13 +401,48 @@ def _assemble_gram(fam, n_max, cfg):
         norm_ratio = norm_ratio * Ck
         worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
         psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
-    F = mpmath.mp.prec + mpmath.mag((cfg.n_terms + 1) * worst)
-    e = mpmath.mag(max(table))
-    weights = [to_fixed(t._mpf_, F - e) for t in table]
+    N = cfg.n_terms
+    F = mpmath.mp.prec + mpmath.mag((N + 1) * worst)
+    one, half = 1 << F, 1 << (F - 1)
+
+    # the weight table t_j = m_j 2^E_j from t_J down, as the docstring describes;
+    # J solves max(q^(2J+2), |gamma/beta| q^(2J)) / (1 - q^2) < 2^-(F+2)
+    # 32 spare bits absorb the |log t_J| by which the power's rounding grows
+    with mpmath.workprec(F + 32):
+        beta = _power_base(V, q)
+        gamma = 1 + V.c * (q - 1) / V.a
+        tail = mpmath.log(max(q * q, abs(gamma / beta)) / (1 - q * q), 2)
+        J = max(N, int((F + 2 + tail) / (-2 * mpmath.log(q, 2))) + 1)
+        tJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
+        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q))
+        E = mpmath.mag(tJ) - F
+        m = to_fixed(tJ._mpf_, -E)
+    S = [one]
+    for _ in range(J):
+        S.append((S[-1] * Q2 + half) >> F)
+    table = [(m, E)] if J == N else []
+    for j in range(J - 1, -1, -1):
+        den = QB - ((QG * S[j] + half) >> F)
+        if den == 0:
+            raise ZeroDenominatorError("weight denominator product vanishes")
+        m = ((m * (one - S[j + 1])) << F) // den
+        k = m.bit_length() - F
+        m, E = (m >> k if k >= 0 else m << -k), E + k - F
+        if j <= N:
+            table.append((m, E))
+    table.reverse()
+    for j, (m, _) in enumerate(table):
+        if m <= 0:
+            raise AdmissibilityError(
+                f"weight is not positive on the grid (first bad index {j})"
+            )
+    # the weights are t_j 2^-top: 2^(top + F) bounds the largest entry
+    top = max(E for _, E in table)
+    weights = [m >> (top - E) for m, E in table]
+
     Cf = [to_fixed(Ck._mpf_, F) for Ck in Cs[:-1]]
     X = to_fixed(alpha._mpf_, F)
     Q = to_fixed(q._mpf_, F)
-    one, half = 1 << F, 1 << (F - 1)
     size = n_max + 1
     acc = [[0] * size for _ in range(size)]
     for T in weights:
@@ -434,12 +455,12 @@ def _assemble_gram(fam, n_max, cfg):
             for m in range(n, size, 2):
                 row[m] += u * pv[m]
         X = (X * Q + half) >> F
-    # acc[n][m] carries the scale 2^(F - e) 2^F 2^F
+    # acc[n][m] carries the scale 2^-top 2^F 2^F
     scale = 2 * alpha * (1 - q)
     G = [[0] * size for _ in range(size)]
     for n in range(size):
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * mpf((acc[n][m], e - 3 * F))
+            G[n][m] = G[m][n] = scale * mpf((acc[n][m], top - 2 * F))
     return G
 
 

@@ -91,16 +91,17 @@ def weight_star(V: CharVector, ctx: QContext, x):
     """W*(x) = x^2 W(x) with the x^2 cancelled analytically.
 
     Finite for all x in the support; at x = 0 the continuous extension is
-    returned (1 when d = 0, else 0 or +inf depending on whether the power
-    base lies below or above 1).
+    returned in the type of x (1 when d = 0, else 0 or +inf depending on
+    whether the power base lies below or above 1).
     """
     if V.a == 0 or V.b == 0:
         raise ValueError("the closed-form weight needs a != 0 and b != 0")
     base = _power_base(V, ctx.q)
     if x == 0:
+        # x * 0 + v is v in the type of x
         if base == 1:
-            return 1.0
-        return 0.0 if base < 1 else float("inf")
+            return x * 0 + 1.0
+        return x * 0 + (0.0 if base < 1 else float("inf"))
     power_top, bot = _weight_factors(V, ctx, x, base)
     return power_top / bot
 

@@ -3,7 +3,11 @@ sampling, and independently coded closed-form oracles."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
+
+import pytest
 
 import qsympoly as qp
 
@@ -20,6 +24,17 @@ def rel_scaled(u, v, scale):
 
 def rng(seed=20240809):
     return random.Random(seed)
+
+
+def load_tool(name):
+    """The module tools/<name>.py; skips the test when the checkout lacks it."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    if not path.is_file():
+        pytest.skip(f"tools/{name}.py is not part of this checkout")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def named_families(ctx):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 import qsympoly as qp
@@ -102,6 +103,21 @@ class TestContinuousWeight:
     def test_hermite_origin(self):
         fam = qp.make_hermite(0.0, CTX)
         assert qp.continuous_weight(fam, 0.0) == 1.0
+
+    def test_origin_follows_type_of_x(self):
+        cases = [
+            (qp.make_hermite(0.0, CTX), "1"),
+            (qp.make_hermite(0.3, CTX), "inf"),
+            (qp.make_hermite(-0.3, CTX), "0"),
+            (qp.make_ultraspherical(0.0, 0.7, CTX), "1"),
+            (qp.make_ultraspherical(0.4, 0.7, CTX), "0"),
+        ]
+        for fam, want in cases:
+            w = qp.continuous_weight(fam, 0.0)
+            assert type(w) is float and repr(w) == repr(float(want))
+            with mpmath.workdps(30):
+                w = qp.continuous_weight(fam, mpmath.mpf(0))
+                assert isinstance(w, mpmath.mpf) and w == mpmath.mpf(want)
 
     def test_ultraspherical_value(self):
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)

@@ -2,22 +2,13 @@
 so a matrix that lost runs would still pass.  This pins its size, and
 checks the helper that shows the first differing stdout line of a run."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
+from conftest import load_tool
 
 
 @pytest.fixture(scope="module")
 def tool():
-    if not TOOL.is_file():
-        pytest.skip("tools/cli_identity.py is not part of this checkout")
-    spec = importlib.util.spec_from_file_location("cli_identity", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("cli_identity")
 
 
 def test_matrix_has_242_distinct_runs(tool):

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 
@@ -158,8 +160,11 @@ class TestOrthogonalityMatrix:
          (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3", 256),
          # power base 1 + p (1 - q^2) = 0.0025: the weight table spans about
          # 210 decades, so its smallest entries round to 0 in the fixed point
-         (lambda ctx: qp.make_hermite(mpmath.mpf("-5.25"), ctx), "0.9", 80)],
-        ids=["ultraspherical", "hermite", "hermite-wide-table"],
+         (lambda ctx: qp.make_hermite(mpmath.mpf("-5.25"), ctx), "0.9", 80),
+         # no named family: power base 0.9 and gamma = 1 + c(q-1)/a = 0.25
+         (lambda ctx: qp.make_custom(-1, 1, mpmath.mpf("-1.5"), mpmath.mpf("0.2"), ctx),
+          "0.5", 256)],
+        ids=["ultraspherical", "hermite", "hermite-wide-table", "custom"],
     )
     def test_mp40_oracle(self, make, q, n_terms):
         # a literal Jackson sum over a direct weight_star table and Horner
@@ -197,6 +202,51 @@ class TestOrthogonalityMatrix:
         assert bad == 0
         with pytest.raises(qp.AdmissibilityError, match=f"first bad index {bad}\\)"):
             qp.orthogonality_matrix(fam, 4, CFG)
+
+    def test_weight_sign_change_mid_grid(self):
+        # power base 0.125: the step ratio q (0.125 - q^(2j)) / (1 - q^(2j+2))
+        # is negative at j = 0 and 1, so of the whole table only t_1 is negative
+        fam = qp.make_custom(-1, 1, 0, 1.75, CTX)
+        assert qp.weight_grid_report(fam.weight_spec(), CFG.n_terms).first_bad_index == 1
+        with pytest.raises(qp.AdmissibilityError, match="first bad index 1\\)"):
+            qp.orthogonality_matrix(fam, 4, CFG)
+
+    def test_invalid_power_base(self):
+        fam = qp.make_custom(-1, 1, 0, 2.5, CTX)  # power base 1 + d (q-1) / b = -0.25
+        with pytest.raises(qp.InvalidBaseError):
+            qp.orthogonality_matrix(fam, 4, CFG)
+
+    def test_no_infinite_products(self, monkeypatch):
+        # the weight table comes from the Pearson relation alone
+        from qsympoly import families, qcore, sympoly, weights
+
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (qcore, sympoly, weights, families):
+            for name in ("weight_star", "q_shifted_factorial_inf"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for fam in (qp.make_ultraspherical(0.4, 0.7, CTX), qp.make_hermite(0.3, CTX)):
+            qp.orthogonality_matrix(fam, 10, CFG)
+        assert calls == []
+        qp.weight_grid_report(fam.weight_spec(), 0)
+        assert calls == ["weight_star", "q_shifted_factorial_inf", "q_shifted_factorial_inf"]
+
+    def test_near_q_one(self):
+        # at q = 0.999 the weight products need more than 40,000 factors at
+        # 40 digits; the Pearson table reaches its start depth (about 60,000)
+        # in integer steps.  3000 points leave a tail of 0.999^3000 = 0.05,
+        # so only the diagonal is meaningful here
+        ctx = qp.QContext(0.999)
+        fam = qp.make_ultraspherical(0.4, 0.7, ctx)
+        G = qp.orthogonality_matrix(fam, 4, qp.JacksonConfig(ctx, n_terms=3000))
+        assert all(math.isfinite(G[n][n]) and G[n][n] > 0 for n in range(5))
 
     @pytest.mark.parametrize("dps", [20, 60])
     def test_mpf_input_at_caller_precision(self, dps):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,19 @@ class TestWeightStar:
         assert qp.weight_star(HERM0.V, CTX, 0.0) == 1.0
         assert qp.weight_star(HERM.V, CTX, 0.0) == float("inf")
         assert qp.weight_star(ULTRA.V, CTX, 0.0) == 0.0
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_extension_at_zero_follows_type_of_x(self, zero):
+        # power base 1, above 1 and below 1: W*(0) = 1, +inf and 0
+        cases = [(HERM0, "1"), (HERM, "inf"), (ULTRA, "0")]
+        for fam, want in cases:
+            w = qp.weight_star(fam.V, CTX, zero)
+            assert type(w) is float and repr(w) == repr(float(want))
+        with mpmath.workdps(30):
+            ctx = qp.QContext(mpmath.mpf(Q))
+            for fam, want in cases:
+                w = qp.weight_star(fam.V, ctx, mpmath.mpf(zero))
+                assert isinstance(w, mpmath.mpf) and w == mpmath.mpf(want)
 
     def test_positive_even_grid(self):
         for fam in (ULTRA, HERM, HERM0, qp.make_chebyshev5(CTX), qp.make_chebyshev6(CTX)):
