@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import AdmissibilityError, ZeroDenominatorError
+from .errors import AdmissibilityError, TruncationError, ZeroDenominatorError
 from .jackson import JacksonConfig
 from .qcore import (
     QContext,
@@ -190,10 +190,7 @@ def _ultraspherical_limit_weight(alpha, beta, x):
 def _hermite_limit_weight(p, x):
     """x^(-2p) exp(-x^2) on the real line."""
     if x == 0:
-        # x * 0 + v is v in the type of x
-        if p == 0:
-            return x * 0 + 1.0
-        return x * 0 + (float("inf") if p > 0 else 0.0)
+        return x * 0 + (1.0 if p == 0 else float("inf") if p > 0 else 0.0)  # type of x
     x2 = x * x
     return x2 ** (-p) * exp_(-x2)
 
@@ -342,21 +339,23 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     The weight table comes from the Pearson relation alone, with no
     infinite product.  With s_j = q^(2j), beta = 1 + d(q-1)/b the power
     base and gamma = 1 + c(q-1)/a, t_{j+1} / t_j = q (beta - gamma s_j) /
-    (1 - q^2 s_j).  From a depth J >= n_terms on, both q-products of W*
-    are 1 to 2^-F, so t_J = q^J beta^(log(alpha^2) / (2 log q) + J); the
-    table is stepped down from there to t_0 on F-bit integer mantissas
-    with binary exponents.  It can span hundreds of decades (940 for
-    hermite p = -5 at q = 0.9, n_terms = 700), and its positivity guard
-    reads the mantissas: a negative one raises AdmissibilityError naming
-    the first bad index j.
+    (1 - q^2 s_j).  At a depth J > n_terms both q-products of W* are 1 to
+    far below 2^-prec, so t_J = q^J beta^(log(alpha^2) / (2 log q) + J).  The
+    ratios t_j / t_0 are stepped up to j = J on F-bit integer mantissas
+    with binary exponents, and t_J fixes their scale.  The table can span
+    hundreds of decades (940 for hermite p = -5 at q = 0.9, n_terms =
+    700), and its positivity guard reads the signs of the mantissas: a
+    negative entry raises AdmissibilityError naming the first bad index j.
+    J grows like 1 / (1 - q); past 10 max_terms, TruncationError is raised.
 
     The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
-    and the sums run on Python ints scaled by 2^F: the weights by
+    and the sums run on Python ints scaled by 2^F: the weights by about
     2^(F - e), where 2^e bounds the largest entry.  The sums are exact;
-    the rounding is in the weights, whose smallest entries become 0, and
-    in the grid and recurrence, at 2^-F each.  Relative to
-    sqrt(G_nn G_mm) these cost about (n_terms + 1) (1 + psi_n)^2 2^-F /
-    (d^2_n / d^2_0), where psi_n bounds |phi_n| on [-alpha, alpha]
+    the rounding is in the grid and recurrence, at 2^-F each, and in the
+    weights, whose smallest entries become 0 and each of which carries
+    the roundings of up to 2J steps, a few of 2^-F per step.  Relative
+    to sqrt(G_nn G_mm) these cost about (n_terms + 1 + 8J) (1 + psi_n)^2
+    2^-F / (d^2_n / d^2_0), where psi_n bounds |phi_n| on [-alpha, alpha]
     (psi_{k+1} = alpha psi_k + |C_k| psi_{k-1}) and d^2_n / d^2_0 is the
     Favard product C_1 ... C_n.  F is prec plus the bits of the largest
     such factor over n <= n_max, so the entries keep prec bits.
@@ -397,48 +396,54 @@ def _assemble_gram(fam, n_max, cfg):
     # guard bits: the largest (n_terms + 1) (1 + psi_n)^2 / (C_1 ... C_n)
     # over n <= n_max (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
     psi_prev, psi, norm_ratio, worst = mpf(1), alpha, mpf(1), mpf(4)
-    for Ck in Cs:
+    for k, Ck in enumerate(Cs, 1):
         norm_ratio = norm_ratio * Ck
+        if norm_ratio == 0:
+            raise AdmissibilityError(f"the norm ratio C_1 ... C_{k} vanishes")
         worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
         psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
-    N = cfg.n_terms
-    F = mpmath.mp.prec + mpmath.mag((N + 1) * worst)
+    # J solves max(q^(2J+2), |gamma/beta| q^(2J)) / (1 - q^2) < 2^-(F0 + 2)
+    N, prec = cfg.n_terms, mpmath.mp.prec
+    beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
+    L = mpmath.log(-V.b / V.a) / (2 * mpmath.log(q))
+    tail = mpmath.log(max(q * q, abs(gamma / beta)) / (1 - q * q), 2)
+    F0 = prec + mpmath.mag((N + 1) * worst)
+    J = int((F0 + 2 + tail) / (-2 * mpmath.log(q, 2))) + 1
+    if J > 10 * fam.ctx.max_terms:
+        raise TruncationError(f"weight table start depth {J} exceeds 10 max_terms")
+    J = max(N + 1, J)
+    F = prec + mpmath.mag((N + 1 + 8 * J) * worst)
     one, half = 1 << F, 1 << (F - 1)
-
-    # the weight table t_j = m_j 2^E_j from t_J down, as the docstring describes;
-    # J solves max(q^(2J+2), |gamma/beta| q^(2J)) / (1 - q^2) < 2^-(F+2)
-    # 32 spare bits absorb the |log t_J| by which the power's rounding grows
-    with mpmath.workprec(F + 32):
-        beta = _power_base(V, q)
-        gamma = 1 + V.c * (q - 1) / V.a
-        tail = mpmath.log(max(q * q, abs(gamma / beta)) / (1 - q * q), 2)
-        J = max(N, int((F + 2 + tail) / (-2 * mpmath.log(q, 2))) + 1)
+    # the power t_J = q^J beta^(L + J) loses the bits of |log t_J| to rounding
+    log_tJ = abs((L + J) * mpmath.log(beta)) - J * mpmath.log(q)
+    with mpmath.workprec(F + 8 + mpmath.mag(log_tJ)):
+        beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
         tJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
         QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q))
-        E = mpmath.mag(tJ) - F
-        m = to_fixed(tJ._mpf_, -E)
-    S = [one]
-    for _ in range(J):
-        S.append((S[-1] * Q2 + half) >> F)
-    table = [(m, E)] if J == N else []
-    for j in range(J - 1, -1, -1):
-        den = QB - ((QG * S[j] + half) >> F)
-        if den == 0:
-            raise ZeroDenominatorError("weight denominator product vanishes")
-        m = ((m * (one - S[j + 1])) << F) // den
-        k = m.bit_length() - F
-        m, E = (m >> k if k >= 0 else m << -k), E + k - F
+        Et = mpmath.mag(tJ) - F
+        mt = to_fixed(tJ._mpf_, -Et)
+    # u_j = t_j / t_0 = m 2^E stepped up from u_0 = 1; s = s_j 2^F
+    m, E, s, table = one, -F, one, []
+    for j in range(J):
         if j <= N:
             table.append((m, E))
-    table.reverse()
-    for j, (m, _) in enumerate(table):
-        if m <= 0:
+        num = QB - ((QG * s + half) >> F)
+        if num == 0:
+            raise ZeroDenominatorError("weight denominator product vanishes")
+        s = (s * Q2 + half) >> F
+        m = ((m * num) << F) // (one - s)
+        k = m.bit_length() - F
+        m, E = (m >> k if k >= 0 else m << -k), E + k - F
+    # t_j = u_j t_J / u_J = m_j R 2^(E_j + RE)
+    R, RE = (mt << F) // m, Et - E - F
+    for j, (mj, _) in enumerate(table):
+        if mj * R <= 0:
             raise AdmissibilityError(
                 f"weight is not positive on the grid (first bad index {j})"
             )
-    # the weights are t_j 2^-top: 2^(top + F) bounds the largest entry
-    top = max(E for _, E in table)
-    weights = [m >> (top - E) for m, E in table]
+    # the weights are t_j 2^-(top + RE + F), below 2^(F + 1)
+    top = max(Ej for _, Ej in table)
+    weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
 
     Cf = [to_fixed(Ck._mpf_, F) for Ck in Cs[:-1]]
     X = to_fixed(alpha._mpf_, F)
@@ -455,12 +460,12 @@ def _assemble_gram(fam, n_max, cfg):
             for m in range(n, size, 2):
                 row[m] += u * pv[m]
         X = (X * Q + half) >> F
-    # acc[n][m] carries the scale 2^-top 2^F 2^F
+    # acc[n][m] carries the scale 2^-(top + RE + F) 2^F 2^F
     scale = 2 * alpha * (1 - q)
     G = [[0] * size for _ in range(size)]
     for n in range(size):
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * mpf((acc[n][m], top - 2 * F))
+            G[n][m] = G[m][n] = scale * mpf((acc[n][m], top + RE - F))
     return G
 
 

@@ -99,9 +99,7 @@ def weight_star(V: CharVector, ctx: QContext, x):
     base = _power_base(V, ctx.q)
     if x == 0:
         # x * 0 + v is v in the type of x
-        if base == 1:
-            return x * 0 + 1.0
-        return x * 0 + (0.0 if base < 1 else float("inf"))
+        return x * 0 + (1.0 if base == 1 else 0.0 if base < 1 else float("inf"))
     power_top, bot = _weight_factors(V, ctx, x, base)
     return power_top / bot
 

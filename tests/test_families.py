@@ -1,4 +1,6 @@
 import math
+import time
+from functools import partial
 
 import mpmath
 import pytest
@@ -216,6 +218,15 @@ class TestOrthogonalityMatrix:
         with pytest.raises(qp.InvalidBaseError):
             qp.orthogonality_matrix(fam, 4, CFG)
 
+    def test_vanishing_norm_ratio(self):
+        # c / a = d / b gives gamma = beta: the weight's denominator product
+        # vanishes at alpha, and C_2 = 0 exactly, which must not escape as a
+        # bare ZeroDivisionError from the guard-bit estimate
+        fam = qp.make_custom(-1, 1, -1.5, 1.5, CTX)
+        assert qp.recurrence_C(2, fam.V, CTX) == 0
+        with pytest.raises(qp.AdmissibilityError, match="C_1 ... C_2 vanishes"):
+            qp.orthogonality_matrix(fam, 4, CFG)
+
     def test_no_infinite_products(self, monkeypatch):
         # the weight table comes from the Pearson relation alone
         from qsympoly import families, qcore, sympoly, weights
@@ -247,6 +258,24 @@ class TestOrthogonalityMatrix:
         fam = qp.make_ultraspherical(0.4, 0.7, ctx)
         G = qp.orthogonality_matrix(fam, 4, qp.JacksonConfig(ctx, n_terms=3000))
         assert all(math.isfinite(G[n][n]) and G[n][n] > 0 for n in range(5))
+
+    @pytest.mark.parametrize(
+        "make, q, max_terms",
+        [
+            (partial(qp.make_hermite, 0.3), 1 - 1e-7, 10_000),
+            (partial(qp.make_ultraspherical, 0.4, 0.7), 0.999, 1_000),
+        ],
+    )
+    def test_start_depth_capped(self, make, q, max_terms):
+        # the start depth grows like 1 / (1 - q): about 1.3e9 for hermite at
+        # q = 1 - 1e-7, and 60,000 for the family above at q = 0.999, past
+        # 10 max_terms = 10,000.  Both raise before a single step is taken
+        ctx = qp.QContext(q, max_terms=max_terms)
+        fam = make(ctx)
+        t0 = time.perf_counter()
+        with pytest.raises(qp.TruncationError, match="start depth"):
+            qp.orthogonality_matrix(fam, 4, qp.JacksonConfig(ctx, n_terms=3000))
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("dps", [20, 60])
     def test_mpf_input_at_caller_precision(self, dps):

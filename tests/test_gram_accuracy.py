@@ -22,6 +22,7 @@ def test_cases(tool):
         ("hermite", (-5.25,), 0.9, 80),
         ("chebyshev5", (), 0.3, 256),
         ("chebyshev6", (), 0.5, 256),
+        ("hermite", (-5.0,), 0.99, 256),
     )
     assert (tool.N_MAX, tool.DPS, tool.REF_DPS) == (10, 40, 90)
 

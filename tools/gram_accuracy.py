@@ -34,6 +34,7 @@ CASES = (
     ("hermite", (-5.25,), 0.9, 80),
     ("chebyshev5", (), 0.3, 256),
     ("chebyshev6", (), 0.5, 256),
+    ("hermite", (-5.0,), 0.99, 256),
 )
 N_MAX = 10
 DPS, REF_DPS = 40, 90
