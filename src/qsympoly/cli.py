@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,8 @@ from .sympoly import (
     eval_explicit_monic,
     eval_hypergeometric,
     monic_factor,
-    ode_residual_terms,
+    monic_ladder,
+    ode_terms,
     recurrence_C,
 )
 from .weights import boundary_vanishing_check, pearson_ratio, weight_general
@@ -104,6 +106,7 @@ def fmt_num(v, precision=None):
     return mpmath.nstr(v, max(17, (precision or 17)), strip_zeros=False)
 
 
+@functools.cache  # one per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qsympoly",
@@ -386,10 +389,10 @@ def _check_lines_ode(cfg, tol, gram) -> list:
     # sample points in the type of q, so mpf runs do not round them to float
     support = (fam.support if fam.support is not None else 1.0) + 0 * cfg.ctx.q
     residuals = []
-    for n in range(n_hi + 1):
+    for poly in monic_ladder(n_hi, fam.V, cfg.ctx):
+        terms = ode_terms(poly, fam.V, cfg.ctx)
         for i in range(1, 11):
-            x = support * i / 11
-            t1, t2, t3 = ode_residual_terms(n, fam.V, cfg.ctx, x)
+            t1, t2, t3 = terms(support * i / 11)
             scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
             residuals.append(abs(t1 + t2 + t3) / scale)
     worst = _worst(residuals)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import Callable
 
 from .errors import AdmissibilityError, TruncationError, ZeroDenominatorError
@@ -445,27 +446,27 @@ def _assemble_gram(fam, n_max, cfg):
     top = max(Ej for _, Ej in table)
     weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
 
-    Cf = [to_fixed(Ck._mpf_, F) for Ck in Cs[:-1]]
-    X = to_fixed(alpha._mpf_, F)
-    Q = to_fixed(q._mpf_, F)
-    size = n_max + 1
-    acc = [[0] * size for _ in range(size)]
+    # the grid points step sequentially; a point of weight 0 adds 0 to every sum
+    X, Q = to_fixed(alpha._mpf_, F), to_fixed(q._mpf_, F)
+    xs, ws = [], []
     for T in weights:
-        pv = [one, X]
-        for Ck in Cf:
-            pv.append((X * pv[-1] - Ck * pv[-2] + half) >> F)
-        for n in range(size):
-            u = T * pv[n]
-            row = acc[n]
-            for m in range(n, size, 2):
-                row[m] += u * pv[m]
+        if T:
+            xs.append(X)
+            ws.append(T)
         X = (X * Q + half) >> F
-    # acc[n][m] carries the scale 2^-(top + RE + F) 2^F 2^F
+    # phi_0 .. phi_n_max as columns over the kept points
+    phi = [[one] * len(xs), xs]
+    for Ck in Cs[:-1]:
+        Ck = to_fixed(Ck._mpf_, F)
+        phi.append([(x * u - Ck * v + half) >> F for x, u, v in zip(xs, phi[-1], phi[-2])])
+    # each sum carries the scale 2^-(top + RE + F) 2^F 2^F
     scale = 2 * alpha * (1 - q)
+    size = n_max + 1
     G = [[0] * size for _ in range(size)]
     for n in range(size):
+        wn = list(map(mul, ws, phi[n]))
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * mpf((acc[n][m], top + RE - F))
+            G[n][m] = G[m][n] = scale * mpf((sum(map(mul, wn, phi[m])), top + RE - F))
     return G
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "monic_factor",
     "ode_residual",
     "ode_residual_terms",
+    "ode_terms",
     "classify_orthogonality",
 ]
 
@@ -385,20 +386,28 @@ def _polyval(coeffs, x):
     return acc
 
 
-def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
-    """The three summands of the q-difference equation at x, for phi_n
-    built by the recurrence.  The q-derivatives are applied to the
-    coefficient sequence (x^k -> [k] x^(k-1)), not by divided differences,
-    so the residual is free of subtractive grid cancellation."""
-    poly = build_monic(n, V, ctx)
-    lam = eigenvalue(n, V, ctx)
+def ode_terms(poly: SymPolynomial, V: CharVector, ctx: QContext):
+    """x -> the three summands of the q-difference equation at x for poly,
+    a monic polynomial of V, with all but x formed once.  The q-derivatives
+    act on the coefficient sequence (x^k -> [k] x^(k-1)), not by divided
+    differences, so the residual is free of subtractive grid cancellation."""
+    lam = eigenvalue(poly.degree, V, ctx)
     dq1 = _dq_coeffs(poly.coeffs, ctx)
     ddq = _dq_coeffs(_dqinv_coeffs(poly.coeffs, ctx), ctx)
-    x2 = x * x
-    t1 = x2 * (V.a * x2 + V.b) * _polyval(ddq, x)
-    t2 = x * (V.c * x2 + V.d) * _polyval(dq1, x)
-    t3 = (lam * x2 - sigma_parity(n) * V.d) * poly(x)
-    return t1, t2, t3
+
+    def terms(x):
+        x2 = x * x
+        t1 = x2 * (V.a * x2 + V.b) * _polyval(ddq, x)
+        t2 = x * (V.c * x2 + V.d) * _polyval(dq1, x)
+        t3 = (lam * x2 - poly.parity * V.d) * poly(x)
+        return t1, t2, t3
+
+    return terms
+
+
+def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
+    """ode_terms at x for phi_n built by the recurrence."""
+    return ode_terms(build_monic(n, V, ctx), V, ctx)(x)
 
 
 def ode_residual(n: int, V: CharVector, ctx: QContext, x):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import qsympoly as qp
 from qsympoly import cli
 
 
@@ -82,6 +84,22 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+class TestRepeatedCalls:
+    def test_no_state_between_calls(self, capsys):
+        # one parser serves every call in the process, and -x appends
+        assert cli._build_parser() is cli._build_parser()
+        argv = ["eval", "--family", "hermite", "-n", "2"]
+        code, out, _ = run(capsys, argv + ["-x", "0.1"])
+        assert code == 0
+        assert [r["x"] for r in json.loads(out)["rows"]] == [0.1]
+        code, out, err = run(capsys, argv + ["-x", "0.1", "--no-such-option"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --no-such-option" in err
+        code, out, _ = run(capsys, argv + ["-x", "0.2"])
+        assert code == 0
+        assert [r["x"] for r in json.loads(out)["rows"]] == [0.2]
 
 
 class TestTable:
@@ -178,12 +196,35 @@ class TestCheck:
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         nan = float("nan")
-        monkeypatch.setattr(cli, "ode_residual_terms", lambda *args: (nan, nan, nan))
+        # the suite reads its terms from one ode_terms function per degree
+        monkeypatch.setattr(cli, "ode_terms", lambda *args: lambda x: (nan, nan, nan))
         code, out, _ = run(
             capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "-n", "2"]
         )
         assert code == 1
         assert out.startswith("FAIL ode residual")
+
+    @pytest.mark.parametrize("precision", [None, 30])
+    def test_ode_suite_matches_pointwise(self, precision):
+        # the suite builds each polynomial once; its worst residual must
+        # equal, bit for bit, the one from ode_residual_terms point by point
+        import mpmath
+
+        argv = ["check", "ode", "--family", "ultraspherical"]
+        scope = mpmath.workdps(precision) if precision else contextlib.nullcontext()
+        with scope:
+            cfg = cli._build_config(cli._build_parser().parse_args(argv), precision)
+            [(_, worst, _, _, _)] = cli._check_lines_ode(cfg, 1e-10, None)
+            fam, ctx = cfg.family, cfg.ctx
+            support = fam.support + 0 * ctx.q
+            expected = 0.0
+            for n in range(cfg.n_max + 1):
+                for i in range(1, 11):
+                    t = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
+                    scale = max(abs(t[0]), abs(t[1]), abs(t[2]), 1e-300)
+                    expected = max(expected, abs(sum(t)) / scale)
+        assert type(worst) is type(expected) is (mpmath.mpf if precision else float)
+        assert worst == expected > 0
 
     def test_limit_with_vanishing_target(self, capsys):
         # the q -> 1 limit of C_1 is exactly 0 at p = 1/2, and the even

@@ -1,6 +1,6 @@
 """tools/gram_accuracy.py passes when no case got worse, so a case list
 that lost cases would still pass.  This pins the list, and checks the
-two measures the tool prints."""
+measures and the verdict the tool prints."""
 
 import mpmath
 import pytest
@@ -23,6 +23,8 @@ def test_cases(tool):
         ("chebyshev5", (), 0.3, 256),
         ("chebyshev6", (), 0.5, 256),
         ("hermite", (-5.0,), 0.99, 256),
+        ("hermite", (0.5,), 0.3, 256),
+        ("hermite", (0.0,), 0.3, 256),
     )
     assert (tool.N_MAX, tool.DPS, tool.REF_DPS) == (10, 40, 90)
 
@@ -36,3 +38,14 @@ def test_measures(tool):
     assert tool.deviation(R, R) == 0
     # the odd-parity zeros are not read
     assert tool.off_diagonal(G) == f(2) / 6
+
+
+def test_verdict(tool):
+    f = mpmath.mpf
+    A = [[f(4), f(0)], [f(0), f(1)]]
+    # equal entry for entry, not merely equally far from the reference
+    assert tool.verdict(A, [[f(4), f(0)], [f(0), f(1)]], f(1), f(1)) == "identical"
+    B = [[f(4), f(0)], [f(0), f(1) + f(2) ** -52]]
+    assert tool.verdict(A, B, f(1), f(1)) == "ok"
+    assert tool.verdict(A, B, f(1), f(2)) == "ok"
+    assert tool.verdict(A, B, f(1), f(2.5)) == "WORSE"

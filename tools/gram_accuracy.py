@@ -10,8 +10,10 @@ the Gram matrix for n, m = 0 .. N_MAX at 40 digits in each tree, and at
 90 digits in the parent tree as the reference.  For each tree the tool
 prints the deviation max |G_nm - R_nm| / sqrt(R_nn R_mm) over the
 equal-parity entries, and the off-diagonal residual
-max |G_nm| / sqrt(G_nn G_mm) over n != m.  The exit code is 1 if the
-change's deviation exceeds twice the parent's on any case, else 0.
+max |G_nm| / sqrt(G_nn G_mm) over n != m.  A case whose two 40-digit
+matrices are equal entry for entry is marked ``identical``, one whose
+change deviates more than twice as far as the parent ``WORSE``, any
+other ``ok``.  The exit code is 1 if any case is WORSE, else 0.
 Each tree runs in its own ``python`` subprocess; the run takes a few
 seconds.
 """
@@ -35,6 +37,8 @@ CASES = (
     ("chebyshev5", (), 0.3, 256),
     ("chebyshev6", (), 0.5, 256),
     ("hermite", (-5.0,), 0.99, 256),
+    ("hermite", (0.5,), 0.3, 256),
+    ("hermite", (0.0,), 0.3, 256),
 )
 N_MAX = 10
 DPS, REF_DPS = 40, 90
@@ -96,6 +100,14 @@ def off_diagonal(G):
                for n in range(size) for m in range(n + 2, size, 2))
 
 
+def verdict(A, B, da, db) -> str:
+    """identical, WORSE or ok for the parent's Gram A and the change's B,
+    whose deviations from the reference are da and db."""
+    if A == B:
+        return "identical"
+    return "WORSE" if db > 2 * da else "ok"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", nargs="?")
@@ -122,11 +134,9 @@ def main(argv=None) -> int:
     worse = 0
     for case, R, A, B in zip(CASES, ref, old, new):
         da, db = deviation(A, R), deviation(B, R)
-        verdict = "ok"
-        if db > 2 * da:
-            worse += 1
-            verdict = "WORSE"
-        print(f"{verdict:5} {label(case)}: deviation {mpmath.nstr(da, 3)} -> "
+        mark = verdict(A, B, da, db)
+        worse += mark == "WORSE"
+        print(f"{mark:9} {label(case)}: deviation {mpmath.nstr(da, 3)} -> "
               f"{mpmath.nstr(db, 3)}, off-diagonal {mpmath.nstr(off_diagonal(A), 4)} -> "
               f"{mpmath.nstr(off_diagonal(B), 4)}")
     print(f"{worse} of {len(CASES)} cases exceed twice the parent's deviation")
