@@ -351,15 +351,16 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
 
     The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
     and the sums run on Python ints scaled by 2^F: the weights by about
-    2^(F - e), where 2^e bounds the largest entry.  The sums are exact;
-    the rounding is in the grid and recurrence, at 2^-F each, and in the
+    2^(F - e), where 2^e bounds the largest entry.  Points of weight 0
+    are dropped, and each sum is an exact integer dot product.  The
+    rounding is in the grid and recurrence, at 2^-F each, and in the
     weights, whose smallest entries become 0 and each of which carries
     the roundings of up to 2J steps, a few of 2^-F per step.  Relative
     to sqrt(G_nn G_mm) these cost about (n_terms + 1 + 8J) (1 + psi_n)^2
     2^-F / (d^2_n / d^2_0), where psi_n bounds |phi_n| on [-alpha, alpha]
-    (psi_{k+1} = alpha psi_k + |C_k| psi_{k-1}) and d^2_n / d^2_0 is the
-    Favard product C_1 ... C_n.  F is prec plus the bits of the largest
-    such factor over n <= n_max, so the entries keep prec bits.
+    and d^2_n / d^2_0 is the Favard product C_1 ... C_n.  F is prec plus
+    the bits of the largest such factor over n <= n_max.  alpha and q enter
+    at F bits and the C_k at prec + 60, so the entries keep prec bits.
 
     The entries come back in the type of q: floats for float input, mpf
     at the caller's precision for mpf input.
@@ -388,8 +389,9 @@ def _assemble_gram(fam, n_max, cfg):
     # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
     # re-enters the off-diagonal entries at the double-rounding level
     alpha = sqrt_(-V.b / V.a)
-    # C_1 .. C_n_max; the recurrence up to phi_n_max uses all but the last
-    Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max + 1)]
+    # C_1 .. C_n_max at prec + 60, as recurrence_C cancels; phi_n_max needs all but the last
+    with mpmath.workprec(mpmath.mp.prec + 60):
+        Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max + 1)]
     # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
@@ -420,7 +422,8 @@ def _assemble_gram(fam, n_max, cfg):
     with mpmath.workprec(F + 8 + mpmath.mag(log_tJ)):
         beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
         tJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
-        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q))
+        QB, QG, Q2, Q = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q, q))
+        X = to_fixed(sqrt_(-V.b / V.a)._mpf_, F)  # alpha, the first grid point
         Et = mpmath.mag(tJ) - F
         mt = to_fixed(tJ._mpf_, -Et)
     # u_j = t_j / t_0 = m 2^E stepped up from u_0 = 1; s = s_j 2^F
@@ -447,7 +450,6 @@ def _assemble_gram(fam, n_max, cfg):
     weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
 
     # the grid points step sequentially; a point of weight 0 adds 0 to every sum
-    X, Q = to_fixed(alpha._mpf_, F), to_fixed(q._mpf_, F)
     xs, ws = [], []
     for T in weights:
         if T:
