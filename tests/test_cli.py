@@ -220,9 +220,9 @@ class TestCheck:
             expected = 0.0
             for n in range(cfg.n_max + 1):
                 for i in range(1, 11):
-                    t = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
-                    scale = max(abs(t[0]), abs(t[1]), abs(t[2]), 1e-300)
-                    expected = max(expected, abs(sum(t)) / scale)
+                    t1, t2, t3 = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
+                    scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
+                    expected = max(expected, abs(t1 + t2 + t3) / scale)
         assert type(worst) is type(expected) is (mpmath.mpf if precision else float)
         assert worst == expected > 0
 
