@@ -34,7 +34,7 @@ from .families import (
     orthogonality_matrix,
 )
 from .jackson import JacksonConfig
-from .qcore import QContext, isfinite_
+from .qcore import QContext, isfinite_, max_or_nan
 from .sympoly import (
     build_monic,
     classify_orthogonality,
@@ -366,20 +366,6 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def _worst(residuals):
-    """The largest residual, or NaN as soon as one residual is NaN.
-
-    max() keeps its running value when compared with NaN, so a NaN
-    residual would otherwise vanish from the reduction and pass.
-    """
-    worst = 0.0
-    for r in residuals:
-        if r != r:
-            return r
-        worst = max(worst, r)
-    return worst
-
-
 # Each suite takes the run configuration, its tolerance and the Gram matrix
 # of the ortho suite (None when that suite is not selected).
 
@@ -395,14 +381,14 @@ def _check_lines_ode(cfg, tol, gram) -> list:
             t1, t2, t3 = terms(support * i / 11)
             scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
             residuals.append(abs(t1 + t2 + t3) / scale)
-    worst = _worst(residuals)
+    worst = max_or_nan(residuals)
     return [("ode residual (scaled)", worst, tol, worst <= tol, "")]
 
 
 def _check_lines_ortho(cfg, tol, G) -> list:
     size = cfg.n_max + 1
     parity_ok = all(G[i][j] == 0 for i in range(size) for j in range(i + 1, size, 2))
-    worst = _worst(
+    worst = max_or_nan(
         abs(G[i][j]) / (abs(G[i][i] * G[j][j]) ** 0.5)
         for i in range(size)
         for j in range(i + 2, size, 2)
@@ -418,7 +404,7 @@ def _check_lines_norm(cfg, tol, gram) -> list:
     n_hi = min(cfg.n_max, 8)
     report = norm_triple_report(cfg.family, n_hi, cfg.jackson, pair_tol=tol, gram=gram)
     lines = []
-    worst_pair = _worst(r.favard_vs_quadrature for r in report)
+    worst_pair = max_or_nan(r.favard_vs_quadrature for r in report)
     lines.append(
         ("norm: favard vs quadrature", worst_pair, tol, worst_pair <= tol, "")
     )
@@ -430,7 +416,7 @@ def _check_lines_norm(cfg, tol, gram) -> list:
             f"closed-form discrepancy flagged at n={[r.n for r in flagged]}; "
             "favard and quadrature agree, both values reported"
         )
-    worst_closed = _worst(
+    worst_closed = max_or_nan(
         r.closed_vs_favard for r in report if r.closed_vs_favard is not None and not r.discrepancy_flagged
     )
     lines.append(("norm: closed form vs favard", worst_closed, tol, closed_ok, note))
@@ -448,12 +434,13 @@ def _check_lines_pearson(cfg, tol, gram) -> list:
         lhs = weight_general(fam.V, cfg.ctx, q * x) / weight_general(fam.V, cfg.ctx, x)
         rhs = pearson_ratio(fam.V, cfg.ctx, x)
         residuals.append(abs(lhs - rhs) / abs(rhs))
-    worst = _worst(residuals)
+    worst = max_or_nan(residuals)
     return [("pearson ratio W(qx)/W(x)", worst, tol, worst <= tol, "")]
 
 
 def _check_lines_limit(cfg, tol, gram) -> list:
-    subject = cfg.family.rebuild or cfg.family.V
+    # every report rebuilds the family at the same contexts: build each once
+    subject = functools.cache(cfg.family.rebuild) if cfg.family.rebuild else cfg.family.V
     probe = LimitProbe()
     n_hi = cfg.n if cfg.n is not None else min(cfg.n_max, 10)
     lines = []
@@ -469,7 +456,7 @@ def _check_lines_limit(cfg, tol, gram) -> list:
                 # e.g. the even hermite polynomials at p = 1/2, whose
                 # explicit form has no finite q -> 1 limit
                 unevaluable.append(n)
-        worst = _worst(rep.raw_errors[-1] for rep in reports)
+        worst = max_or_nan(rep.raw_errors[-1] for rep in reports)
         mono = all(rep.monotone for rep in reports)
         name = f"classical limit of {qty} (raw error at eps=1e-4)"
         notes = [] if mono else ["errors not monotone along the sweep"]

@@ -279,6 +279,21 @@ def q_derivative_inv(f: Callable, x, ctx: QContext):
     return (f(x / q) - f(x)) / ((1 / q - 1) * x)
 
 
+def max_or_nan(values):
+    """The largest of the nonnegative values (0.0 if there are none), or NaN
+    as soon as one value is NaN.
+
+    max() keeps its running value when compared with NaN, so a NaN
+    residual would otherwise vanish from the reduction and pass.
+    """
+    worst = 0.0
+    for r in values:
+        if r != r:
+            return r
+        worst = max(worst, r)
+    return worst
+
+
 def sigma_parity(n: int) -> int:
     """Parity indicator (1 - (-1)**n) / 2: 0 for even n, 1 for odd n.
 

@@ -16,9 +16,11 @@ any such factor is constant and drops out of normalized quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
-from .errors import InvalidBaseError, ZeroDenominatorError
-from .qcore import QContext, exp_, isfinite_, log_, q_shifted_factorial_inf
+from .errors import InvalidBaseError, TruncationError, ZeroDenominatorError
+from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
 from .sympoly import CharVector, _resonant
 
 __all__ = [
@@ -104,6 +106,43 @@ def weight_star(V: CharVector, ctx: QContext, x):
     return power_top / bot
 
 
+def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:
+    """The pairs (x_j, weight_star(x_j)) at x_j = alpha q^j != 0, j = 0 .. n.
+
+    Here each product of W* is (c B^j; B)_inf = prod_{m >= j} (1 - c B^m),
+    B = q^2, a suffix of one list of the factors with |c B^m| >= eps_term,
+    so one reverse pass gives all n + 1; the errors are weight_star's.
+    """
+    if V.a == 0 or V.b == 0:
+        raise ValueError("the closed-form weight needs a != 0 and b != 0")
+    q = ctx.q
+    base = _power_base(V, q)
+    # the product arguments at x = alpha, as _weight_factors forms them
+    args = (-V.a * q * q * alpha * alpha / V.b,
+            -(V.a + V.c * (q - 1)) * alpha * alpha / (V.b + V.d * (q - 1)))
+    products = []
+    for c in args:
+        factors = []
+        for m in range(ctx.max_terms):
+            t = (q * q)**m * c
+            if abs(t) < ctx.eps_term:
+                break
+            factors.append(1 - t)
+        else:
+            raise TruncationError(f"(x; q)_inf with x={c!r} did not meet eps_term="
+                                  f"{ctx.eps_term} within max_terms={ctx.max_terms}")
+        suffix = list(accumulate(reversed(factors), mul, initial=1 + c * 0))[::-1]
+        products.append([suffix[min(j, len(factors))] for j in range(n + 1)])
+    if 0 in products[1]:
+        raise ZeroDenominatorError("weight denominator product vanishes")
+    grid = []
+    for j, (top, bot) in enumerate(zip(*products)):
+        x = alpha * q**j
+        power = 1 if base == 1 else exp_(log_(base) * log_(x * x) / (2 * log_(q)))
+        grid.append((x, power * top / bot))
+    return grid
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """An evaluable even weight W* with its support endpoint.
@@ -176,18 +215,17 @@ def boundary_vanishing_check(
     """Check that A(x) W(x) = (a x^2 + b) W*(x) vanishes at the endpoint.
 
     The endpoint value is compared against the maximum of |(a x^2 + b) W*|
-    over the interior grid alpha q^j, j = 1 .. n_grid; report-only, the
-    boolean is |boundary| <= tol * interior_max.
+    over the interior grid alpha q^j, j = 1 .. n_grid, in the base of the
+    weight's context; report-only, the boolean is
+    |boundary| <= tol * interior_max.  A NaN interior value becomes the
+    maximum, so the ratio is NaN and the check fails.
     """
     if tol is None:
         tol = ctx.tol_check
     V = spec.V
     alpha = spec.support
-    q = ctx.q
     boundary = (V.a * alpha * alpha + V.b) * spec.star(alpha)
-    interior = 0.0
-    for j in range(1, n_grid + 1):
-        x = alpha * q**j
-        interior = max(interior, abs((V.a * x * x + V.b) * spec.star(x)))
-    ratio = abs(boundary) / interior if interior > 0 else float("inf")
+    grid = _weight_star_grid(V, spec.ctx, alpha, n_grid)
+    interior = max_or_nan(abs((V.a * x * x + V.b) * w) for x, w in grid[1:])
+    ratio = abs(boundary) / interior if interior != 0 else float("inf")
     return BoundaryReport(ratio <= tol, boundary, interior, ratio, tol)

@@ -243,6 +243,25 @@ class TestCheck:
         assert lines[2].endswith("[limit not evaluable at n=[2]]")
         assert err == ""
 
+    def test_limit_builds_each_family_once(self, capsys, monkeypatch):
+        import dataclasses
+
+        calls = []
+        make_family = cli._make_family
+
+        def counted(*args):
+            fam = make_family(*args)
+            rebuild = fam.rebuild
+            return dataclasses.replace(
+                fam, rebuild=lambda ctx: calls.append(ctx) or rebuild(ctx))
+
+        monkeypatch.setattr(cli, "_make_family", counted)
+        code, _, _ = run(
+            capsys, ["check", "limit", "--family", "ultraspherical", "-q", "0.5"])
+        assert code == 0
+        # the reference context and one per eps, for 3 quantities x 10 degrees
+        assert len(calls) == len(set(calls)) == len(qp.LimitProbe().eps_values) + 1
+
     def test_check_all_assembles_one_gram(self, capsys, monkeypatch):
         from qsympoly import families
 
@@ -440,6 +459,28 @@ class TestPrecisionEnv:
         assert code == 0
         residual = float(lines[0].split("max residual ")[1].split()[0])
         assert residual < 1e-25
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "ultraspherical", "--alpha", "0.4", "--beta", "0.7"],
+        ["--family", "hermite", "-p", "0.3"],
+    ])
+    def test_boundary_and_limit(self, capsys, monkeypatch, family):
+        # mpf weights through the suffix-product grid, and mpf family
+        # parameters through the limit suite's per-call rebuild cache
+        argv = family + ["-q", "0.5"]
+        code, lines, err = self.run_check(capsys, monkeypatch, ["boundary"] + argv)
+        assert (code, err) == (0, "")
+        assert lines[0].startswith("PASS boundary")
+        code, lines, err = self.run_check(capsys, monkeypatch, ["limit"] + argv)
+        assert err == ""
+        if family[1] == "ultraspherical":
+            assert code == 0
+        else:
+            # the suite gates the raw error at eps = 1e-4, a first-order
+            # error that the hermite C limit leaves above 1e-3 in float as
+            # well; the mpf run must read as the float run does
+            monkeypatch.delenv("QSYMPOLY_PRECISION")
+            assert run(capsys, ["check", "limit"] + argv)[:2] == (code, "\n".join(lines) + "\n")
 
     def test_rejects_garbage(self, capsys, monkeypatch):
         monkeypatch.setenv("QSYMPOLY_PRECISION", "many")

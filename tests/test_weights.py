@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import oracle_qpoch_inf, rel
+from qsympoly import weights
 
 CTX = qp.QContext(0.5)
 Q = 0.5
@@ -158,6 +159,67 @@ class TestWeightStar:
         assert w > 0
 
 
+GRID_FAMILIES = {
+    "ultraspherical(0.4,0.7)": lambda ctx: qp.make_ultraspherical(0.4, 0.7, ctx),
+    "hermite(0.3)": lambda ctx: qp.make_hermite(0.3, ctx),
+    "hermite(-0.4)": lambda ctx: qp.make_hermite(-0.4, ctx),
+    "chebyshev6": qp.make_chebyshev6,
+}
+
+
+class TestWeightStarGrid:
+    """The suffix-product grid against weight_star point by point."""
+
+    @staticmethod
+    def worst_deviation(fam, ctx, step=1):
+        """The largest relative deviation over j = 0, step, .. 128."""
+        grid = weights._weight_star_grid(fam.V, ctx, fam.support, 128)
+        assert [x for x, _ in grid] == [fam.support * ctx.q**j for j in range(129)]
+        worst = 0
+        for x, w in grid[::step]:
+            want = qp.weight_star(fam.V, ctx, x)
+            worst = max(worst, abs(w - want) / abs(want))
+        return worst
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    def test_float(self, name, q):
+        ctx = qp.QContext(q)
+        assert self.worst_deviation(GRID_FAMILIES[name](ctx), ctx) <= 1e-14
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    def test_mp40(self, name, q):
+        with mpmath.workdps(40):
+            ctx = qp.QContext(mpmath.mpf(q), eps_term=1e-45)
+            fam = GRID_FAMILIES[name](ctx)
+            [(_, w0), (_, w1)] = weights._weight_star_grid(fam.V, ctx, fam.support, 1)
+            assert isinstance(w0, mpmath.mpf) and isinstance(w1, mpmath.mpf)
+            # a pointwise 40-digit weight at q = 0.9 takes about 20 ms, so
+            # the reference there reads every 8th point of the grid
+            assert self.worst_deviation(fam, ctx, step=8 if q == 0.9 else 1) <= 1e-35
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_vanishing_denominator(self, q):
+        # (a + c(q-1)) / (b + d(q-1)) = -1 puts the factor 1 - 1 at alpha = 1
+        ctx = qp.QContext(q)
+        fam = qp.make_custom(-1.0, 1.0, -1.5, 1.5, ctx)
+        with pytest.raises(qp.ZeroDenominatorError) as pointwise:
+            qp.weight_star(fam.V, ctx, fam.support)
+        with pytest.raises(qp.ZeroDenominatorError) as grid:
+            weights._weight_star_grid(fam.V, ctx, fam.support, 128)
+        assert str(grid.value) == str(pointwise.value)
+
+    def test_truncation(self):
+        ctx = qp.QContext(0.9, max_terms=20)
+        fam = qp.make_hermite(0.3, ctx)
+        with pytest.raises(qp.TruncationError) as pointwise:
+            qp.weight_star(fam.V, ctx, fam.support)
+        with pytest.raises(qp.TruncationError) as grid:
+            weights._weight_star_grid(fam.V, ctx, fam.support, 128)
+        assert str(grid.value) == str(pointwise.value)
+
+
 class TestBoundary:
     def test_ultraspherical_endpoint(self):
         rep = qp.boundary_vanishing_check(ULTRA.weight_spec(), CTX, tol=1e-12)
@@ -173,3 +235,18 @@ class TestBoundary:
         rep = qp.boundary_vanishing_check(bad, CTX, tol=1e-12)
         assert not rep.ok
         assert rep.ratio > 1e-3
+
+    def test_nan_interior_fails(self, monkeypatch):
+        # max() keeps its running value against NaN, which used to drop a
+        # NaN interior weight from the reduction and pass
+        real = weights._weight_star_grid
+
+        def with_nan(*args):
+            grid = real(*args)
+            grid[1] = (grid[1][0], float("nan"))
+            return grid
+
+        monkeypatch.setattr(weights, "_weight_star_grid", with_nan)
+        rep = qp.boundary_vanishing_check(ULTRA.weight_spec(), CTX, tol=1e-12)
+        assert not rep.ok
+        assert math.isnan(rep.interior_max) and math.isnan(rep.ratio)

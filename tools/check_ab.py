@@ -1,0 +1,137 @@
+"""Time two source trees on one benchmark workload, operation by operation,
+in one process.
+
+    python tools/check_ab.py PARENT_SRC CHANGE_SRC --workload W --ops N [--seed S]
+
+Each SRC is a directory that contains the ``qsympoly`` package (a
+checkout's ``src``).  Both packages are imported into this process, under
+the names ``tree_parent`` and ``tree_change``.  The operations are the
+first N command-line operations of the workload's seeded rounds, drawn
+from ``bench/workloads.py``; library operations (``eval`` and
+``quadrature``) have no command line and are skipped.  Each operation
+runs 3 times on each tree, the trees alternating, and its time on a tree
+is the best of its 3.  Machine speed can drift within minutes, and
+alternating operation by operation lets both trees see the same drift.
+The tool prints each tree's mean ms/op, the median over operations of the
+time ratio change/parent, and whether every output matched: the exit
+code, stdout and the file an export writes.  It exits 1 if any output
+differs, else 0.  The process runs in float arithmetic (QSYMPOLY_PRECISION
+is removed from its environment).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import io
+import os
+import statistics
+import sys
+import tempfile
+from itertools import islice
+from pathlib import Path
+from time import perf_counter
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REPEATS = 3
+
+
+def load_cli(src: str, name: str):
+    """The ``cli`` module of the qsympoly package in ``src``, imported as
+    the package ``name``."""
+    pkg = os.path.join(os.path.abspath(src), "qsympoly")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"), submodule_search_locations=[pkg]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def operations(workload: str, seed: int, count: int, tmpdir: str) -> list:
+    """The first ``count`` command-line operations of the workload."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    ops = (op for rnd in workloads.WORKLOADS[workload](seed, tmpdir) for op in rnd
+           if op.argv is not None)
+    return list(islice(ops, count))
+
+
+def run_once(cli, op) -> tuple:
+    """(seconds, output) of one run; output is (exit code, stdout, file)."""
+    out = io.StringIO()
+    t0 = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(op.argv))
+    seconds = perf_counter() - t0
+    written = None
+    if op.out_path and os.path.exists(op.out_path):
+        written = Path(op.out_path).read_bytes()
+        os.remove(op.out_path)
+    return seconds, (code, out.getvalue(), written)
+
+
+def compare(parent, change, op) -> tuple:
+    """(best parent seconds, best change seconds, outputs all equal)."""
+    best = [float("inf"), float("inf")]
+    outputs = set()
+    for _ in range(REPEATS):
+        for side, cli in enumerate((parent, change)):
+            seconds, output = run_once(cli, op)
+            best[side] = min(best[side], seconds)
+            outputs.add(output)
+    return best[0], best[1], len(outputs) == 1
+
+
+def verdict(rows) -> tuple:
+    """(summary lines, exit code) for rows of (parent s, change s, same)."""
+    ratios = [c / p for p, c, _ in rows]
+    same = all(s for _, _, s in rows)
+    lines = [
+        f"operations {len(rows)}",
+        f"parent {1e3 * statistics.fmean(p for p, _, _ in rows):.2f} ms/op",
+        f"change {1e3 * statistics.fmean(c for _, c, _ in rows):.2f} ms/op",
+        f"median ratio change/parent {statistics.median(ratios):.3f}",
+        "outputs: all equal" if same
+        else f"outputs differ on {sum(not s for _, _, s in rows)} of {len(rows)} operations",
+    ]
+    return lines, 0 if same else 1
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--workload", required=True,
+                    choices=("check-deep", "check-sweep", "evaluate"))
+    ap.add_argument("--ops", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1011)
+    args = ap.parse_args(argv)
+    if args.ops < 1:
+        ap.error("--ops must be at least 1")
+    for src in (args.parent_src, args.change_src):
+        if not os.path.isdir(os.path.join(src, "qsympoly")):
+            ap.error(f"{src} has no qsympoly package")
+    os.environ.pop("QSYMPOLY_PRECISION", None)
+    parent = load_cli(args.parent_src, "tree_parent")
+    change = load_cli(args.change_src, "tree_change")
+    with tempfile.TemporaryDirectory() as tmpdir:
+        rows = []
+        for op in operations(args.workload, args.seed, args.ops, tmpdir):
+            row = compare(parent, change, op)
+            if not row[2]:
+                print(f"DIFF {' '.join(op.argv)}")
+            rows.append(row)
+    lines, code = verdict(rows)
+    print("\n".join(lines))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
