@@ -15,10 +15,8 @@ mpmath.mpf values run the same code at elevated precision.
 """
 
 from .classical import (
-    LimitProbe,
     LimitReport,
     continuous_C_limit,
-    continuous_char_vector,
     continuous_lambda_limit,
     continuous_ode_residual,
     continuous_poly,
@@ -96,7 +94,6 @@ from .sympoly import (
 from .weights import (
     BoundaryReport,
     WeightGridReport,
-    WeightSpec,
     boundary_vanishing_check,
     pearson_ratio,
     weight_general,

@@ -1,4 +1,4 @@
-"""q -> 1 limit targets and convergence probes.
+"""q -> 1 limit targets and their convergence reports.
 
 The symmetric family degenerates, as q tends to 1, to the continuous
 symmetric polynomials solving
@@ -6,13 +6,14 @@ symmetric polynomials solving
     x^2 (a x^2 + b) y'' + x (c x^2 + d) y' - (n (c + (n-1) a) x^2 + sigma_n d) y = 0,
 
 with closed-form limits for the recurrence coefficient and eigenvalue.
-This module provides those targets plus a sweep-and-extrapolate probe
-that quantifies how the q-quantities approach them.
+This module provides those targets, and limit_convergence_report, which
+quantifies how a q-quantity approaches its target.
 
 Limit verification is numeric by design: quantities are evaluated along
-q = 1 - eps and Richardson-extrapolated to eps = 0.  Near q = 1 the
-q-shifted factorials lose floating-point accuracy; sweeps below
-eps = 1e-5 or so should be run at elevated precision (mpmath), which the
+q = 1 - eps for the fixed eps values LIMIT_EPS (1e-2, 1e-3, 1e-4) and
+Richardson-extrapolated to eps = 0.  The sweep stops there because the
+q-shifted factorials lose floating-point accuracy near q = 1: below
+eps = 1e-5 or so they need elevated precision (mpmath), which the
 duck-typed arithmetic supports but does not switch on automatically.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import TruncationError, ZeroDenominatorError
 from .families import FamilyDescriptor
@@ -28,39 +30,21 @@ from .sympoly import CharVector, _polyval, eigenvalue, eval_explicit, recurrence
 from .weights import _power_base
 
 __all__ = [
-    "LimitProbe",
     "LimitReport",
     "continuous_poly_coeffs",
     "continuous_poly",
     "continuous_C_limit",
     "continuous_lambda_limit",
     "continuous_ode_residual",
-    "continuous_char_vector",
     "continuous_weight",
     "limit_convergence_report",
 ]
 
 # reference abscissa for weight-ratio comparisons; inside every family's support
 WEIGHT_REF_POINT = 0.5
-
-
-@dataclass(frozen=True)
-class LimitProbe:
-    """Sweep q = 1 - eps over the given eps values, largest first."""
-
-    eps_values: tuple = (1e-2, 1e-3, 1e-4)
-    extrapolation_order: int = 2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_values", tuple(self.eps_values))
-        if not all(0 < e < 0.5 for e in self.eps_values):
-            raise ValueError("eps values must lie in (0, 0.5)")
-        if any(
-            e2 >= e1 for e1, e2 in zip(self.eps_values, self.eps_values[1:])
-        ):
-            raise ValueError("eps values must be strictly decreasing")
-        if self.extrapolation_order < 1:
-            raise ValueError("extrapolation order must be at least 1")
+# the sweep q = 1 - eps, largest eps first; the extrapolation to eps = 0
+# runs through all of its points, so it has order 2
+LIMIT_EPS = (1e-2, 1e-3, 1e-4)
 
 
 def continuous_poly_coeffs(n: int, V: CharVector) -> tuple:
@@ -130,16 +114,6 @@ def continuous_ode_residual(n: int, V: CharVector, x):
         + x * (c * x2 + d) * _polyval(d1, x)
         + (lam * x2 - sigma_parity(n) * d) * _polyval(coeffs, x)
     )
-
-
-def continuous_char_vector(fam: FamilyDescriptor) -> CharVector:
-    """The q -> 1 limit of a family's characteristic vector.
-
-    The chebyshev parameters are themselves functions of q
-    (beta = [3]/[2] - 2 resp. [5]/[2] - 2), so their limits -1/2 and 1/2
-    enter here, not the beta stored at the family's own base.
-    """
-    return fam.limit_V
 
 
 def continuous_weight(fam: FamilyDescriptor, x):
@@ -213,22 +187,18 @@ class LimitReport:
 
 
 def limit_convergence_report(
-    quantity: str,
-    subject,
-    n: int,
-    probe: LimitProbe,
-    x: float | None = None,
+    quantity: str, subject: Callable, n: int, x: float | None = None
 ) -> LimitReport:
-    """Evaluate a q-quantity along q = 1 - eps and compare with its
-    continuous target.
+    """Evaluate a q-quantity along q = 1 - eps, eps in LIMIT_EPS, and
+    compare with its continuous target.
 
     ``quantity`` is one of "C", "lambda", "poly", "weight".  ``subject``
-    is either a callable mapping a QContext to a FamilyDescriptor (the
-    family is rebuilt at every sweep point, so its characteristic vector
-    tracks q) or a fixed CharVector.  "poly" needs the evaluation point
-    x; "weight" needs a family subject and compares the ratio
-    W*(x)/W*(x_ref) with the continuous ratio at x_ref = 0.5, since the
-    raw weights only converge up to normalization.
+    maps a QContext to a FamilyDescriptor, such as a family's ``rebuild``;
+    the family is rebuilt at every sweep point, so its characteristic
+    vector tracks q, and its ``limit_V`` gives the continuous targets.
+    "poly" and "weight" need the evaluation point x; "weight" compares
+    the ratio W*(x)/W*(x_ref) with the continuous ratio at x_ref = 0.5,
+    since the raw weights only converge up to normalization.
 
     Raw errors are relative to the target magnitude; the polynomial
     quantity additionally floors the denominator with the magnitude of
@@ -238,14 +208,11 @@ def limit_convergence_report(
     """
     if quantity not in ("C", "lambda", "poly", "weight"):
         raise ValueError(f"unknown limit quantity {quantity!r}")
-    fixed_v = isinstance(subject, CharVector)
     if quantity in ("poly", "weight") and x is None:
         raise ValueError(f"quantity {quantity!r} needs an evaluation point x")
-    if quantity == "weight" and fixed_v:
-        raise ValueError("weight limits need a family subject, not a bare CharVector")
 
-    fam0 = None if fixed_v else subject(QContext(0.5))
-    v_cont = subject if fixed_v else continuous_char_vector(fam0)
+    fam0 = subject(QContext(0.5))
+    v_cont = fam0.limit_V
 
     # continuous target
     if quantity == "C":
@@ -265,11 +232,11 @@ def limit_convergence_report(
     if scale == 0:
         scale = 1
     values = []
-    for eps in probe.eps_values:
+    for eps in LIMIT_EPS:
         # infinite products converge like q^(2j), so the factor budget must
         # grow as 1/eps for the weight sweeps near q = 1
         ctx = QContext(1 - eps, max_terms=max(10_000, int(30 / eps)))
-        V = subject if fixed_v else subject(ctx).V
+        V = subject(ctx).V
         if quantity == "C":
             values.append(recurrence_C(n, V, ctx))
         elif quantity == "lambda":
@@ -280,13 +247,12 @@ def limit_convergence_report(
             values.append(_weight_star_ratio(V, ctx, x, WEIGHT_REF_POINT))
     raw_errors = tuple(abs(v - target) / scale for v in values)
     monotone = all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:]))
-    k = min(probe.extrapolation_order + 1, len(values))
-    extrap = _neville_at_zero(probe.eps_values[-k:], values[-k:])
+    extrap = _neville_at_zero(LIMIT_EPS, values)
     return LimitReport(
         quantity=quantity,
         n=n,
         x=x,
-        eps_values=probe.eps_values,
+        eps_values=LIMIT_EPS,
         values=tuple(values),
         target=target,
         raw_errors=raw_errors,

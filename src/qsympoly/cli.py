@@ -6,10 +6,10 @@ configurations produce byte-identical files (no timestamps, fixed key
 order, floats printed with 17 significant digits so they re-read
 bitwise).
 
-The environment variable QSYMPOLY_PRECISION, when set to an integer
-number of decimal digits above 17, switches all numeric inputs to
-mpmath at that precision for the duration of the command; values are
-then printed through mpmath with the configured digit count.
+The environment variable QSYMPOLY_PRECISION, when set to a positive
+integer number of decimal digits, switches all numeric inputs to mpmath
+at max(digits, 15) digits for the duration of the command; values are
+then printed through mpmath with max(digits, 17) significant digits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .classical import LimitProbe, continuous_weight, limit_convergence_report
+from .classical import continuous_weight, limit_convergence_report
 from .errors import QSymPolyError, ZeroDenominatorError
 from .families import (
     FAMILIES,
@@ -47,7 +47,7 @@ from .sympoly import (
     ode_terms,
     recurrence_C,
 )
-from .weights import boundary_vanishing_check, pearson_ratio, weight_general
+from .weights import boundary_vanishing_check, pearson_ratio, weight_general, weight_star
 
 N_MAX_LIMIT = 64  # guard against precision exhaustion of the recurrences
 
@@ -412,9 +412,10 @@ def _check_lines_norm(cfg, tol, gram) -> list:
     closed_ok = all(r.ok for r in report)
     note = ""
     if flagged:
+        agree = "agree" if worst_pair <= tol else "disagree"
         note = (
             f"closed-form discrepancy flagged at n={[r.n for r in flagged]}; "
-            "favard and quadrature agree, both values reported"
+            f"favard and quadrature {agree}, both values reported"
         )
     worst_closed = max_or_nan(
         r.closed_vs_favard for r in report if r.closed_vs_favard is not None and not r.discrepancy_flagged
@@ -440,8 +441,7 @@ def _check_lines_pearson(cfg, tol, gram) -> list:
 
 def _check_lines_limit(cfg, tol, gram) -> list:
     # every report rebuilds the family at the same contexts: build each once
-    subject = functools.cache(cfg.family.rebuild) if cfg.family.rebuild else cfg.family.V
-    probe = LimitProbe()
+    subject = functools.cache(cfg.family.rebuild)
     n_hi = cfg.n if cfg.n is not None else min(cfg.n_max, 10)
     lines = []
     for qty in ("C", "lambda", "poly"):
@@ -450,7 +450,7 @@ def _check_lines_limit(cfg, tol, gram) -> list:
         for n in range(1, n_hi + 1):
             try:
                 reports.append(limit_convergence_report(
-                    qty, subject, n, probe, x=0.3 if qty == "poly" else None
+                    qty, subject, n, x=0.3 if qty == "poly" else None
                 ))
             except ZeroDenominatorError:
                 # e.g. the even hermite polynomials at p = 1/2, whose
@@ -468,8 +468,10 @@ def _check_lines_limit(cfg, tol, gram) -> list:
 
 
 def _check_lines_boundary(cfg, tol, gram) -> list:
-    spec = cfg.family.weight_spec()
-    rep = boundary_vanishing_check(spec, cfg.ctx, tol=tol)
+    fam = cfg.family
+    if fam.support is None:
+        raise CLIError(f"family {fam.name!r} has no known support endpoint")
+    rep = boundary_vanishing_check(fam.V, fam.support, cfg.ctx, tol)
     return [("boundary A(alpha) W(alpha) = 0", rep.ratio, tol, rep.ok, "")]
 
 
@@ -514,7 +516,7 @@ def cmd_export(cfg: RunConfig) -> int:
         if fam.support is None:
             raise CLIError("weight export needs a family with a support endpoint")
         xs = cfg.xs or _default_grid(fam)
-        weights = (("weight_star", fam.weight_spec().star),
+        weights = (("weight_star", lambda x: weight_star(fam.V, ctx, x)),
                    ("weight_limit", lambda x: continuous_weight(fam, x)))
         rows = []
         for i, x in enumerate(xs):

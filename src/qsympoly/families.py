@@ -35,7 +35,7 @@ from .qcore import (
     sqrt_,
 )
 from .sympoly import CharVector, recurrence_C
-from .weights import WeightSpec, _power_base, pearson_ratio, weight_star
+from .weights import _power_base, pearson_ratio, weight_star
 
 __all__ = [
     "FamilyDescriptor",
@@ -67,11 +67,12 @@ class FamilyDescriptor:
     """A family instance and everything that varies by family.
 
     ``name`` is a label only.  The ``make_*`` factory fills in the rest:
-    ``rebuild`` maps a QContext to the same family at that base (None for
-    a custom vector); ``closed_norm`` maps n to the tabulated norm square
-    d^2_n; ``limit_V`` is the q -> 1 characteristic vector;
-    ``limit_weight`` maps x to the q -> 1 weight; ``violation`` says why
-    the parameters are not admissible.  None marks what a family lacks.
+    ``rebuild`` maps a QContext to the same family at that base;
+    ``closed_norm`` maps n to the tabulated norm square d^2_n; ``limit_V``
+    is the q -> 1 characteristic vector, in which the chebyshev beta takes
+    its limit -1/2 resp. 1/2; ``limit_weight`` maps x to the q -> 1
+    weight; ``violation`` says why the parameters are not admissible.
+    None marks what a family lacks.
     """
 
     name: str
@@ -80,15 +81,10 @@ class FamilyDescriptor:
     support: float | None
     ctx: QContext
     limit_V: CharVector
-    rebuild: Callable | None = None
+    rebuild: Callable
     closed_norm: Callable | None = None
     limit_weight: Callable | None = None
     violation: str | None = None
-
-    def weight_spec(self) -> WeightSpec:
-        if self.support is None:
-            raise ValueError(f"family {self.name!r} has no known support endpoint")
-        return WeightSpec(self.V, self.support, self.ctx)
 
     def norm_square(self, n: int):
         """Tabulated closed-form norm square, or None when the family has none."""
@@ -162,7 +158,8 @@ def make_custom(a, b, c, d, ctx: QContext) -> FamilyDescriptor:
     support = None
     if a != 0 and -b / a > 0:
         support = sqrt_(-b / a)
-    return FamilyDescriptor("custom", {}, V, support, ctx, limit_V=V)
+    return FamilyDescriptor("custom", {}, V, support, ctx, limit_V=V,
+                            rebuild=partial(make_custom, a, b, c, d))
 
 
 # CLI family name -> (factory, names of the parameters it takes before ctx)
@@ -286,17 +283,15 @@ class ReductionReport:
     max_weight_product_deviation: float
 
 
-def hermite_p0_reduction_check(
-    n_max: int, ctx: QContext, n_points: int = 20, tol: float = 1e-13
-) -> ReductionReport:
+def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
     """At p = 0 the recurrence collapses to C_n = q^(n-1)(1-q^n)/(1-q^2)
     (the rescaled discrete q-Hermite I recurrence); verified here for
-    n = 1 .. n_max.
+    n = 1 .. n_max to 1e-13 relative.
 
-    The weight is compared on the grid alpha q^j with the product form
-    (q^2 (1-q^2) x^2; q^2)_inf, the discrete q-Hermite I weight
-    (qy, -qy; q)_inf at y = sqrt(1-q^2) x, which solves the family's
-    Pearson relation; the largest relative deviation is reported.
+    The weight is compared on the grid alpha q^j, j = 1 .. 20, with the
+    product form (q^2 (1-q^2) x^2; q^2)_inf, the discrete q-Hermite I
+    weight (qy, -qy; q)_inf at y = sqrt(1-q^2) x, which solves the
+    family's Pearson relation; the largest relative deviation is reported.
     """
     q = ctx.q
     fam = make_hermite(0.0, ctx)
@@ -306,14 +301,14 @@ def hermite_p0_reduction_check(
         val = recurrence_C(n, fam.V, ctx)
         dev_c = max(dev_c, abs(val - ref) / abs(ref))
     dev_prod = 0.0
-    for j in range(1, n_points + 1):
+    for j in range(1, 21):
         x = fam.support * q**j
         w = weight_star(fam.V, ctx, x)
         u = (1 - q * q) * x * x
         prod = q_shifted_factorial_inf(q * q * u, ctx, base=q * q)
         dev_prod = max(dev_prod, abs(w - prod) / abs(prod))
     return ReductionReport(
-        ok_recurrence=dev_c <= tol,
+        ok_recurrence=dev_c <= 1e-13,
         max_recurrence_deviation=dev_c,
         max_weight_product_deviation=dev_prod,
     )

@@ -16,7 +16,7 @@ scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DivergenceError, IllDefinedSeriesError, TruncationError
@@ -76,29 +76,31 @@ def isfinite_(v) -> bool:
 
 @dataclass(frozen=True)
 class QContext:
-    """Base q together with the numerical policy of the library.
+    """Base q together with the truncation policy of the library.
 
-    q must lie strictly inside (0, 1).  ``eps_term`` is the threshold
-    below which series terms and product factor deviations count as
-    converged, ``max_terms`` caps the length of any series or product,
-    and ``tol_check`` is the default tolerance of the verification
-    helpers.
+    q must lie strictly inside (0, 1).  ``max_terms`` caps the length of
+    any series or product.  ``eps_term``, the threshold below which series
+    terms and product factor deviations count as converged, follows from
+    q: 1e-17 for a float q, and 2^-(prec + 4) for an mpf q, at the mpmath
+    precision in force when the context is built.
     """
 
     q: float
-    eps_term: float = 1e-17
     max_terms: int = 10_000
-    tol_check: float = 1e-10
+    eps_term: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.q < 1):
             raise ValueError(f"base q must satisfy 0 < q < 1, got {self.q!r}")
-        if self.eps_term <= 0:
-            raise ValueError("eps_term must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if self.tol_check <= 0:
-            raise ValueError("tol_check must be positive")
+        eps = 1e-17
+        if not _is_plain(self.q):
+            import mpmath
+
+            if isinstance(self.q, mpmath.mpf):
+                eps = mpmath.ldexp(1, -(mpmath.mp.prec + 4))
+        object.__setattr__(self, "eps_term", eps)
 
 
 @dataclass(frozen=True)

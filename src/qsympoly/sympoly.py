@@ -172,8 +172,8 @@ def _checked_den(t1, t2, t3, n: int):
     return den
 
 
-def recurrence_C(n: int, V: CharVector, ctx: QContext):
-    """Three-term recurrence coefficient C_n = delta_n - delta_{n+1}, closed form."""
+def _recurrence_C_terms(n: int, V: CharVector, ctx: QContext):
+    """C_n and the three additive terms of its numerator, q^(n+1) (t1 + t2 + t3)."""
     q = ctx.q
     a, b, c, d = V.as_tuple()
     ae = _a_eff(V, q)
@@ -182,12 +182,15 @@ def recurrence_C(n: int, V: CharVector, ctx: QContext):
     den = _checked_den(
         a * a * q**4, q ** (4 * n) * ae * ae, -a * (q**3 + q) * q ** (2 * n) * ae, n
     )
-    num = q ** (n + 1) * (
-        q ** (2 * n) * ae * ((d - d * q) * sn - b)
-        + q**n * (a * (b * (q * q + 1) + d * (q - 1) * q * q) + b * c * (q - 1))
-        - a * q * q * (b + d * (q - 1) * sn1)
-    )
-    return num / den
+    t1 = q ** (2 * n) * ae * ((d - d * q) * sn - b)
+    t2 = q**n * (a * (b * (q * q + 1) + d * (q - 1) * q * q) + b * c * (q - 1))
+    t3 = -(a * q * q * (b + d * (q - 1) * sn1))
+    return q ** (n + 1) * (t1 + t2 + t3) / den, (t1, t2, t3)
+
+
+def recurrence_C(n: int, V: CharVector, ctx: QContext):
+    """Three-term recurrence coefficient C_n = delta_n - delta_{n+1}, closed form."""
+    return _recurrence_C_terms(n, V, ctx)[0]
 
 
 def recurrence_C_even(m: int, V: CharVector, ctx: QContext):
@@ -433,21 +436,22 @@ def classify_orthogonality(
     """Scan C_n for n = 1 .. n_max and classify.
 
     positive-definite: all C_n > 0; quasi-definite: all nonzero but some
-    negative; weak: some C_n vanishes (|C_n| <= ctx.tol_check).  Indices
-    where the closed form is resonant are reported separately and do not
-    enter the sign scan.
+    negative; weak: some C_n vanishes, that is, the sum of its numerator's
+    additive terms vanishes against the largest of them.  C_n decays like
+    q^n, so no absolute threshold tells a zero.  Indices where the closed
+    form is resonant are reported separately and do not enter the sign scan.
     """
     coeffs = []
     neg, zero, reso = [], [], []
     for n in range(1, n_max + 1):
         try:
-            cn = recurrence_C(n, V, ctx)
+            cn, (t1, t2, t3) = _recurrence_C_terms(n, V, ctx)
         except ResonanceError:
             reso.append(n)
             coeffs.append(None)
             continue
         coeffs.append(cn)
-        if abs(cn) <= ctx.tol_check:
+        if _resonant(t1 + t2 + t3, t1, t2, t3):
             zero.append(n)
         elif cn < 0:
             neg.append(n)

@@ -24,7 +24,6 @@ from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factor
 from .sympoly import CharVector, _resonant
 
 __all__ = [
-    "WeightSpec",
     "WeightGridReport",
     "BoundaryReport",
     "pearson_ratio",
@@ -33,6 +32,9 @@ __all__ = [
     "weight_grid_report",
     "boundary_vanishing_check",
 ]
+
+# interior grid points alpha q^j, j = 1 .. BOUNDARY_GRID, of the boundary check
+BOUNDARY_GRID = 128
 
 
 def pearson_ratio(V: CharVector, ctx: QContext, x):
@@ -144,33 +146,6 @@ def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:
 
 
 @dataclass(frozen=True)
-class WeightSpec:
-    """An evaluable even weight W* with its support endpoint.
-
-    The endpoint is the positive root of a x^2 + b = 0 for the named
-    families, which is exactly where A(x) W(x) has to vanish for the
-    orthogonality argument to close.
-    """
-
-    V: CharVector
-    support: float
-    ctx: QContext
-
-    def star(self, x):
-        return weight_star(self.V, self.ctx, x)
-
-    def general(self, x):
-        return weight_general(self.V, self.ctx, x)
-
-    def pearson_lhs(self, x):
-        """W(qx)/W(x) from two independent weight evaluations."""
-        return self.general(self.ctx.q * x) / self.general(x)
-
-    def pearson_rhs(self, x):
-        return pearson_ratio(self.V, self.ctx, x)
-
-
-@dataclass(frozen=True)
 class WeightGridReport:
     positive: bool
     min_value: float
@@ -178,19 +153,17 @@ class WeightGridReport:
     first_bad_index: int | None
 
 
-def weight_grid_report(spec: WeightSpec, n_terms: int = 256) -> WeightGridReport:
-    """Positivity of W* on the geometric grid alpha q^j.
+def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> WeightGridReport:
+    """Positivity of W* on the geometric grid alpha q^j, j = 0 .. n_terms.
 
     W* reads x only through x^2, so it is even bit for bit and the
     mirrored points -alpha q^j need no evaluation of their own.
     """
-    q = spec.ctx.q
     positive = True
     vmin, vmax = None, None
     bad = None
     for j in range(n_terms + 1):
-        x = spec.support * q**j
-        w = spec.star(x)
+        w = weight_star(V, ctx, alpha * ctx.q**j)
         if not (isfinite_(w) and w > 0):
             positive = False
             bad = bad if bad is not None else j
@@ -209,23 +182,16 @@ class BoundaryReport:
     tolerance: float
 
 
-def boundary_vanishing_check(
-    spec: WeightSpec, ctx: QContext, n_grid: int = 128, tol: float | None = None
-) -> BoundaryReport:
-    """Check that A(x) W(x) = (a x^2 + b) W*(x) vanishes at the endpoint.
+def boundary_vanishing_check(V: CharVector, alpha, ctx: QContext, tol) -> BoundaryReport:
+    """Check that A(x) W(x) = (a x^2 + b) W*(x) vanishes at the endpoint alpha.
 
     The endpoint value is compared against the maximum of |(a x^2 + b) W*|
-    over the interior grid alpha q^j, j = 1 .. n_grid, in the base of the
-    weight's context; report-only, the boolean is
-    |boundary| <= tol * interior_max.  A NaN interior value becomes the
-    maximum, so the ratio is NaN and the check fails.
+    over the interior grid alpha q^j, j = 1 .. BOUNDARY_GRID; report-only,
+    the boolean is |boundary| <= tol * interior_max.  A NaN interior value
+    becomes the maximum, so the ratio is NaN and the check fails.
     """
-    if tol is None:
-        tol = ctx.tol_check
-    V = spec.V
-    alpha = spec.support
-    boundary = (V.a * alpha * alpha + V.b) * spec.star(alpha)
-    grid = _weight_star_grid(V, spec.ctx, alpha, n_grid)
+    boundary = (V.a * alpha * alpha + V.b) * weight_star(V, ctx, alpha)
+    grid = _weight_star_grid(V, ctx, alpha, BOUNDARY_GRID)
     interior = max_or_nan(abs((V.a * x * x + V.b) * w) for x, w in grid[1:])
     ratio = abs(boundary) / interior if interior != 0 else float("inf")
     return BoundaryReport(ratio <= tol, boundary, interior, ratio, tol)

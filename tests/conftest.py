@@ -138,3 +138,21 @@ def oracle_weight_discrete_q_hermite_1(y, q):
     and Their q-Analogues, Springer 2010, section 14.28), coded in base q
     from two separate products."""
     return oracle_qpoch_inf(q * y, q) * oracle_qpoch_inf(-q * y, q)
+
+
+def oracle_hermite_star_mp40(p, q, xs):
+    """W*(x) = (1 + p (1-q^2))^(log x^2 / (2 log q)) (q^2 (1-q^2) x^2; q^2)_inf
+    of the generalized q-Hermite family at 60 digits, through mpmath.qp, for
+    p and q given as decimal strings and rounded to 40 digits, as a 40-digit
+    run of the library receives them."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+    with mpmath.workdps(60):
+        a = 1 - q * q
+        base = 1 + p * a
+        return [
+            base ** (mpmath.log(x * x) / (2 * mpmath.log(q))) * mpmath.qp(q * q * a * x * x, q * q)
+            for x in xs
+        ]

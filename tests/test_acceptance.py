@@ -26,6 +26,7 @@ Two facts decide how criteria 7 and 8 are checked:
 import math
 
 import qsympoly as qp
+from qsympoly.classical import LIMIT_EPS
 from conftest import (
     family_builders,
     named_families,
@@ -169,17 +170,16 @@ def test_criterion_06_pearson_verification():
     worst = 0.0
     worst_display = 0.0
     for name, fam in named_families(ctx).items():
-        spec = fam.weight_spec()
         for j in range(1, 21):
             x = fam.support * q**j
-            lhs = spec.pearson_lhs(x)
-            rhs = spec.pearson_rhs(x)
+            lhs = qp.weight_general(fam.V, ctx, q * x) / qp.weight_general(fam.V, ctx, x)
+            rhs = qp.pearson_ratio(fam.V, ctx, x)
             worst = max(worst, rel(lhs, rhs))
         # family-specific displayed ratios
         al, be = 0.4, 0.7
         for j in range(1, 21):
             x = fam.support * q**j
-            rhs = spec.pearson_rhs(x)
+            rhs = qp.pearson_ratio(fam.V, ctx, x)
             if fam.name == "hermite":
                 p = fam.params["p"]
                 disp = (-p * q * q + p + 1) / (q * q + (q * q - 1) * q**4 * x * x)
@@ -198,7 +198,6 @@ def test_criterion_06_pearson_verification():
 def test_criterion_07_classical_limits():
     extrap_tol = 1e-6
     min_decay = 7.0
-    probe = qp.LimitProbe()
     failures = []
     worst_raw = {"C": 0.0, "lambda": 0.0, "poly": 0.0}
     worst_extrap = 0.0
@@ -207,7 +206,7 @@ def test_criterion_07_classical_limits():
         for qty in ("C", "lambda", "poly"):
             for n in range(1, 11):
                 rep = qp.limit_convergence_report(
-                    qty, mk, n, probe, x=0.3 if qty == "poly" else None
+                    qty, mk, n, x=0.3 if qty == "poly" else None
                 )
                 prev, last = rep.raw_errors[-2], rep.raw_errors[-1]
                 worst_raw[qty] = max(worst_raw[qty], last)
@@ -230,11 +229,11 @@ def test_criterion_07_classical_limits():
                         f"extrapolated {rep.extrapolated_error:.2e}"
                     )
     ok = not failures
-    eps = ", ".join(f"{e:g}" for e in probe.eps_values)
+    eps = ", ".join(f"{e:g}" for e in LIMIT_EPS)
     report(7, f"classical limits, q = 1 - eps swept over eps = {eps}", ok,
            f"worst extrapolated error {worst_extrap:.2e} (tol {extrap_tol:.0e}), "
            f"min last-decade decay {min_seen_decay:.1f}x (min {min_decay:g}x); "
-           f"raw at eps={probe.eps_values[-1]:g}: C {worst_raw['C']:.2e}, "
+           f"raw at eps={LIMIT_EPS[-1]:g}: C {worst_raw['C']:.2e}, "
            f"lambda {worst_raw['lambda']:.2e}, poly {worst_raw['poly']:.2e}")
     for f in failures:
         print(f"          not converging: {f}")
@@ -246,11 +245,10 @@ def test_criterion_07_companion_hermite_limit_rate():
     with an n-growing constant ((3n-4)/2 at p = 0, about 1.3e-3 at
     n = 10, eps = 1e-4), the sweep is monotone, and the order-2
     extrapolation lands orders of magnitude below the raw tolerance."""
-    probe = qp.LimitProbe()
     for p in (0.0, 0.3):
         mk = lambda ctx, p=p: qp.make_hermite(p, ctx)
         for n in range(1, 11):
-            rep = qp.limit_convergence_report("C", mk, n, probe)
+            rep = qp.limit_convergence_report("C", mk, n)
             assert rep.monotone
             # first-order decay: consecutive errors shrink by about the
             # 10x spacing of the eps grid
@@ -262,7 +260,7 @@ def test_criterion_07_companion_hermite_limit_rate():
     # the same expression q^(n-1)(1-q^n)/(1-q^2))
     mk0 = lambda ctx: qp.make_hermite(0.0, ctx)
     for n in (4, 8, 10):
-        rep = qp.limit_convergence_report("C", mk0, n, probe)
+        rep = qp.limit_convergence_report("C", mk0, n)
         eps = rep.eps_values[-1]
         predicted = (3 * n - 4) / 2 * eps
         assert abs(rep.raw_errors[-1] - predicted) <= 0.05 * predicted
@@ -303,16 +301,19 @@ def test_criterion_08_companion_weight_truth():
         rep = qp.hermite_p0_reduction_check(20, ctx)
         assert rep.max_weight_product_deviation <= 1e-12
         fam = qp.make_hermite(0.0, ctx)
-        spec = fam.weight_spec()
+
+        def star(t):
+            return qp.weight_star(fam.V, ctx, t)
 
         def recip(t):
             return 1 / qp.q_shifted_factorial_inf((1 - q * q) * t * t, ctx, base=q * q)
 
         for j in (1, 5, 9):
             x = fam.support * q**j
-            rhs = spec.pearson_rhs(x)
-            assert rel(spec.pearson_lhs(x), rhs) < 1e-11
-            assert rel(spec.star(q * x) / spec.star(x), q * q * rhs) < 1e-11
+            rhs = qp.pearson_ratio(fam.V, ctx, x)
+            lhs = qp.weight_general(fam.V, ctx, q * x) / qp.weight_general(fam.V, ctx, x)
+            assert rel(lhs, rhs) < 1e-11
+            assert rel(star(q * x) / star(x), q * q * rhs) < 1e-11
             u = (1 - q * q) * x * x
             factor = (1 - u) * (1 - q * q * u)
             # the factor stays clear of 1 by more than the tolerance
@@ -358,7 +359,7 @@ def test_criterion_10_boundary_condition():
     ctx = qp.QContext(0.5)
     worst = 0.0
     for name, fam in named_families(ctx).items():
-        repf = qp.boundary_vanishing_check(fam.weight_spec(), ctx, tol=tol)
+        repf = qp.boundary_vanishing_check(fam.V, fam.support, ctx, tol)
         worst = max(worst, repf.ratio)
         assert repf.ok, f"{name}: boundary ratio {repf.ratio:.2e}"
     report(10, "boundary condition A(alpha) W(alpha) = 0", True,

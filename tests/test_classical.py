@@ -67,8 +67,6 @@ class TestContinuousC:
         # below double rounding noise; the probe runs at elevated precision
         import mpmath
 
-        from qsympoly.classical import continuous_char_vector
-
         with mpmath.workdps(30):
             ctx = qp.QContext(1 - mpmath.mpf("1e-6"))
             for mk in (
@@ -78,7 +76,7 @@ class TestContinuousC:
                 lambda c: qp.make_hermite(0.3, c),
             ):
                 fam = mk(ctx)
-                vc = continuous_char_vector(fam)
+                vc = fam.limit_V
                 for n in range(1, 11):
                     lim = qp.continuous_C_limit(n, vc)
                     near = qp.recurrence_C(n, fam.V, ctx)
@@ -140,44 +138,33 @@ class TestContinuousWeight:
             qp.continuous_weight(fam, 1.2)
 
 
-class TestLimitProbe:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            qp.LimitProbe(eps_values=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            qp.LimitProbe(eps_values=(0.7, 0.1))
-        with pytest.raises(ValueError):
-            qp.LimitProbe(extrapolation_order=0)
-
-
 class TestLimitReports:
     def test_vanishing_target_gives_absolute_errors(self):
         rep = qp.limit_convergence_report(
-            "C", lambda ctx: qp.make_hermite(0.5, ctx), 1, qp.LimitProbe()
+            "C", lambda ctx: qp.make_hermite(0.5, ctx), 1
         )
         assert rep.target == 0
         assert rep.raw_errors == tuple(abs(v) for v in rep.values)
 
     def test_lambda_sweep(self):
         rep = qp.limit_convergence_report(
-            "lambda", lambda ctx: qp.make_hermite(0.3, ctx), 5, qp.LimitProbe()
+            "lambda", lambda ctx: qp.make_hermite(0.3, ctx), 5
         )
         assert rep.monotone
         assert rep.raw_errors[-1] <= 1e-3
         assert rep.extrapolated_error < rep.raw_errors[-1]
 
     def test_C_extrapolation_gain(self):
-        probe = qp.LimitProbe()
         for n in range(1, 7):
             rep = qp.limit_convergence_report(
-                "C", lambda ctx: qp.make_ultraspherical(0.4, 0.7, ctx), n, probe
+                "C", lambda ctx: qp.make_ultraspherical(0.4, 0.7, ctx), n
             )
             assert rep.monotone
             assert rep.extrapolated_error <= 10 * rep.raw_errors[-1]
 
     def test_poly_sweep(self):
         rep = qp.limit_convergence_report(
-            "poly", lambda ctx: qp.make_hermite(0.3, ctx), 5, qp.LimitProbe(), x=0.3
+            "poly", lambda ctx: qp.make_hermite(0.3, ctx), 5, x=0.3
         )
         assert rep.monotone
         assert rep.raw_errors[0] > rep.raw_errors[-1]
@@ -185,7 +172,7 @@ class TestLimitReports:
 
     def test_weight_sweep(self):
         rep = qp.limit_convergence_report(
-            "weight", lambda ctx: qp.make_chebyshev6(ctx), 0, qp.LimitProbe(), x=0.8
+            "weight", lambda ctx: qp.make_chebyshev6(ctx), 0, x=0.8
         )
         assert rep.monotone
         assert rep.raw_errors[-1] < 1e-3
@@ -194,27 +181,29 @@ class TestLimitReports:
         # 1 + p (1 - q^2) < 0 at q = 0.99: the same error as weight_star's
         with pytest.raises(qp.InvalidBaseError):
             qp.limit_convergence_report(
-                "weight", lambda ctx: qp.make_hermite(-100.0, ctx), 0, qp.LimitProbe(), x=0.8
+                "weight", lambda ctx: qp.make_hermite(-100.0, ctx), 0, x=0.8
             )
 
     def test_fixed_vector_subject(self):
-        V = qp.CharVector(1.3, -0.6, 0.8, 0.0)
-        rep = qp.limit_convergence_report("C", V, 4, qp.LimitProbe())
+        # a custom family is its own q -> 1 limit
+        custom = lambda ctx: qp.make_custom(1.3, -0.6, 0.8, 0.0, ctx)
+        rep = qp.limit_convergence_report("C", custom, 4)
         assert rep.monotone
 
     def test_weight_needs_family(self):
-        V = qp.CharVector(1.3, -0.6, 0.8, 0.0)
+        # a custom family has no continuous weight to compare with
+        custom = lambda ctx: qp.make_custom(1.3, -0.6, 0.8, 0.0, ctx)
         with pytest.raises(ValueError):
-            qp.limit_convergence_report("weight", V, 0, qp.LimitProbe(), x=0.3)
+            qp.limit_convergence_report("weight", custom, 0, x=0.3)
 
     def test_poly_needs_x(self):
         with pytest.raises(ValueError):
             qp.limit_convergence_report(
-                "poly", lambda ctx: qp.make_hermite(0.0, ctx), 3, qp.LimitProbe()
+                "poly", lambda ctx: qp.make_hermite(0.0, ctx), 3
             )
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             qp.limit_convergence_report(
-                "mass", lambda ctx: qp.make_hermite(0.0, ctx), 3, qp.LimitProbe()
+                "mass", lambda ctx: qp.make_hermite(0.0, ctx), 3
             )

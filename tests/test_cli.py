@@ -10,6 +10,7 @@ import pytest
 
 import qsympoly as qp
 from qsympoly import cli
+from qsympoly.classical import LIMIT_EPS
 
 
 def run(capsys, argv):
@@ -171,6 +172,20 @@ class TestCheck:
         assert code == 0
         assert "discrepancy" in out
 
+    def test_norm_note_says_disagree(self, capsys):
+        # the grid terms fall by 0.986 per point, so 256 points leave
+        # favard and quadrature apart by far more than the tolerance
+        code, out, _ = run(
+            capsys, ["check", "norm", "--family", "hermite", "-p", "0.5", "-q", "0.9"])
+        assert code == 1
+        assert out.startswith("FAIL norm: favard vs quadrature")
+        assert "favard and quadrature disagree, both values reported" in out
+
+    def test_boundary_needs_support(self, capsys):
+        code, out, err = run(capsys, ["check", "boundary", "--custom", "1,1,0.5,0"])
+        assert (code, out) == (2, "")
+        assert err == "error: family 'custom' has no known support endpoint\n"
+
     def test_limit_pass(self, capsys):
         code, out, _ = run(
             capsys,
@@ -260,7 +275,7 @@ class TestCheck:
             capsys, ["check", "limit", "--family", "ultraspherical", "-q", "0.5"])
         assert code == 0
         # the reference context and one per eps, for 3 quantities x 10 degrees
-        assert len(calls) == len(set(calls)) == len(qp.LimitProbe().eps_values) + 1
+        assert len(calls) == len(set(calls)) == len(LIMIT_EPS) + 1
 
     def test_check_all_assembles_one_gram(self, capsys, monkeypatch):
         from qsympoly import families
@@ -322,7 +337,7 @@ class TestExport:
         rd = list(csv.DictReader(lines))
         for row in rd:
             x = float(row["x"])
-            assert float(row["weight_star"]) == fam.weight_spec().star(x)
+            assert float(row["weight_star"]) == qp.weight_star(fam.V, ctx, x)
             assert float(row["weight_limit"]) == qp.continuous_weight(fam, x)
 
     def test_json_meta_and_nonfinite_to_errors(self, capsys, tmp_path):
@@ -481,6 +496,24 @@ class TestPrecisionEnv:
             # well; the mpf run must read as the float run does
             monkeypatch.delenv("QSYMPOLY_PRECISION")
             assert run(capsys, ["check", "limit"] + argv)[:2] == (code, "\n".join(lines) + "\n")
+
+    def test_export_weight_at_working_precision(self, capsys, monkeypatch):
+        # 40-digit weights, not 18-digit ones from a float truncation threshold
+        import mpmath
+
+        from conftest import oracle_hermite_star_mp40
+
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "40")
+        code, out, _ = run(
+            capsys, ["export", "weight", "--family", "hermite", "-p", "0.3", "-q", "0.5"])
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"] if r["weight_star"] is not None]
+        assert len(rows) == 100  # W* diverges at x = 0 only
+        with mpmath.workdps(60):
+            xs = [mpmath.mpf(r["x"]) for r in rows]
+            got = [mpmath.mpf(r["weight_star"]) for r in rows]
+        want = oracle_hermite_star_mp40("0.3", "0.5", xs)
+        assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= 1e-35
 
     def test_rejects_garbage(self, capsys, monkeypatch):
         monkeypatch.setenv("QSYMPOLY_PRECISION", "many")

@@ -147,12 +147,11 @@ class TestOrthogonalityMatrix:
         # scale of the diagonal: the true off-diagonal entries are rounding noise
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
         G = qp.orthogonality_matrix(fam, 4, CFG)
-        spec = fam.weight_spec()
         polys = [qp.build_monic(n, fam.V, CTX) for n in range(5)]
         for n in range(5):
             for m in range(n, 5, 2):
                 direct = qp.q_integral_symmetric(
-                    lambda t: spec.star(t) * polys[n](t) * polys[m](t), 1.0, CFG
+                    lambda t: qp.weight_star(fam.V, CTX, t) * polys[n](t) * polys[m](t), 1.0, CFG
                 ).value
                 assert abs(G[n][m] - direct) <= 1e-14 * (G[n][n] * G[m][m]) ** 0.5
 
@@ -173,7 +172,7 @@ class TestOrthogonalityMatrix:
         # values of the monic polynomials, at 40 digits
         n_max = 6
         with mpmath.workdps(40):
-            ctx = qp.QContext(mpmath.mpf(q), eps_term=mpmath.mpf(10) ** -46)
+            ctx = qp.QContext(mpmath.mpf(q))
             cfg = qp.JacksonConfig(ctx, n_terms=n_terms)
             fam = make(ctx)
             G = qp.orthogonality_matrix(fam, n_max, cfg)
@@ -200,7 +199,7 @@ class TestOrthogonalityMatrix:
     def test_weight_not_positive_on_grid(self):
         # beta = -1.5 makes W* negative at the endpoint alpha = 1 (j = 0)
         fam = qp.make_ultraspherical(0.4, -1.5, CTX)
-        bad = qp.weight_grid_report(fam.weight_spec(), CFG.n_terms).first_bad_index
+        bad = qp.weight_grid_report(fam.V, fam.support, CTX, CFG.n_terms).first_bad_index
         assert bad == 0
         with pytest.raises(qp.AdmissibilityError, match=f"first bad index {bad}\\)"):
             qp.orthogonality_matrix(fam, 4, CFG)
@@ -209,7 +208,7 @@ class TestOrthogonalityMatrix:
         # power base 0.125: the step ratio q (0.125 - q^(2j)) / (1 - q^(2j+2))
         # is negative at j = 0 and 1, so of the whole table only t_1 is negative
         fam = qp.make_custom(-1, 1, 0, 1.75, CTX)
-        assert qp.weight_grid_report(fam.weight_spec(), CFG.n_terms).first_bad_index == 1
+        assert qp.weight_grid_report(fam.V, fam.support, CTX, CFG.n_terms).first_bad_index == 1
         with pytest.raises(qp.AdmissibilityError, match="first bad index 1\\)"):
             qp.orthogonality_matrix(fam, 4, CFG)
 
@@ -246,7 +245,7 @@ class TestOrthogonalityMatrix:
         for fam in (qp.make_ultraspherical(0.4, 0.7, CTX), qp.make_hermite(0.3, CTX)):
             qp.orthogonality_matrix(fam, 10, CFG)
         assert calls == []
-        qp.weight_grid_report(fam.weight_spec(), 0)
+        qp.weight_grid_report(fam.V, fam.support, CTX, 0)
         assert calls == ["weight_star", "q_shifted_factorial_inf", "q_shifted_factorial_inf"]
 
     def test_near_q_one(self):

@@ -18,11 +18,23 @@ class TestQContext:
 
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
-            qp.QContext(0.5, eps_term=0.0)
-        with pytest.raises(ValueError):
             qp.QContext(0.5, max_terms=0)
-        with pytest.raises(ValueError):
-            qp.QContext(0.5, tol_check=-1.0)
+
+    def test_init_fields(self):
+        import dataclasses
+
+        fields = tuple(f.name for f in dataclasses.fields(qp.QContext) if f.init)
+        assert fields == ("q", "max_terms")
+
+    def test_eps_term_follows_q(self):
+        import mpmath
+
+        assert qp.QContext(0.5).eps_term == 1e-17
+        for dps in (15, 40, 60):
+            with mpmath.workdps(dps):
+                ctx = qp.QContext(mpmath.mpf("0.5"))
+                want = mpmath.ldexp(1, -(mpmath.mp.prec + 4))
+            assert isinstance(ctx.eps_term, mpmath.mpf) and ctx.eps_term == want
 
 
 class TestQNumber:

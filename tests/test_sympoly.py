@@ -352,6 +352,29 @@ class TestClassify:
         out = qp.classify_orthogonality(fam.V, CTX, 15)
         assert out.kind == "positive-definite"
 
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_decaying_coefficients_are_not_zero(self, q):
+        # C_n decays like q^n: below 1e-10 from n = 20 at q = 0.3 and from
+        # n = 34 at q = 0.5, and still nonzero up to the CLI's n = 64
+        ctx = qp.QContext(q)
+        for fam in (qp.make_hermite(0.0, ctx), qp.make_ultraspherical(0.4, 0.7, ctx),
+                    qp.make_chebyshev5(ctx)):
+            out = qp.classify_orthogonality(fam.V, ctx, 64)
+            assert abs(out.coefficients[-1]) < 1e-10
+            assert out.kind == "positive-definite" and out.zero_indices == ()
+
+    def test_exact_zero_is_weak(self):
+        # c / a = d / b: C_2 is exactly 0
+        V = qp.make_custom(-1, 1, -1.5, 1.5, CTX).V
+        out = qp.classify_orthogonality(V, CTX, 12)
+        assert out.coefficients[1] == 0
+        assert out.kind == "weak" and out.zero_indices == (2,)
+
+    def test_hermite_quasi_definite(self):
+        # p (1 - q^2) = 3.75 > 1 makes C_1 negative
+        out = qp.classify_orthogonality(qp.make_hermite(5.0, CTX).V, CTX, 64)
+        assert out.kind == "quasi-definite" and out.negative_indices == (1,)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 12), st.floats(min_value=-1.5, max_value=1.5))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsympoly as qp
-from conftest import oracle_qpoch_inf, rel
+from conftest import oracle_hermite_star_mp40, oracle_qpoch_inf, rel
 from qsympoly import weights
 
 CTX = qp.QContext(0.5)
@@ -47,10 +47,10 @@ class TestPearsonRatio:
 class TestWeightGeneral:
     def test_pearson_consistency(self):
         for fam in (ULTRA, HERM, HERM0, qp.make_chebyshev5(CTX)):
-            spec = fam.weight_spec()
             for j in range(1, 21):
                 x = fam.support * Q**j
-                assert rel(spec.pearson_lhs(x), spec.pearson_rhs(x)) < 1e-11
+                lhs = qp.weight_general(fam.V, CTX, Q * x) / qp.weight_general(fam.V, CTX, x)
+                assert rel(lhs, qp.pearson_ratio(fam.V, CTX, x)) < 1e-11
 
     def test_evenness_exact(self):
         for x in (0.2, 0.7, 0.99):
@@ -133,7 +133,7 @@ class TestWeightStar:
 
     def test_positive_even_grid(self):
         for fam in (ULTRA, HERM, HERM0, qp.make_chebyshev5(CTX), qp.make_chebyshev6(CTX)):
-            report = qp.weight_grid_report(fam.weight_spec(), n_terms=256)
+            report = qp.weight_grid_report(fam.V, fam.support, CTX, n_terms=256)
             assert report.positive
             assert report.min_value > 0
 
@@ -191,7 +191,7 @@ class TestWeightStarGrid:
     @pytest.mark.parametrize("name", GRID_FAMILIES)
     def test_mp40(self, name, q):
         with mpmath.workdps(40):
-            ctx = qp.QContext(mpmath.mpf(q), eps_term=1e-45)
+            ctx = qp.QContext(mpmath.mpf(q))
             fam = GRID_FAMILIES[name](ctx)
             [(_, w0), (_, w1)] = weights._weight_star_grid(fam.V, ctx, fam.support, 1)
             assert isinstance(w0, mpmath.mpf) and isinstance(w1, mpmath.mpf)
@@ -220,19 +220,30 @@ class TestWeightStarGrid:
         assert str(grid.value) == str(pointwise.value)
 
 
+def test_mp40_weight_star_against_qp_oracle():
+    # eps_term follows the working precision: at 40 digits W* must hold
+    # about 40 digits, not the 18 of a float truncation threshold
+    with mpmath.workdps(40):
+        ctx = qp.QContext(mpmath.mpf(Q))
+        fam = qp.make_hermite(mpmath.mpf("0.3"), ctx)
+        xs = [fam.support * ctx.q**j for j in range(129)]
+        got = [qp.weight_star(fam.V, ctx, x) for x in xs]
+    want = oracle_hermite_star_mp40("0.3", "0.5", xs)
+    assert max(rel(g, w) for g, w in zip(got, want)) <= 1e-35
+
+
 class TestBoundary:
     def test_ultraspherical_endpoint(self):
-        rep = qp.boundary_vanishing_check(ULTRA.weight_spec(), CTX, tol=1e-12)
+        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX, 1e-12)
         assert rep.ok
         assert rep.ratio <= 1e-12
 
     def test_hermite_endpoint(self):
-        rep = qp.boundary_vanishing_check(HERM.weight_spec(), CTX, tol=1e-12)
+        rep = qp.boundary_vanishing_check(HERM.V, HERM.support, CTX, 1e-12)
         assert rep.ok
 
     def test_perturbed_support_fails(self):
-        bad = qp.WeightSpec(ULTRA.V, 0.9, CTX)
-        rep = qp.boundary_vanishing_check(bad, CTX, tol=1e-12)
+        rep = qp.boundary_vanishing_check(ULTRA.V, 0.9, CTX, 1e-12)
         assert not rep.ok
         assert rep.ratio > 1e-3
 
@@ -247,6 +258,6 @@ class TestBoundary:
             return grid
 
         monkeypatch.setattr(weights, "_weight_star_grid", with_nan)
-        rep = qp.boundary_vanishing_check(ULTRA.weight_spec(), CTX, tol=1e-12)
+        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX, 1e-12)
         assert not rep.ok
         assert math.isnan(rep.interior_max) and math.isnan(rep.ratio)
