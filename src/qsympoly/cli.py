@@ -51,18 +51,6 @@ from .weights import boundary_vanishing_check, pearson_ratio, weight_general, we
 
 N_MAX_LIMIT = 64  # guard against precision exhaustion of the recurrences
 
-CHECK_SUITES = ("ode", "ortho", "norm", "pearson", "limit", "boundary", "all")
-
-DEFAULT_TOLS = {
-    "ode": 1e-10,
-    "ortho": 1e-10,
-    "norm": 1e-8,
-    "pearson": 1e-11,
-    "limit": 1e-3,
-    "boundary": 1e-12,
-}
-
-
 class CLIError(ValueError):
     """Usage/validation failure; maps to exit code 2."""
 
@@ -144,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run a verification suite")
     add_common(pc)
-    pc.add_argument("suite", choices=CHECK_SUITES)
+    pc.add_argument("suite", choices=(*CHECK_SUITES, "all"))
     pc.add_argument("-n", type=int, default=None, help="max degree for the suite")
     pc.add_argument("--n-max", type=int, default=10)
 
@@ -475,24 +463,27 @@ def _check_lines_boundary(cfg, tol, gram) -> list:
     return [("boundary A(alpha) W(alpha) = 0", rep.ratio, tol, rep.ok, "")]
 
 
+# name -> (suite, default tolerance), in the order `check all` runs them
+CHECK_SUITES = {
+    "ode": (_check_lines_ode, 1e-10),
+    "ortho": (_check_lines_ortho, 1e-10),
+    "norm": (_check_lines_norm, 1e-8),
+    "pearson": (_check_lines_pearson, 1e-11),
+    "limit": (_check_lines_limit, 1e-3),
+    "boundary": (_check_lines_boundary, 1e-12),
+}
+
+
 def cmd_check(cfg: RunConfig) -> int:
-    suites = {
-        "ode": _check_lines_ode,
-        "ortho": _check_lines_ortho,
-        "norm": _check_lines_norm,
-        "pearson": _check_lines_pearson,
-        "limit": _check_lines_limit,
-        "boundary": _check_lines_boundary,
-    }
-    selected = list(suites) if cfg.suite == "all" else [cfg.suite]
+    selected = list(CHECK_SUITES) if cfg.suite == "all" else [cfg.suite]
     lines = []
     gram = None
     for s in selected:
         if s == "ortho":
             # assembled once: the norm suite reads its leading block
             gram = orthogonality_matrix(cfg.family, cfg.n_max, cfg.jackson)
-        tol = cfg.tol if cfg.tol is not None else DEFAULT_TOLS[s]
-        lines.extend(suites[s](cfg, tol, gram))
+        suite, default_tol = CHECK_SUITES[s]
+        lines.extend(suite(cfg, cfg.tol if cfg.tol is not None else default_tol, gram))
     all_ok = all(ok for (_, _, _, ok, _) in lines)
     rows = []
     for name, residual, tol, ok, note in lines:

@@ -6,7 +6,8 @@ class QSymPolyError(Exception):
 
 
 class TruncationError(QSymPolyError):
-    """An infinite sum or product hit max_terms before meeting eps_term."""
+    """An infinite sum or product was cut off (at max_terms, or at a Jackson
+    grid's n_terms) before meeting eps_term."""
 
 
 class DivergenceError(QSymPolyError):

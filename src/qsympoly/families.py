@@ -512,8 +512,11 @@ def norm_triple_report(
         raise ValueError(f"Gram matrix of size {len(G)} has no entry at n = {n_max}")
     mass = G[0][0]
     out = []
+    fav = 1
     for n in range(n_max + 1):
-        fav = favard_norm(n, fam.V, fam.ctx)
+        if n:
+            # favard_norm(n), carried over from n - 1 in the same order
+            fav = fav * recurrence_C(n, fam.V, fam.ctx)
         quad = G[n][n] / mass
         pair_rel = abs(fav - quad) / max(abs(fav), abs(quad))
         closed = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DivergenceError
+from .errors import DivergenceError, TruncationError
 from .qcore import QContext, isfinite_
 
 __all__ = [
@@ -105,15 +105,16 @@ def q_integral_real_line(f: Callable, cfg: JacksonConfig) -> QIntegralResult:
     """Bilateral Jackson integral (1-q) sum_{n=-N}^{N} q**n (f(q**n) + f(-q**n)).
 
     Both tails must decay: the term at n = -N (and at n = +N) has to drop
-    below eps_term relative to the accumulated sum, otherwise the
-    integral is declared divergent.
+    below eps_term relative to the accumulated sum.  Where it does not,
+    the integral is declared divergent, unless the terms at that end
+    still shrink outward (|t_N| < |t_(N-1)|): then the sum converges but
+    the grid is too short, and TruncationError names the end.
     """
     ctx = cfg.ctx
     q = ctx.q
     N = cfg.n_terms
     total = 0
-    first = None
-    last = 0
+    terms = []
     for n in range(-N, N + 1):
         qn = q**n
         t = qn * (_check_value(f(qn), qn) + _check_value(f(-qn), -qn))
@@ -121,19 +122,20 @@ def q_integral_real_line(f: Callable, cfg: JacksonConfig) -> QIntegralResult:
             raise DivergenceError(
                 f"bilateral Jackson term at n={n} exceeds 1e200; integral diverges"
             )
-        if first is None:
-            first = t
-        last = t
+        terms.append(t)
         total = total + t
     scale = max(1.0, abs(total))
-    if abs(first) > ctx.eps_term * scale:
+    for side, n, end, inner in (("-", -N, terms[0], terms[1]), ("+", N, terms[-1], terms[-2])):
+        if abs(end) <= ctx.eps_term * scale:
+            continue
+        if abs(end) < abs(inner):
+            raise TruncationError(
+                f"bilateral Jackson integral: the n -> {side}inf tail decays but "
+                f"|term| = {abs(end)!r} at n = {n} is above eps_term={ctx.eps_term}; "
+                "a larger n_terms is needed"
+            )
         raise DivergenceError(
-            "bilateral Jackson integral: the n -> -inf tail does not decay "
-            f"(|term| = {abs(first)!r} at n = {-N})"
+            f"bilateral Jackson integral: the n -> {side}inf tail does not decay "
+            f"(|term| = {abs(end)!r} at n = {n})"
         )
-    if abs(last) > ctx.eps_term * scale:
-        raise DivergenceError(
-            "bilateral Jackson integral: the n -> +inf tail does not decay "
-            f"(|term| = {abs(last)!r} at n = {N})"
-        )
-    return QIntegralResult((1 - q) * total, abs(first) + abs(last))
+    return QIntegralResult((1 - q) * total, abs(terms[0]) + abs(terms[-1]))

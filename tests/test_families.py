@@ -319,6 +319,15 @@ class TestNormTriple:
         with pytest.raises(ValueError):
             qp.norm_triple_report(fam, 8, CFG, gram=G[:8])
 
+    def test_favard_column_is_favard_norm(self):
+        # the report carries C_1 ... C_n across n; the bits match favard_norm
+        for ctx in (CTX, qp.QContext(0.9)):
+            for fam in (qp.make_hermite(0.3, ctx), qp.make_ultraspherical(0.4, 0.7, ctx)):
+                report = qp.norm_triple_report(fam, 8, qp.JacksonConfig(ctx))
+                assert [r.favard for r in report] == [
+                    qp.favard_norm(n, fam.V, ctx) for n in range(9)
+                ]
+
     def test_hermite_report(self):
         fam = qp.make_hermite(0.3, CTX)
         report = qp.norm_triple_report(fam, 8, CFG)

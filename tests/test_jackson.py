@@ -114,6 +114,16 @@ class TestRealLine:
         sym = qp.q_integral_symmetric(f, 0.5**-128, big).value
         assert rel(whole, sym) < 1e-12
 
+    def test_short_grid_truncates(self):
+        # exp(-t^2) decays at both ends; 100 points leave |term| = 4.1e-10
+        # at n = +100, a grid too short rather than a divergent integral
+        f = lambda t: math.exp(-t * t)
+        ctx = qp.QContext(0.8)
+        with pytest.raises(qp.TruncationError, match=r"n -> \+inf .* at n = 100 "):
+            qp.q_integral_real_line(f, qp.JacksonConfig(ctx, n_terms=100))
+        value = qp.q_integral_real_line(f, qp.JacksonConfig(ctx, n_terms=256)).value
+        assert rel(value, 1.5886220685980361) < 1e-15
+
     def test_constant_diverges(self):
         with pytest.raises(qp.DivergenceError):
             qp.q_integral_real_line(lambda t: 1.0, qp.JacksonConfig(CTX, n_terms=64))
