@@ -21,19 +21,16 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .classical import continuous_weight, limit_convergence_report
 from .errors import QSymPolyError, ZeroDenominatorError
 from .families import (
     FAMILIES,
     FamilyDescriptor,
-    favard_norm,
     make_custom,
     norm_triple_report,
     orthogonality_matrix,
 )
-from .jackson import JacksonConfig
 from .qcore import QContext, isfinite_, max_or_nan
 from .sympoly import (
     build_monic,
@@ -53,24 +50,6 @@ N_MAX_LIMIT = 64  # guard against precision exhaustion of the recurrences
 
 class CLIError(ValueError):
     """Usage/validation failure; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    ctx: QContext
-    jackson: JacksonConfig
-    family: FamilyDescriptor
-    n: int | None = None
-    n_max: int = 10
-    xs: tuple = ()
-    fmt: str = "json"
-    out: str | None = None
-    tol: float | None = None
-    suite: str | None = None
-    what: str | None = None
-    precision: int | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _real_parser(precision):
@@ -189,17 +168,21 @@ def _env_precision() -> int | None:
     return precision
 
 
-def _build_config(args, precision) -> RunConfig:
+def _build_config(args, precision) -> None:
+    """Validate the parsed arguments and attach what derives from them:
+    the family ``fam`` (which carries the context of q), the points
+    ``xs``, the ``precision`` and the output header ``meta``."""
     real = _real_parser(precision)
     try:
         q = real(args.q)
     except Exception as exc:
         raise CLIError(f"could not parse q: {exc}") from None
     ctx = QContext(q)
-    jackson = JacksonConfig(ctx, n_terms=args.n_terms)
+    if args.n_terms < 1:
+        raise CLIError("n_terms must be at least 1")
     fam = _make_family(args, ctx, real)
 
-    n_max = getattr(args, "n_max", 10)
+    n_max = getattr(args, "n_max", None)
     if n_max is not None and not (0 <= n_max <= N_MAX_LIMIT):
         raise CLIError(f"--n-max must lie in [0, {N_MAX_LIMIT}]")
     n = getattr(args, "n", None)
@@ -226,40 +209,25 @@ def _build_config(args, precision) -> RunConfig:
         raw_params = {"custom": args.custom}
     else:
         raw_params = {k: getattr(args, k) for k in FAMILIES[args.family][1]}
-    meta = {
+    args.fam, args.xs, args.precision = fam, xs, precision
+    args.meta = {
         "command": args.command,
         "family": fam.name,
         "params": raw_params,
         "q": args.q,
-        "n_terms": jackson.n_terms,
+        "n_terms": args.n_terms,
     }
-    return RunConfig(
-        command=args.command,
-        ctx=ctx,
-        jackson=jackson,
-        family=fam,
-        n=n,
-        n_max=n_max if n_max is not None else 10,
-        xs=xs,
-        fmt=args.fmt,
-        out=args.out,
-        tol=args.tol,
-        suite=getattr(args, "suite", None),
-        what=getattr(args, "what", None),
-        precision=precision,
-        meta=meta,
-    )
 
 
-def _emit(cfg: RunConfig, columns, rows, errors, stream):
+def _emit(args, columns, rows, errors, stream):
     """Serialize rows (list of dicts) as JSON or CSV, deterministically."""
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(columns)
         for r in rows:
-            w.writerow([fmt_num(r.get(c), cfg.precision) if not isinstance(r.get(c), str) else r.get(c) for c in columns])
+            w.writerow([fmt_num(r.get(c), args.precision) if not isinstance(r.get(c), str) else r.get(c) for c in columns])
         return
-    payload = {"meta": cfg.meta, "rows": [], "errors": errors}
+    payload = {"meta": args.meta, "rows": [], "errors": errors}
     for r in rows:
         clean = {}
         for c in columns:
@@ -273,31 +241,30 @@ def _emit(cfg: RunConfig, columns, rows, errors, stream):
             elif isinstance(v, float):
                 clean[c] = v if isfinite_(v) else None
             else:
-                clean[c] = fmt_num(v, cfg.precision)
+                clean[c] = fmt_num(v, args.precision)
         payload["rows"].append(clean)
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
 
 
-def _write_output(cfg: RunConfig, columns, rows, errors) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            _emit(cfg, columns, rows, errors, fh)
+def _write_output(args, columns, rows, errors) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _emit(args, columns, rows, errors, fh)
     else:
-        _emit(cfg, columns, rows, errors, sys.stdout)
+        _emit(args, columns, rows, errors, sys.stdout)
 
 
 def _rel_dev(u, v, floor):
     return abs(u - v) / max(abs(u), abs(v), floor)
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if not cfg.xs:
+def cmd_eval(args) -> int:
+    if not args.xs:
         raise CLIError("eval needs -x or --grid")
-    n = cfg.n
-    V = cfg.family.V
-    ctx = cfg.ctx
-    tol = cfg.tol if cfg.tol is not None else 1e-10
+    n = args.n
+    V, ctx = args.fam.V, args.fam.ctx
+    tol = args.tol if args.tol is not None else 1e-10
     # (column, name in the error text, evaluation at x), checked in this order
     forms = [("value_explicit", "explicit", lambda x: eval_explicit_monic(n, V, ctx, x))]
     if V.a != 0 and V.b != 0:
@@ -308,7 +275,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     rows = []
     errors = []
     mismatch = False
-    for x in cfg.xs:
+    for x in args.xs:
         vr = poly(x)
         row = {"n": n, "x": x, "value_recurrence": vr}
         scale = max(poly.magnitude(x), 1e-300)
@@ -316,33 +283,42 @@ def cmd_eval(cfg: RunConfig) -> int:
             v = row[column] = form(x)
             if _rel_dev(vr, v, 1e-3 * scale) > tol:
                 mismatch = True
-                errors.append({"x": fmt_num(x, cfg.precision),
+                errors.append({"x": fmt_num(x, args.precision),
                                "error": f"{form_name} form disagrees with recurrence"})
         rows.append(row)
     columns = ["n", "x", "value_recurrence"] + [column for column, _, _ in forms]
-    _write_output(cfg, columns, rows, errors)
+    _write_output(args, columns, rows, errors)
     return 1 if mismatch else 0
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    V = cfg.family.V
-    ctx = cfg.ctx
-    cls = classify_orthogonality(V, ctx, max(cfg.n_max, 1))
+def cmd_table(args) -> int:
+    V, ctx = args.fam.V, args.fam.ctx
+    cls = classify_orthogonality(V, ctx, max(args.n_max, 1))
     rows = []
     errors = []
-    have_closed = cfg.family.closed_norm is not None
-    for n in range(cfg.n_max + 1):
+    have_closed = args.fam.closed_norm is not None
+    # favard_norm(n), carried over from n - 1 in the same order; once a C_k
+    # raises, every later product raises with it
+    fav, fav_error = 1, None
+    for n in range(args.n_max + 1):
         row = {"n": n, "classification": cls.kind}
+        if n and fav_error is None:
+            try:
+                fav = fav * recurrence_C(n, V, ctx)
+            except QSymPolyError as exc:
+                fav_error = exc
         try:
             row["lambda"] = eigenvalue(n, V, ctx)
             row["delta"] = delta(n, V, ctx)
             row["C"] = recurrence_C(n, V, ctx)
-            row["favard_norm"] = favard_norm(n, V, ctx)
+            if fav_error is not None:
+                raise fav_error
+            row["favard_norm"] = fav
         except QSymPolyError as exc:
             errors.append({"n": n, "error": str(exc)})
         if have_closed:
             try:
-                row["closed_form_norm"] = cfg.family.norm_square(n)
+                row["closed_form_norm"] = args.fam.norm_square(n)
             except QSymPolyError as exc:
                 errors.append({"n": n, "error": f"closed-form norm: {exc}"})
         rows.append(row)
@@ -350,21 +326,21 @@ def cmd_table(cfg: RunConfig) -> int:
     if have_closed:
         columns.append("closed_form_norm")
     columns.append("classification")
-    _write_output(cfg, columns, rows, errors)
+    _write_output(args, columns, rows, errors)
     return 0
 
 
-# Each suite takes the run configuration, its tolerance and the Gram matrix
+# Each suite takes the parsed arguments, its tolerance and the Gram matrix
 # of the ortho suite (None when that suite is not selected).
 
-def _check_lines_ode(cfg, tol, gram) -> list:
-    fam = cfg.family
-    n_hi = cfg.n if cfg.n is not None else cfg.n_max
+def _check_lines_ode(args, tol, gram) -> list:
+    fam = args.fam
+    n_hi = args.n if args.n is not None else args.n_max
     # sample points in the type of q, so mpf runs do not round them to float
-    support = (fam.support if fam.support is not None else 1.0) + 0 * cfg.ctx.q
+    support = (fam.support if fam.support is not None else 1.0) + 0 * fam.ctx.q
     residuals = []
-    for poly in monic_ladder(n_hi, fam.V, cfg.ctx):
-        terms = ode_terms(poly, fam.V, cfg.ctx)
+    for poly in monic_ladder(n_hi, fam.V, fam.ctx):
+        terms = ode_terms(poly, fam.V, fam.ctx)
         for i in range(1, 11):
             t1, t2, t3 = terms(support * i / 11)
             scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
@@ -373,8 +349,8 @@ def _check_lines_ode(cfg, tol, gram) -> list:
     return [("ode residual (scaled)", worst, tol, worst <= tol, "")]
 
 
-def _check_lines_ortho(cfg, tol, G) -> list:
-    size = cfg.n_max + 1
+def _check_lines_ortho(args, tol, G) -> list:
+    size = args.n_max + 1
     parity_ok = all(G[i][j] == 0 for i in range(size) for j in range(i + 1, size, 2))
     worst = max_or_nan(
         abs(G[i][j]) / (abs(G[i][i] * G[j][j]) ** 0.5)
@@ -388,9 +364,9 @@ def _check_lines_ortho(cfg, tol, G) -> list:
     ]
 
 
-def _check_lines_norm(cfg, tol, gram) -> list:
-    n_hi = min(cfg.n_max, 8)
-    report = norm_triple_report(cfg.family, n_hi, cfg.jackson, pair_tol=tol, gram=gram)
+def _check_lines_norm(args, tol, gram) -> list:
+    n_hi = min(args.n_max, 8)
+    report = norm_triple_report(args.fam, n_hi, args.n_terms, pair_tol=tol, gram=gram)
     lines = []
     worst_pair = max_or_nan(r.favard_vs_quadrature for r in report)
     lines.append(
@@ -398,13 +374,19 @@ def _check_lines_norm(cfg, tol, gram) -> list:
     )
     flagged = [r for r in report if r.discrepancy_flagged]
     closed_ok = all(r.ok for r in report)
-    note = ""
+    # a flagged degree without a closed-form value was never compared
+    deviating = [r.n for r in flagged if r.closed_form is not None]
+    unevaluable = [r.n for r in flagged if r.closed_form is None]
+    notes = []
+    if deviating:
+        notes.append(f"closed-form discrepancy flagged at n={deviating}")
+    if unevaluable:
+        notes.append(f"closed form not evaluable at n={unevaluable}")
     if flagged:
         agree = "agree" if worst_pair <= tol else "disagree"
-        note = (
-            f"closed-form discrepancy flagged at n={[r.n for r in flagged]}; "
-            f"favard and quadrature {agree}, both values reported"
-        )
+        notes.append(f"favard and quadrature {agree}"
+                     + (", both values reported" if deviating else ""))
+    note = "; ".join(notes)
     worst_closed = max_or_nan(
         r.closed_vs_favard for r in report if r.closed_vs_favard is not None and not r.discrepancy_flagged
     )
@@ -412,25 +394,26 @@ def _check_lines_norm(cfg, tol, gram) -> list:
     return lines
 
 
-def _check_lines_pearson(cfg, tol, gram) -> list:
-    fam = cfg.family
+def _check_lines_pearson(args, tol, gram) -> list:
+    fam = args.fam
     if fam.support is None:
         raise CLIError("pearson check needs a family with a support endpoint")
-    q = cfg.ctx.q
+    ctx = fam.ctx
+    q = ctx.q
     residuals = []
     for j in range(1, 21):
         x = fam.support * q**j
-        lhs = weight_general(fam.V, cfg.ctx, q * x) / weight_general(fam.V, cfg.ctx, x)
-        rhs = pearson_ratio(fam.V, cfg.ctx, x)
+        lhs = weight_general(fam.V, ctx, q * x) / weight_general(fam.V, ctx, x)
+        rhs = pearson_ratio(fam.V, ctx, x)
         residuals.append(abs(lhs - rhs) / abs(rhs))
     worst = max_or_nan(residuals)
     return [("pearson ratio W(qx)/W(x)", worst, tol, worst <= tol, "")]
 
 
-def _check_lines_limit(cfg, tol, gram) -> list:
+def _check_lines_limit(args, tol, gram) -> list:
     # every report rebuilds the family at the same contexts: build each once
-    subject = functools.cache(cfg.family.rebuild)
-    n_hi = cfg.n if cfg.n is not None else min(cfg.n_max, 10)
+    subject = functools.cache(args.fam.rebuild)
+    n_hi = args.n if args.n is not None else min(args.n_max, 10)
     lines = []
     for qty in ("C", "lambda", "poly"):
         reports = []
@@ -455,11 +438,11 @@ def _check_lines_limit(cfg, tol, gram) -> list:
     return lines
 
 
-def _check_lines_boundary(cfg, tol, gram) -> list:
-    fam = cfg.family
+def _check_lines_boundary(args, tol, gram) -> list:
+    fam = args.fam
     if fam.support is None:
         raise CLIError(f"family {fam.name!r} has no known support endpoint")
-    rep = boundary_vanishing_check(fam.V, fam.support, cfg.ctx, tol)
+    rep = boundary_vanishing_check(fam.V, fam.support, fam.ctx, tol)
     return [("boundary A(alpha) W(alpha) = 0", rep.ratio, tol, rep.ok, "")]
 
 
@@ -474,16 +457,16 @@ CHECK_SUITES = {
 }
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    selected = list(CHECK_SUITES) if cfg.suite == "all" else [cfg.suite]
+def cmd_check(args) -> int:
+    selected = list(CHECK_SUITES) if args.suite == "all" else [args.suite]
     lines = []
     gram = None
     for s in selected:
         if s == "ortho":
             # assembled once: the norm suite reads its leading block
-            gram = orthogonality_matrix(cfg.family, cfg.n_max, cfg.jackson)
+            gram = orthogonality_matrix(args.fam, args.n_max, args.n_terms)
         suite, default_tol = CHECK_SUITES[s]
-        lines.extend(suite(cfg, cfg.tol if cfg.tol is not None else default_tol, gram))
+        lines.extend(suite(args, args.tol if args.tol is not None else default_tol, gram))
     all_ok = all(ok for (_, _, _, ok, _) in lines)
     rows = []
     for name, residual, tol, ok, note in lines:
@@ -493,20 +476,20 @@ def cmd_check(cfg: RunConfig) -> int:
               + (f" [{note}]" if note else ""))
         rows.append({"check": name, "residual": residual, "tolerance": tol,
                      "passed": ok, "note": note})
-    if cfg.out:
-        _write_output(cfg, ["check", "residual", "tolerance", "passed", "note"],
+    if args.out:
+        _write_output(args, ["check", "residual", "tolerance", "passed", "note"],
                       rows, [])
     return 0 if all_ok else 1
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    fam = cfg.family
-    ctx = cfg.ctx
+def cmd_export(args) -> int:
+    fam = args.fam
+    ctx = fam.ctx
     errors = []
-    if cfg.what == "weight":
+    if args.what == "weight":
         if fam.support is None:
             raise CLIError("weight export needs a family with a support endpoint")
-        xs = cfg.xs or _default_grid(fam)
+        xs = args.xs or _default_grid(fam)
         weights = (("weight_star", lambda x: weight_star(fam.V, ctx, x)),
                    ("weight_limit", lambda x: continuous_weight(fam, x)))
         rows = []
@@ -522,14 +505,13 @@ def cmd_export(cfg: RunConfig) -> int:
                     row[column] = None
                     errors.append({"row": i, "column": column, "error": str(exc)})
             rows.append(row)
-        _write_output(cfg, ["x", "weight_star", "weight_limit"], rows, errors)
+        _write_output(args, ["x", "weight_star", "weight_limit"], rows, errors)
         return 0
     # polynomial grid
-    n = cfg.n if cfg.n is not None else 4
-    poly = build_monic(n, fam.V, ctx)
-    xs = cfg.xs or _default_grid(fam)
-    rows = [{"x": x, "n": n, "value": poly(x)} for x in xs]
-    _write_output(cfg, ["x", "n", "value"], rows, errors)
+    poly = build_monic(args.n, fam.V, ctx)
+    xs = args.xs or _default_grid(fam)
+    rows = [{"x": x, "n": args.n, "value": poly(x)} for x in xs]
+    _write_output(args, ["x", "n", "value"], rows, errors)
     return 0
 
 
@@ -553,14 +535,14 @@ def main(argv=None) -> int:
             # the precision holds for this call only, not for the process
             scope = mpmath.workdps(max(precision, 15))
         with scope:
-            cfg = _build_config(args, precision)
+            _build_config(args, precision)
             handler = {
                 "eval": cmd_eval,
                 "table": cmd_table,
                 "check": cmd_check,
                 "export": cmd_export,
-            }[cfg.command]
-            return handler(cfg)
+            }[args.command]
+            return handler(args)
     except QSymPolyError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ from operator import mul
 from typing import Callable
 
 from .errors import AdmissibilityError, TruncationError, ZeroDenominatorError
-from .jackson import JacksonConfig
 from .qcore import (
     QContext,
     exp_,
@@ -314,7 +313,7 @@ def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
     )
 
 
-def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) -> tuple:
+def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tuple:
     """Gram matrix G[n][m] = integral of W* phi_n phi_m over [-alpha, alpha]
     by symmetric Jackson integration, for n, m = 0 .. n_max, as a tuple
     of row tuples.
@@ -324,6 +323,16 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     the weight table t_j = q^j W*(x_j) times the recurrence values
     phi_n(x_j) phi_m(x_j).  Each entry depends only on n and m, not on
     n_max.
+
+    The terms of the Jackson tail fall by q (1 + d (q - 1) / b) per grid
+    point, the power base of the weight, so the CLI's default depth of
+    256 points is not enough at q = 0.9 for every family.  The
+    off-diagonal residual of ``check ortho`` (tolerance 1e-10) at q = 0.9
+    measures 2.2e-6 for hermite p = 0.3 (ratio 0.951) and 5.4e-7 for
+    ultraspherical alpha = -0.3, beta = 1.2 (ratio 0.946), which both
+    pass at 700 points, and 7.7e-3 for hermite p = 0.5 (ratio 0.986),
+    which still fails at 700 (1.2e-5) and at 1000 (1.4e-7).  At q = 0.3
+    and q = 0.5 these families pass at 256 points.
 
     The true Gram matrix of the exact polynomials is diagonal, but seeing
     that to 1e-10 relative needs more headroom than double precision
@@ -347,7 +356,8 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
     and the sums run on Python ints scaled by 2^F: the weights by about
     2^(F - e), where 2^e bounds the largest entry.  Points of weight 0
-    are dropped, and each sum is an exact integer dot product.  The
+    are dropped, so a depth whose q^n_terms lies below the float range
+    is summed too, and each sum is an exact integer dot product.  The
     rounding is in the grid and recurrence, at 2^-F each, and in the
     weights, whose smallest entries become 0 and each of which carries
     the roundings of up to 2J steps, a few of 2^-F per step.  Relative
@@ -360,6 +370,8 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     The entries come back in the type of q: floats for float input, mpf
     at the caller's precision for mpf input.
     """
+    if n_terms < 1:
+        raise ValueError("n_terms must be at least 1")
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
     if fam.support is None:
@@ -367,12 +379,12 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, cfg: JacksonConfig) 
     import mpmath
 
     with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
-        G = _assemble_gram(fam, n_max, cfg)
+        G = _assemble_gram(fam, n_max, n_terms)
     out = mpmath.mpf if isinstance(fam.ctx.q, mpmath.mpf) else float
     return tuple(tuple(out(v) for v in row) for row in G)
 
 
-def _assemble_gram(fam, n_max, cfg):
+def _assemble_gram(fam, n_max, N):
     import mpmath
     from mpmath.libmp import to_fixed
 
@@ -401,7 +413,7 @@ def _assemble_gram(fam, n_max, cfg):
         worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
         psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
     # J solves max(q^(2J+2), |gamma/beta| q^(2J)) / (1 - q^2) < 2^-(F0 + 2)
-    N, prec = cfg.n_terms, mpmath.mp.prec
+    prec = mpmath.mp.prec
     beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
     L = mpmath.log(-V.b / V.a) / (2 * mpmath.log(q))
     tail = mpmath.log(max(q * q, abs(gamma / beta)) / (1 - q * q), 2)
@@ -492,7 +504,7 @@ class NormTriple:
 def norm_triple_report(
     fam: FamilyDescriptor,
     n_max: int,
-    cfg: JacksonConfig,
+    n_terms: int,
     pair_tol: float = 1e-8,
     gram: tuple | None = None,
 ) -> tuple:
@@ -501,13 +513,13 @@ def norm_triple_report(
 
     A tabulated norm that deviates from the Favard product by more than
     CLOSED_FORM_FLAG_TOL relative is flagged and reported, not failed.
-    ``gram`` is an orthogonality_matrix of this family and grid of size
-    at least n_max + 1, whose leading block is used; without it the
-    matrix is assembled here.
+    ``gram`` is an orthogonality_matrix of this family at depth n_terms,
+    of size at least n_max + 1, whose leading block is used; without it
+    the matrix is assembled here.
     """
     G = gram
     if G is None:
-        G = orthogonality_matrix(fam, n_max, cfg)
+        G = orthogonality_matrix(fam, n_max, n_terms)
     elif len(G) <= n_max:
         raise ValueError(f"Gram matrix of size {len(G)} has no entry at n = {n_max}")
     mass = G[0][0]

@@ -34,19 +34,7 @@ class QIntegralResult(NamedTuple):
 
 @dataclass(frozen=True)
 class JacksonConfig:
-    """Grid depth for Jackson sums.
-
-    The terms of the tail fall by a fixed ratio per grid point: q for a
-    bounded integrand, but q (1 + d (q - 1) / b) for the Gram sums of a
-    symmetric family, whose weight carries that power base.  The default
-    of 256 points is therefore not enough at q = 0.9 for every family.
-    The off-diagonal residual of ``check ortho`` (tolerance 1e-10) at
-    q = 0.9 measures 2.2e-6 for hermite p = 0.3 (ratio 0.951) and 5.4e-7
-    for ultraspherical alpha = -0.3, beta = 1.2 (ratio 0.946), which
-    both pass at 700 points, and 7.7e-3 for hermite p = 0.5 (ratio
-    0.986), which still fails at 700 (1.2e-5) and at 1000 (1.4e-7).
-    At q = 0.3 and q = 0.5 these families pass at 256 points.
-    """
+    """Grid depth for Jackson sums."""
 
     ctx: QContext
     n_terms: int = 256

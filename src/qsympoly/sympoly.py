@@ -14,13 +14,16 @@ monic normalization factor, exact q-difference-equation residuals, and
 the positive/quasi-definite classification.
 
 Recurrence denominators can vanish on a q-geometric set of parameters;
-that resonance is detected (denominator below 1e-13 times its largest
-additive term) and reported via ResonanceError, never regularized.
+that resonance is detected (denominator below a guard times its largest
+additive term: 1e-13 for floats, 1e-13 * 2^(53 - prec) for mpf at prec
+bits, 0 for exact int and Fraction input) and reported via
+ResonanceError, never regularized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ResonanceError, ZeroDenominatorError
 from .qcore import (
@@ -57,15 +60,29 @@ __all__ = [
     "classify_orthogonality",
 ]
 
-# |denominator| below this multiple of its largest additive term counts as vanishing
+# |denominator| below this multiple of its largest additive term counts as
+# vanishing in float arithmetic; _resonance_guard scales it to other types
 RESONANCE_GUARD = 1e-13
+
+
+def _resonance_guard(den):
+    """The guard for den's arithmetic: RESONANCE_GUARD for a float,
+    RESONANCE_GUARD 2^(53 - prec) for an mpf at the working precision,
+    and 0 for an exact int or Fraction, which vanishes only when it is 0."""
+    if isinstance(den, float):
+        return RESONANCE_GUARD
+    if isinstance(den, (int, Fraction)):
+        return 0
+    import mpmath
+
+    return mpmath.ldexp(RESONANCE_GUARD, 53 - mpmath.mp.prec)
 
 
 def _resonant(den, t1, t2, t3=0) -> bool:
     """True when den, the sum of the additive terms t1, t2 (and t3), vanishes
     against the largest of them: the one resonance test of the package."""
     scale = max(abs(t1), abs(t2), abs(t3))
-    return scale == 0 or abs(den) <= RESONANCE_GUARD * scale
+    return scale == 0 or abs(den) <= _resonance_guard(den) * scale
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,10 @@ def test_criterion_03_telescoping_and_parity_forms():
 
 def test_criterion_04_orthogonality():
     ctx = qp.QContext(0.5)
-    cfg = qp.JacksonConfig(ctx)
     worst = 0.0
     parity_exact = True
     for name, fam in named_families(ctx).items():
-        G = qp.orthogonality_matrix(fam, 10, cfg)
+        G = qp.orthogonality_matrix(fam, 10, 256)
         for i in range(11):
             for j in range(i + 1, 11):
                 if (i + j) % 2:
@@ -148,7 +147,7 @@ def test_criterion_05_norm_triple_equality():
     for q, name, mk in cases:
         ctx = qp.QContext(q)
         fam = mk(ctx)
-        triples = qp.norm_triple_report(fam, 8, qp.JacksonConfig(ctx), pair_tol=pair_tol)
+        triples = qp.norm_triple_report(fam, 8, 256, pair_tol=pair_tol)
         for t in triples:
             all_ok = all_ok and t.ok
             worst_pair = max(worst_pair, t.favard_vs_quadrature)

@@ -129,7 +129,7 @@ class TestTable:
 
     @pytest.mark.parametrize("argv,message", [
         (["-q", "1.5"], "base q must satisfy 0 < q < 1, got 1.5"),
-        (["-q", "0.1", "--n-terms", "400"], "q**n_terms underflows for q=0.1, n_terms=400"),
+        (["--n-terms", "0"], "n_terms must be at least 1"),
         (["--custom", "0,1,0,1"], "degenerate parameters: a and c must not both vanish"),
     ])
     def test_invalid_input_message(self, capsys, argv, message):
@@ -137,6 +137,54 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_depth_below_float_range(self, capsys):
+        # table runs no Jackson sum, so no depth is too deep for it
+        code, out, err = run(capsys, ["table", "-q", "0.1", "--n-terms", "400"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["n_terms"] == 400
+
+    @staticmethod
+    def count_recurrence_C(monkeypatch) -> list:
+        from qsympoly import families
+
+        calls = []
+        real = cli.recurrence_C
+        for module in (cli, families):
+            monkeypatch.setattr(module, "recurrence_C", lambda *a: calls.append(a[0]) or real(*a))
+        return calls
+
+    def test_favard_column_carried_across_rows(self, capsys, monkeypatch):
+        # C_1 resonates, and delta_2 too: every later row reports the first
+        # failing C_k of its product, as favard_norm(n) would raise it
+        calls = self.count_recurrence_C(monkeypatch)
+        n_max = 4
+        code, out, _ = run(capsys, ["table", "--custom=-1,1,2,0.2", "-q", "0.5",
+                                    "--n-max", str(n_max)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["errors"] == [
+            {"n": 1, "error": "C_1 denominator vanishes"},
+            {"n": 2, "error": "delta denominator vanishes at n=2"},
+            {"n": 3, "error": "C_1 denominator vanishes"},
+            {"n": 4, "error": "C_1 denominator vanishes"},
+        ]
+        assert [r["favard_norm"] for r in payload["rows"]] == [1, None, None, None, None]
+        assert len(calls) <= 2 * (n_max + 1)
+
+    def test_favard_column_is_favard_norm(self, capsys, monkeypatch):
+        # the product is carried, not recomputed: 2 n_max + 1 calls of
+        # recurrence_C, where one favard_norm per row makes 91
+        calls = self.count_recurrence_C(monkeypatch)
+        code, out, _ = run(capsys, ["table", "--family", "hermite", "-p", "0.3",
+                                    "-q", "0.9", "--n-max", "12"])
+        assert code == 0
+        assert len(calls) == 25
+        ctx = qp.QContext(0.9)
+        V = qp.make_hermite(0.3, ctx).V
+        assert [r["favard_norm"] for r in json.loads(out)["rows"]] == [
+            qp.favard_norm(n, V, ctx) for n in range(13)
+        ]
 
 
 class TestCheck:
@@ -180,6 +228,15 @@ class TestCheck:
         assert code == 1
         assert out.startswith("FAIL norm: favard vs quadrature")
         assert "favard and quadrature disagree, both values reported" in out
+
+    def test_norm_note_names_unevaluable_closed_form(self, capsys):
+        # the default family ultraspherical(0.4, 0.7) at q = 0.5 sits on the
+        # removable singularity of the tabulated norm at every degree
+        code, out, _ = run(capsys, ["check", "norm"])
+        assert code == 0
+        assert out.splitlines()[1].endswith(
+            "[closed form not evaluable at n=[0, 1, 2, 3, 4, 5, 6, 7, 8]; "
+            "favard and quadrature agree]")
 
     def test_boundary_needs_support(self, capsys):
         code, out, err = run(capsys, ["check", "boundary", "--custom", "1,1,0.5,0"])
@@ -228,12 +285,13 @@ class TestCheck:
         argv = ["check", "ode", "--family", "ultraspherical"]
         scope = mpmath.workdps(precision) if precision else contextlib.nullcontext()
         with scope:
-            cfg = cli._build_config(cli._build_parser().parse_args(argv), precision)
-            [(_, worst, _, _, _)] = cli._check_lines_ode(cfg, 1e-10, None)
-            fam, ctx = cfg.family, cfg.ctx
+            args = cli._build_parser().parse_args(argv)
+            cli._build_config(args, precision)
+            [(_, worst, _, _, _)] = cli._check_lines_ode(args, 1e-10, None)
+            fam, ctx = args.fam, args.fam.ctx
             support = fam.support + 0 * ctx.q
             expected = 0.0
-            for n in range(cfg.n_max + 1):
+            for n in range(args.n_max + 1):
                 for i in range(1, 11):
                     t1, t2, t3 = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
                     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
@@ -305,6 +363,17 @@ class TestCheck:
         assert (code, err) == (0, "")
         residual = float(out.splitlines()[0].split("max residual ")[1].split()[0])
         assert residual < 1e-30
+
+    def test_depth_below_float_range(self, capsys):
+        # q^700 = 1e-366 lies below the float range; the Gram drops the
+        # grid points whose weight rounds to 0 and sums the rest
+        code, out, err = run(
+            capsys, ["check", "all", "--family", "chebyshev5", "-q", "0.3", "--n-terms", "700"])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 10 and all(line.startswith("PASS ") for line in lines)
+        residual = float(lines[1].split("max residual ")[1].split()[0])
+        assert residual < 1e-40
 
     def test_check_all_runs(self, capsys):
         code, out, _ = run(

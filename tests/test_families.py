@@ -10,7 +10,7 @@ from conftest import rel, rng
 
 CTX = qp.QContext(0.5)
 Q = 0.5
-CFG = qp.JacksonConfig(CTX)
+N_TERMS = 256  # the CLI's default grid depth
 
 
 class TestMakers:
@@ -127,7 +127,7 @@ class TestNormSquares:
 class TestOrthogonalityMatrix:
     def test_hermite_off_diagonal(self):
         fam = qp.make_hermite(0.0, CTX)
-        G = qp.orthogonality_matrix(fam, 10, CFG)
+        G = qp.orthogonality_matrix(fam, 10, N_TERMS)
         for i in range(11):
             for j in range(i + 1, 11):
                 if (i + j) % 2:
@@ -137,7 +137,7 @@ class TestOrthogonalityMatrix:
 
     def test_diagonal_matches_favard(self):
         fam = qp.make_hermite(0.3, CTX)
-        G = qp.orthogonality_matrix(fam, 10, CFG)
+        G = qp.orthogonality_matrix(fam, 10, N_TERMS)
         for n in range(1, 11):
             fav = qp.favard_norm(n, fam.V, CTX)
             assert rel(G[n][n] / G[0][0], fav) < 1e-9
@@ -146,12 +146,13 @@ class TestOrthogonalityMatrix:
         # the promoted assembly equals literal float Jackson integrals, on the
         # scale of the diagonal: the true off-diagonal entries are rounding noise
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
-        G = qp.orthogonality_matrix(fam, 4, CFG)
+        G = qp.orthogonality_matrix(fam, 4, N_TERMS)
         polys = [qp.build_monic(n, fam.V, CTX) for n in range(5)]
         for n in range(5):
             for m in range(n, 5, 2):
                 direct = qp.q_integral_symmetric(
-                    lambda t: qp.weight_star(fam.V, CTX, t) * polys[n](t) * polys[m](t), 1.0, CFG
+                    lambda t: qp.weight_star(fam.V, CTX, t) * polys[n](t) * polys[m](t), 1.0,
+                    qp.JacksonConfig(CTX, n_terms=N_TERMS)
                 ).value
                 assert abs(G[n][m] - direct) <= 1e-14 * (G[n][n] * G[m][m]) ** 0.5
 
@@ -173,11 +174,10 @@ class TestOrthogonalityMatrix:
         n_max = 6
         with mpmath.workdps(40):
             ctx = qp.QContext(mpmath.mpf(q))
-            cfg = qp.JacksonConfig(ctx, n_terms=n_terms)
             fam = make(ctx)
-            G = qp.orthogonality_matrix(fam, n_max, cfg)
+            G = qp.orthogonality_matrix(fam, n_max, n_terms)
             qm, alpha = ctx.q, fam.support
-            xs = [alpha * qm**j for j in range(cfg.n_terms + 1)]
+            xs = [alpha * qm**j for j in range(n_terms + 1)]
             ws = [qm**j * qp.weight_star(fam.V, ctx, x) for j, x in enumerate(xs)]
             polys = [qp.build_monic(n, fam.V, ctx) for n in range(n_max + 1)]
             pv = [[p(x) for x in xs] for p in polys]
@@ -191,31 +191,36 @@ class TestOrthogonalityMatrix:
                     scale = mpmath.sqrt(oracle[n][n] * oracle[m][m])
                     assert abs(G[n][m] - oracle[n][m]) <= mpmath.mpf("1e-33") * scale
 
+    def test_depth_at_least_one(self):
+        fam = qp.make_hermite(0.3, CTX)
+        with pytest.raises(ValueError, match="n_terms must be at least 1"):
+            qp.orthogonality_matrix(fam, 4, 0)
+
     def test_inadmissible_hermite(self):
         fam = qp.make_hermite(2.0, CTX)  # p (1 - q^2) = 1.5
         with pytest.raises(qp.AdmissibilityError):
-            qp.orthogonality_matrix(fam, 4, CFG)
+            qp.orthogonality_matrix(fam, 4, N_TERMS)
 
     def test_weight_not_positive_on_grid(self):
         # beta = -1.5 makes W* negative at the endpoint alpha = 1 (j = 0)
         fam = qp.make_ultraspherical(0.4, -1.5, CTX)
-        bad = qp.weight_grid_report(fam.V, fam.support, CTX, CFG.n_terms).first_bad_index
+        bad = qp.weight_grid_report(fam.V, fam.support, CTX, N_TERMS).first_bad_index
         assert bad == 0
         with pytest.raises(qp.AdmissibilityError, match=f"first bad index {bad}\\)"):
-            qp.orthogonality_matrix(fam, 4, CFG)
+            qp.orthogonality_matrix(fam, 4, N_TERMS)
 
     def test_weight_sign_change_mid_grid(self):
         # power base 0.125: the step ratio q (0.125 - q^(2j)) / (1 - q^(2j+2))
         # is negative at j = 0 and 1, so of the whole table only t_1 is negative
         fam = qp.make_custom(-1, 1, 0, 1.75, CTX)
-        assert qp.weight_grid_report(fam.V, fam.support, CTX, CFG.n_terms).first_bad_index == 1
+        assert qp.weight_grid_report(fam.V, fam.support, CTX, N_TERMS).first_bad_index == 1
         with pytest.raises(qp.AdmissibilityError, match="first bad index 1\\)"):
-            qp.orthogonality_matrix(fam, 4, CFG)
+            qp.orthogonality_matrix(fam, 4, N_TERMS)
 
     def test_invalid_power_base(self):
         fam = qp.make_custom(-1, 1, 0, 2.5, CTX)  # power base 1 + d (q-1) / b = -0.25
         with pytest.raises(qp.InvalidBaseError):
-            qp.orthogonality_matrix(fam, 4, CFG)
+            qp.orthogonality_matrix(fam, 4, N_TERMS)
 
     def test_vanishing_norm_ratio(self):
         # c / a = d / b gives gamma = beta: the weight's denominator product
@@ -224,7 +229,7 @@ class TestOrthogonalityMatrix:
         fam = qp.make_custom(-1, 1, -1.5, 1.5, CTX)
         assert qp.recurrence_C(2, fam.V, CTX) == 0
         with pytest.raises(qp.AdmissibilityError, match="C_1 ... C_2 vanishes"):
-            qp.orthogonality_matrix(fam, 4, CFG)
+            qp.orthogonality_matrix(fam, 4, N_TERMS)
 
     def test_no_infinite_products(self, monkeypatch):
         # the weight table comes from the Pearson relation alone
@@ -243,7 +248,7 @@ class TestOrthogonalityMatrix:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for fam in (qp.make_ultraspherical(0.4, 0.7, CTX), qp.make_hermite(0.3, CTX)):
-            qp.orthogonality_matrix(fam, 10, CFG)
+            qp.orthogonality_matrix(fam, 10, N_TERMS)
         assert calls == []
         qp.weight_grid_report(fam.V, fam.support, CTX, 0)
         assert calls == ["weight_star", "q_shifted_factorial_inf", "q_shifted_factorial_inf"]
@@ -255,7 +260,7 @@ class TestOrthogonalityMatrix:
         # so only the diagonal is meaningful here
         ctx = qp.QContext(0.999)
         fam = qp.make_ultraspherical(0.4, 0.7, ctx)
-        G = qp.orthogonality_matrix(fam, 4, qp.JacksonConfig(ctx, n_terms=3000))
+        G = qp.orthogonality_matrix(fam, 4, 3000)
         assert all(math.isfinite(G[n][n]) and G[n][n] > 0 for n in range(5))
 
     @pytest.mark.parametrize(
@@ -273,7 +278,7 @@ class TestOrthogonalityMatrix:
         fam = make(ctx)
         t0 = time.perf_counter()
         with pytest.raises(qp.TruncationError, match="start depth"):
-            qp.orthogonality_matrix(fam, 4, qp.JacksonConfig(ctx, n_terms=3000))
+            qp.orthogonality_matrix(fam, 4, 3000)
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("dps", [20, 60])
@@ -283,7 +288,7 @@ class TestOrthogonalityMatrix:
         with mpmath.workdps(dps):
             ctx = qp.QContext(mpmath.mpf("0.5"))
             fam = qp.make_hermite(mpmath.mpf("0.3"), ctx)
-            G = qp.orthogonality_matrix(fam, 10, qp.JacksonConfig(ctx))
+            G = qp.orthogonality_matrix(fam, 10, N_TERMS)
             assert mpmath.mp.dps == dps
             worst = max(
                 abs(G[i][j]) / mpmath.sqrt(G[i][i] * G[j][j])
@@ -297,14 +302,13 @@ class TestOrthogonalityMatrix:
     @pytest.mark.parametrize("q,n_terms", [(0.3, 256), (0.9, 700)])
     def test_other_bases(self, q, n_terms):
         ctx = qp.QContext(q)
-        cfg = qp.JacksonConfig(ctx, n_terms=n_terms)
         for fam in (
             qp.make_ultraspherical(0.4, 0.7, ctx),
             qp.make_chebyshev5(ctx),
             qp.make_chebyshev6(ctx),
             qp.make_hermite(0.3, ctx),
         ):
-            G = qp.orthogonality_matrix(fam, 6, cfg)
+            G = qp.orthogonality_matrix(fam, 6, n_terms)
             for i in range(7):
                 for j in range(i + 1, 7):
                     if (i + j) % 2 == 0:
@@ -314,23 +318,23 @@ class TestOrthogonalityMatrix:
 class TestNormTriple:
     def test_reads_leading_block_of_given_gram(self):
         fam = qp.make_hermite(0.3, CTX)
-        G = qp.orthogonality_matrix(fam, 10, CFG)
-        assert qp.norm_triple_report(fam, 8, CFG, gram=G) == qp.norm_triple_report(fam, 8, CFG)
+        G = qp.orthogonality_matrix(fam, 10, N_TERMS)
+        assert qp.norm_triple_report(fam, 8, N_TERMS, gram=G) == qp.norm_triple_report(fam, 8, N_TERMS)
         with pytest.raises(ValueError):
-            qp.norm_triple_report(fam, 8, CFG, gram=G[:8])
+            qp.norm_triple_report(fam, 8, N_TERMS, gram=G[:8])
 
     def test_favard_column_is_favard_norm(self):
         # the report carries C_1 ... C_n across n; the bits match favard_norm
         for ctx in (CTX, qp.QContext(0.9)):
             for fam in (qp.make_hermite(0.3, ctx), qp.make_ultraspherical(0.4, 0.7, ctx)):
-                report = qp.norm_triple_report(fam, 8, qp.JacksonConfig(ctx))
+                report = qp.norm_triple_report(fam, 8, N_TERMS)
                 assert [r.favard for r in report] == [
                     qp.favard_norm(n, fam.V, ctx) for n in range(9)
                 ]
 
     def test_hermite_report(self):
         fam = qp.make_hermite(0.3, CTX)
-        report = qp.norm_triple_report(fam, 8, CFG)
+        report = qp.norm_triple_report(fam, 8, N_TERMS)
         assert all(r.ok for r in report)
         for r in report:
             assert r.favard_vs_quadrature <= 1e-8
@@ -343,7 +347,7 @@ class TestNormTriple:
 
     def test_ultraspherical_report_flags(self):
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
-        report = qp.norm_triple_report(fam, 6, CFG)
+        report = qp.norm_triple_report(fam, 6, N_TERMS)
         assert all(r.ok for r in report)
         assert all(r.discrepancy_flagged for r in report)
         assert all(r.favard_vs_quadrature <= 1e-8 for r in report)
@@ -351,7 +355,7 @@ class TestNormTriple:
 
     def test_custom_family_has_no_closed_form(self):
         fam = qp.make_custom(-1.0, 1.0, -1.5, 0.2, CTX)
-        report = qp.norm_triple_report(fam, 4, CFG)
+        report = qp.norm_triple_report(fam, 4, N_TERMS)
         assert all(r.closed_form is None for r in report)
         assert not any(r.discrepancy_flagged for r in report)
         assert all(r.ok for r in report)

@@ -91,6 +91,51 @@ class TestDelta:
             qp.delta(1, V, CTX)
 
 
+class TestResonanceGuard:
+    # custom(-1, 1, c, 1/5) at q = 1/2: the C_2 denominator vanishes at c = 2
+    @staticmethod
+    def vector(c):
+        return qp.CharVector(-1, 1, c, Fraction(1, 5))
+
+    def test_guard_follows_the_arithmetic(self):
+        import mpmath
+
+        from qsympoly.sympoly import RESONANCE_GUARD, _resonance_guard
+
+        assert _resonance_guard(0.5) == RESONANCE_GUARD == 1e-13
+        assert _resonance_guard(Fraction(1, 2)) == _resonance_guard(1) == 0
+        with mpmath.workdps(40):
+            assert _resonance_guard(mpmath.mpf(1)) == mpmath.mpf(1e-13) * 2.0 ** (53 - 136)
+
+    def test_exact_resonance_raises(self):
+        ctx = qp.QContext(Fraction(1, 2))
+        with pytest.raises(qp.ResonanceError, match="C_2"):
+            qp.recurrence_C(2, self.vector(Fraction(2)), ctx)
+        with pytest.raises(qp.ResonanceError, match="C_2"):
+            qp.recurrence_C(2, qp.CharVector(-1.0, 1.0, 2.0, 0.2), qp.QContext(0.5))
+
+    def test_exact_near_resonance_is_computed(self):
+        # 10^-30 off the resonance: a float guard would call it vanishing
+        ctx = qp.QContext(Fraction(1, 2))
+        V = self.vector(2 + Fraction(1, 10**30))
+        C2 = qp.recurrence_C(2, V, ctx)
+        assert type(C2) is Fraction and C2 == qp.recurrence_C_even(1, V, ctx)
+
+    def test_mp40_near_resonance_is_computed(self):
+        import mpmath
+
+        def C2(dps):
+            with mpmath.workdps(dps):
+                f = mpmath.mpf
+                V = qp.CharVector(f(-1), f(1), 2 + f(10) ** -20, f(1) / 5)
+                return qp.recurrence_C(2, V, qp.QContext(f(1) / 2))
+
+        got = C2(40)
+        with mpmath.workdps(100):
+            want = C2(100)
+            assert abs(got - want) <= 1e-19 * abs(want)
+
+
 class TestRecurrenceC:
     def test_hermite_values(self):
         assert rel(qp.recurrence_C(1, HERMITE0.V, CTX), 2.0 / 3.0) < 1e-15

@@ -64,7 +64,7 @@ def grams(dps: int) -> list:
         with mpmath.workdps(dps):
             mctx = qp.QContext(mpmath.mpf(q))
             fam = qp.make_custom(*(mpmath.mpf(v) for v in V.as_tuple()), mctx)
-            G = qp.orthogonality_matrix(fam, N_MAX, qp.JacksonConfig(mctx, n_terms=depth))
+            G = qp.orthogonality_matrix(fam, N_MAX, depth)
         out.append([[_pair(v._mpf_) for v in row] for row in G])
     return out
 
