@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run a verification suite")
     add_common(pc)
     pc.add_argument("suite", choices=(*CHECK_SUITES, "all"))
-    pc.add_argument("-n", type=int, default=None, help="max degree for the suite")
     pc.add_argument("--n-max", type=int, default=10)
 
     px = sub.add_parser("export", help="write weight or polynomial grids for plotting")
@@ -188,6 +187,9 @@ def _build_config(args, precision) -> None:
     n = getattr(args, "n", None)
     if n is not None and not (0 <= n <= N_MAX_LIMIT):
         raise CLIError(f"-n must lie in [0, {N_MAX_LIMIT}]")
+    # NaN fails every comparison, so a check against a NaN bound would pass
+    if args.tol is not None and not (isfinite_(args.tol) and args.tol >= 0):
+        raise CLIError(f"--tol must be finite and nonnegative, got {args.tol!r}")
 
     xs: tuple = ()
     if getattr(args, "grid", None):
@@ -197,6 +199,8 @@ def _build_config(args, precision) -> None:
             xs = tuple(real(s) for s in args.x)
         except Exception as exc:
             raise CLIError(f"could not parse -x value: {exc}") from None
+    if not all(map(isfinite_, xs)):  # only eval and export take points
+        raise CLIError(f"{'--grid' if args.grid else '-x'} points must be finite")
     if xs and fam.support is not None:
         bound = fam.support * (1 + 1e-12)
         if any(abs(x) > bound for x in xs):
@@ -318,7 +322,7 @@ def cmd_table(args) -> int:
             errors.append({"n": n, "error": str(exc)})
         if have_closed:
             try:
-                row["closed_form_norm"] = args.fam.norm_square(n)
+                row["closed_form_norm"] = args.fam.closed_norm(n)
             except QSymPolyError as exc:
                 errors.append({"n": n, "error": f"closed-form norm: {exc}"})
         rows.append(row)
@@ -331,15 +335,14 @@ def cmd_table(args) -> int:
 
 
 # Each suite takes the parsed arguments, its tolerance and the Gram matrix
-# of the ortho suite (None when that suite is not selected).
+# at --n-max, which is None until the ortho or the norm suite needs it.
 
 def _check_lines_ode(args, tol, gram) -> list:
     fam = args.fam
-    n_hi = args.n if args.n is not None else args.n_max
     # sample points in the type of q, so mpf runs do not round them to float
     support = (fam.support if fam.support is not None else 1.0) + 0 * fam.ctx.q
     residuals = []
-    for poly in monic_ladder(n_hi, fam.V, fam.ctx):
+    for poly in monic_ladder(args.n_max, fam.V, fam.ctx):
         terms = ode_terms(poly, fam.V, fam.ctx)
         for i in range(1, 11):
             t1, t2, t3 = terms(support * i / 11)
@@ -365,8 +368,7 @@ def _check_lines_ortho(args, tol, G) -> list:
 
 
 def _check_lines_norm(args, tol, gram) -> list:
-    n_hi = min(args.n_max, 8)
-    report = norm_triple_report(args.fam, n_hi, args.n_terms, pair_tol=tol, gram=gram)
+    report = norm_triple_report(args.fam, min(args.n_max, 8), gram, pair_tol=tol)
     lines = []
     worst_pair = max_or_nan(r.favard_vs_quadrature for r in report)
     lines.append(
@@ -413,12 +415,11 @@ def _check_lines_pearson(args, tol, gram) -> list:
 def _check_lines_limit(args, tol, gram) -> list:
     # every report rebuilds the family at the same contexts: build each once
     subject = functools.cache(args.fam.rebuild)
-    n_hi = args.n if args.n is not None else min(args.n_max, 10)
     lines = []
     for qty in ("C", "lambda", "poly"):
         reports = []
         unevaluable = []
-        for n in range(1, n_hi + 1):
+        for n in range(1, min(args.n_max, 10) + 1):
             try:
                 reports.append(limit_convergence_report(
                     qty, subject, n, x=0.3 if qty == "poly" else None
@@ -462,7 +463,7 @@ def cmd_check(args) -> int:
     lines = []
     gram = None
     for s in selected:
-        if s == "ortho":
+        if s in ("ortho", "norm") and gram is None:
             # assembled once: the norm suite reads its leading block
             gram = orthogonality_matrix(args.fam, args.n_max, args.n_terms)
         suite, default_tol = CHECK_SUITES[s]

@@ -85,10 +85,6 @@ class FamilyDescriptor:
     limit_weight: Callable | None = None
     violation: str | None = None
 
-    def norm_square(self, n: int):
-        """Tabulated closed-form norm square, or None when the family has none."""
-        return None if self.closed_norm is None else self.closed_norm(n)
-
 
 def _ultraspherical(name, alpha, beta, beta1, ctx, rebuild) -> FamilyDescriptor:
     # beta1 is the q -> 1 limit of beta, which differs from beta where beta
@@ -502,43 +498,35 @@ class NormTriple:
 
 
 def norm_triple_report(
-    fam: FamilyDescriptor,
-    n_max: int,
-    n_terms: int,
-    pair_tol: float = 1e-8,
-    gram: tuple | None = None,
+    fam: FamilyDescriptor, n_max: int, gram: tuple, pair_tol: float = 1e-8
 ) -> tuple:
     """Compare closed-form norms, Favard products and quadrature ratios
     for n = 0 .. n_max.
 
     A tabulated norm that deviates from the Favard product by more than
     CLOSED_FORM_FLAG_TOL relative is flagged and reported, not failed.
-    ``gram`` is an orthogonality_matrix of this family at depth n_terms,
-    of size at least n_max + 1, whose leading block is used; without it
-    the matrix is assembled here.
+    ``gram`` is an orthogonality_matrix of this family of size at least
+    n_max + 1, whose leading block gives the quadrature ratios.
     """
-    G = gram
-    if G is None:
-        G = orthogonality_matrix(fam, n_max, n_terms)
-    elif len(G) <= n_max:
-        raise ValueError(f"Gram matrix of size {len(G)} has no entry at n = {n_max}")
-    mass = G[0][0]
+    if len(gram) <= n_max:
+        raise ValueError(f"Gram matrix of size {len(gram)} has no entry at n = {n_max}")
+    mass = gram[0][0]
     out = []
     fav = 1
     for n in range(n_max + 1):
         if n:
             # favard_norm(n), carried over from n - 1 in the same order
             fav = fav * recurrence_C(n, fam.V, fam.ctx)
-        quad = G[n][n] / mass
+        quad = gram[n][n] / mass
         pair_rel = abs(fav - quad) / max(abs(fav), abs(quad))
-        closed = None
-        note = None
-        try:
-            closed = fam.norm_square(n)
-        except ZeroDenominatorError as exc:
-            note = f"closed form not evaluable: {exc}"
-        closed_rel = None
+        closed = closed_rel = None
         flagged = False
+        note = "no closed form for this family"
+        if fam.closed_norm is not None:
+            try:
+                closed, note = fam.closed_norm(n), None
+            except ZeroDenominatorError as exc:
+                flagged, note = True, f"closed form not evaluable: {exc}"
         if closed is not None:
             closed_rel = abs(closed - fav) / max(abs(closed), abs(fav))
             if closed_rel > CLOSED_FORM_FLAG_TOL:
@@ -547,10 +535,6 @@ def norm_triple_report(
                     f"closed form deviates from Favard product by {float(closed_rel):.3e}; "
                     "both values reported"
                 )
-        elif note is None:
-            note = "no closed form for this family"
-        else:
-            flagged = True
         ok = pair_rel <= pair_tol and (
             flagged or closed is None or closed_rel <= pair_tol
         )

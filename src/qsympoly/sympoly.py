@@ -122,13 +122,14 @@ class SymPolynomial:
 
     degree: int
     coeffs: tuple
-    parity: int
+
+    @property
+    def parity(self) -> int:
+        return self.degree % 2
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count must be degree + 1")
-        if self.parity != self.degree % 2:
-            raise ValueError("parity must equal degree mod 2")
         for k, ck in enumerate(self.coeffs):
             if (k - self.parity) % 2 and ck != 0:
                 raise ValueError(f"nonzero coefficient at opposite-parity power {k}")
@@ -251,9 +252,9 @@ def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
     phi_{k+1} = x phi_k - C_k phi_{k-1}, phi_0 = 1, phi_1 = x."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    out = [SymPolynomial(0, (1,), 0)]
+    out = [SymPolynomial(0, (1,))]
     if n >= 1:
-        out.append(SymPolynomial(1, (0, 1), 1))
+        out.append(SymPolynomial(1, (0, 1)))
     prev, cur = [1], [0, 1]
     for k in range(1, n):
         Ck = recurrence_C(k, V, ctx)
@@ -263,7 +264,7 @@ def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
         for i, pi in enumerate(prev):
             if pi != 0:
                 nxt[i] = nxt[i] - Ck * pi
-        out.append(SymPolynomial(k + 1, tuple(nxt), (k + 1) % 2))
+        out.append(SymPolynomial(k + 1, tuple(nxt)))
         prev, cur = cur, nxt
     return tuple(out)
 
@@ -273,17 +274,18 @@ def build_monic(n: int, V: CharVector, ctx: QContext) -> SymPolynomial:
     return monic_ladder(n, V, ctx)[n]
 
 
-def _explicit_ratio_products(n: int, V: CharVector, ctx: QContext) -> list:
-    """Cumulative products prod[t] = Pi_{j<t} of the explicit-form ratios
-    (a [2j+s+n-1] + c q^(2j+s+n-1)) / (b [2j+e+2] + d q^(2j+e+2)),
-    with s the parity of n and e = (-1)^(n+1)."""
+def _explicit_coeffs(n: int, V: CharVector, ctx: QContext) -> list:
+    """The coefficients e_k = q^(k(k-1)) [M choose k]_{q^2} P_(M-k) of
+    x^(n-2k) in eval_explicit, k = 0 .. M = n // 2, with P_t the product
+    over j < t of the ratios (a [2j+s+n-1] + c q^(2j+s+n-1)) /
+    (b [2j+e+2] + d q^(2j+e+2)), s the parity of n and e = (-1)^(n+1)."""
     q = ctx.q
     a, b, c, d = V.as_tuple()
+    M = n // 2
     s = sigma_parity(n)
     e = 1 if s else -1
-    out = [1]
-    acc = 1
-    for j in range(n // 2):
+    prods = [1]
+    for j in range(M):
         i_num = 2 * j + s + n - 1
         i_den = 2 * j + e + 2
         t1 = b * q_number(i_den, ctx)
@@ -293,9 +295,21 @@ def _explicit_ratio_products(n: int, V: CharVector, ctx: QContext) -> list:
             raise ZeroDenominatorError(
                 f"explicit-form denominator b[{i_den}] + d q^{i_den} vanishes"
             )
-        acc = acc * (a * q_number(i_num, ctx) + c * q**i_num) / den
-        out.append(acc)
-    return out
+        prods.append(prods[-1] * (a * q_number(i_num, ctx) + c * q**i_num) / den)
+    return [q ** (k * (k - 1)) * q_binomial(M, k, ctx, base=q * q) * prods[M - k]
+            for k in range(M + 1)]
+
+
+def _explicit_sum(n: int, coeffs: list, x):
+    # sum_k coeffs[k] x^(n-2k), the powers built upward from x^(n mod 2)
+    t = x * x
+    pws = [x ** sigma_parity(n)]
+    for _ in coeffs[1:]:
+        pws.append(pws[-1] * t)
+    total = 0
+    for ek, pk in zip(coeffs, reversed(pws)):
+        total = total + ek * pk
+    return total
 
 
 def eval_explicit(n: int, V: CharVector, ctx: QContext, x):
@@ -303,28 +317,12 @@ def eval_explicit(n: int, V: CharVector, ctx: QContext, x):
 
         sum_k q^(k(k-1)) x^(n-2k) [n/2 choose k]_{q^2} prod_j (ratio_j).
     """
-    q = ctx.q
-    M = n // 2
-    s = sigma_parity(n)
-    prods = _explicit_ratio_products(n, V, ctx)
-    # powers x^(n-2k), built upward from x^s to avoid division
-    pws = [None] * (M + 1)
-    t = x * x
-    p = x**s
-    for k in range(M, -1, -1):
-        pws[k] = p
-        p = p * t
-    total = 0
-    for k in range(M + 1):
-        total = total + (
-            q ** (k * (k - 1)) * q_binomial(M, k, ctx, base=q * q) * prods[M - k] * pws[k]
-        )
-    return total
+    return _explicit_sum(n, _explicit_coeffs(n, V, ctx), x)
 
 
 def explicit_leading_coeff(n: int, V: CharVector, ctx: QContext):
     """Leading coefficient (the full k = 0 ratio product) of eval_explicit."""
-    return _explicit_ratio_products(n, V, ctx)[n // 2]
+    return _explicit_coeffs(n, V, ctx)[0]
 
 
 def eval_explicit_monic(n: int, V: CharVector, ctx: QContext, x):
@@ -333,10 +331,10 @@ def eval_explicit_monic(n: int, V: CharVector, ctx: QContext, x):
     Dividing by the leading product keeps this form usable when a or b is
     zero, where the 2phi1 normalization below is unavailable.
     """
-    lead = explicit_leading_coeff(n, V, ctx)
-    if lead == 0:
+    coeffs = _explicit_coeffs(n, V, ctx)
+    if coeffs[0] == 0:
         raise ZeroDenominatorError("leading coefficient of the explicit form vanishes")
-    return eval_explicit(n, V, ctx, x) / lead
+    return _explicit_sum(n, coeffs, x) / coeffs[0]
 
 
 def hypergeometric_parameters(n: int, V: CharVector, ctx: QContext):

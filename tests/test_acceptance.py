@@ -147,7 +147,8 @@ def test_criterion_05_norm_triple_equality():
     for q, name, mk in cases:
         ctx = qp.QContext(q)
         fam = mk(ctx)
-        triples = qp.norm_triple_report(fam, 8, 256, pair_tol=pair_tol)
+        G = qp.orthogonality_matrix(fam, 8, 256)
+        triples = qp.norm_triple_report(fam, 8, G, pair_tol=pair_tol)
         for t in triples:
             all_ok = all_ok and t.ok
             worst_pair = max(worst_pair, t.favard_vs_quadrature)

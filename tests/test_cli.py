@@ -86,6 +86,24 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "-n", "4", "-x", "nan"], "-x points must be finite"),
+        (["eval", "-n", "4", "--grid=nan:1:3"], "--grid points must be finite"),
+        (["export", "poly", "--grid=-1:nan:3"], "--grid points must be finite"),
+        # no support bound to compare the point with
+        (["eval", "--custom", "1,1,1,0.5", "-n", "4", "-x", "inf"], "-x points must be finite"),
+        (["eval", "--family", "chebyshev6", "-q", "0.4", "-n", "56", "--grid=-1:1:201",
+          "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
+        (["check", "ode", "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
+        (["check", "ode", "--tol", "-1"], "--tol must be finite and nonnegative, got -1.0"),
+    ], ids=["eval-x", "eval-grid", "export-grid", "custom-x", "eval-tol", "check-tol-nan",
+            "check-tol-negative"])
+    def test_non_finite_input_rejected(self, capsys, argv, message):
+        # NaN fails every comparison with a bound, so these exited 0 or 1
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestRepeatedCalls:
     def test_no_state_between_calls(self, capsys):
@@ -199,7 +217,7 @@ class TestCheck:
 
     def test_ode_pass(self, capsys):
         code, out, _ = run(
-            capsys, ["check", "ode", "--family", "chebyshev5", "-q", "0.5", "-n", "6"]
+            capsys, ["check", "ode", "--family", "chebyshev5", "-q", "0.5", "--n-max", "6"]
         )
         assert code == 0
 
@@ -246,7 +264,7 @@ class TestCheck:
     def test_limit_pass(self, capsys):
         code, out, _ = run(
             capsys,
-            ["check", "limit", "--family", "chebyshev6", "-q", "0.5", "-n", "5"],
+            ["check", "limit", "--family", "chebyshev6", "-q", "0.5", "--n-max", "5"],
         )
         assert code == 0
 
@@ -260,7 +278,7 @@ class TestCheck:
         # an unattainable tolerance turns rounding-level residuals into FAILs
         code, out, _ = run(
             capsys,
-            ["check", "ode", "--family", "hermite", "-q", "0.5", "-n", "4",
+            ["check", "ode", "--family", "hermite", "-q", "0.5", "--n-max", "4",
              "--tol", "1e-30"],
         )
         assert code == 1
@@ -271,7 +289,7 @@ class TestCheck:
         # the suite reads its terms from one ode_terms function per degree
         monkeypatch.setattr(cli, "ode_terms", lambda *args: lambda x: (nan, nan, nan))
         code, out, _ = run(
-            capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "-n", "2"]
+            capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "--n-max", "2"]
         )
         assert code == 1
         assert out.startswith("FAIL ode residual")
@@ -304,7 +322,7 @@ class TestCheck:
         # explicit polynomials have no finite limit there
         code, out, err = run(
             capsys,
-            ["check", "limit", "--family", "hermite", "-p", "0.5", "-q", "0.3", "-n", "3"],
+            ["check", "limit", "--family", "hermite", "-p", "0.5", "-q", "0.3", "--n-max", "3"],
         )
         assert code == 1
         lines = out.splitlines()
@@ -348,6 +366,16 @@ class TestCheck:
         monkeypatch.setattr(cli, "orthogonality_matrix", counted)
         monkeypatch.setattr(families, "orthogonality_matrix", counted)
         code, _, _ = run(capsys, ["check", "all"])
+        assert code == 0
+        assert calls == [10]
+
+    def test_norm_assembles_gram_at_n_max(self, capsys, monkeypatch):
+        # the norm suite reads degrees up to 8 from the one Gram at --n-max
+        calls = []
+        real = cli.orthogonality_matrix
+        monkeypatch.setattr(cli, "orthogonality_matrix",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        code, _, _ = run(capsys, ["check", "norm"])
         assert code == 0
         assert calls == [10]
 
@@ -583,6 +611,13 @@ class TestPrecisionEnv:
             got = [mpmath.mpf(r["weight_star"]) for r in rows]
         want = oracle_hermite_star_mp40("0.3", "0.5", xs)
         assert max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= 1e-35
+
+    def test_rejects_non_finite_point(self, capsys, monkeypatch):
+        # the point parses to an mpf NaN here, not a float
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "30")
+        code, out, err = run(capsys, ["eval", "-n", "4", "--grid=nan:1:3"])
+        assert (code, out) == (2, "")
+        assert err == "error: --grid points must be finite\n"
 
     def test_rejects_garbage(self, capsys, monkeypatch):
         monkeypatch.setenv("QSYMPOLY_PRECISION", "many")

@@ -102,7 +102,7 @@ class TestNormSquares:
         for mk in (qp.make_chebyshev5, qp.make_chebyshev6):
             fam = mk(CTX)
             for n in range(0, 9):
-                assert rel(fam.norm_square(n), qp.favard_norm(n, fam.V, CTX)) < 1e-9
+                assert rel(fam.closed_norm(n), qp.favard_norm(n, fam.V, CTX)) < 1e-9
 
     def test_ultraspherical_removable_singularity(self):
         # 1 - q(alpha+beta+1) + alpha q^3 = 0 exactly at (0.4, 0.7, 0.5); the
@@ -319,22 +319,23 @@ class TestNormTriple:
     def test_reads_leading_block_of_given_gram(self):
         fam = qp.make_hermite(0.3, CTX)
         G = qp.orthogonality_matrix(fam, 10, N_TERMS)
-        assert qp.norm_triple_report(fam, 8, N_TERMS, gram=G) == qp.norm_triple_report(fam, 8, N_TERMS)
+        G8 = qp.orthogonality_matrix(fam, 8, N_TERMS)
+        assert qp.norm_triple_report(fam, 8, G) == qp.norm_triple_report(fam, 8, G8)
         with pytest.raises(ValueError):
-            qp.norm_triple_report(fam, 8, N_TERMS, gram=G[:8])
+            qp.norm_triple_report(fam, 8, G[:8])
 
     def test_favard_column_is_favard_norm(self):
         # the report carries C_1 ... C_n across n; the bits match favard_norm
         for ctx in (CTX, qp.QContext(0.9)):
             for fam in (qp.make_hermite(0.3, ctx), qp.make_ultraspherical(0.4, 0.7, ctx)):
-                report = qp.norm_triple_report(fam, 8, N_TERMS)
+                report = qp.norm_triple_report(fam, 8, qp.orthogonality_matrix(fam, 8, N_TERMS))
                 assert [r.favard for r in report] == [
                     qp.favard_norm(n, fam.V, ctx) for n in range(9)
                 ]
 
     def test_hermite_report(self):
         fam = qp.make_hermite(0.3, CTX)
-        report = qp.norm_triple_report(fam, 8, N_TERMS)
+        report = qp.norm_triple_report(fam, 8, qp.orthogonality_matrix(fam, 8, N_TERMS))
         assert all(r.ok for r in report)
         for r in report:
             assert r.favard_vs_quadrature <= 1e-8
@@ -347,7 +348,7 @@ class TestNormTriple:
 
     def test_ultraspherical_report_flags(self):
         fam = qp.make_ultraspherical(0.4, 0.7, CTX)
-        report = qp.norm_triple_report(fam, 6, N_TERMS)
+        report = qp.norm_triple_report(fam, 6, qp.orthogonality_matrix(fam, 6, N_TERMS))
         assert all(r.ok for r in report)
         assert all(r.discrepancy_flagged for r in report)
         assert all(r.favard_vs_quadrature <= 1e-8 for r in report)
@@ -355,7 +356,7 @@ class TestNormTriple:
 
     def test_custom_family_has_no_closed_form(self):
         fam = qp.make_custom(-1.0, 1.0, -1.5, 0.2, CTX)
-        report = qp.norm_triple_report(fam, 4, N_TERMS)
+        report = qp.norm_triple_report(fam, 4, qp.orthogonality_matrix(fam, 4, N_TERMS))
         assert all(r.closed_form is None for r in report)
         assert not any(r.discrepancy_flagged for r in report)
         assert all(r.ok for r in report)

@@ -1,6 +1,11 @@
 """tools/gram_accuracy.py passes when no case got worse, so a case list
 that lost cases would still pass.  This pins the list, and checks the
-measures and the verdict the tool prints."""
+measures, the verdict the tool prints and which file computes each
+tree's matrices."""
+
+import json
+import os
+import subprocess
 
 import mpmath
 import pytest
@@ -49,3 +54,35 @@ def test_verdict(tool):
     assert tool.verdict(A, B, f(1), f(1)) == "ok"
     assert tool.verdict(A, B, f(1), f(2)) == "ok"
     assert tool.verdict(A, B, f(1), f(2.5)) == "WORSE"
+
+
+@pytest.mark.parametrize("own_tool", [True, False])
+def test_run_uses_the_tree_s_own_tool(tool, tmp_path, monkeypatch, own_tool):
+    src = tmp_path / "src"
+    src.mkdir()
+    expected = tool.__file__
+    if own_tool:
+        (tmp_path / "tools").mkdir()
+        expected = tmp_path / "tools" / "gram_accuracy.py"
+        expected.write_text("")
+    argvs = []
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv)
+        stdout = json.dumps([[]] * len(tool.CASES))
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run(str(src), 40) == [[]] * len(tool.CASES)
+    [(_, path, *rest)] = argvs
+    assert os.path.samefile(path, expected)
+    assert rest == ["--grams", "40"]
+
+
+def test_run_rejects_a_short_case_list(tool, tmp_path, monkeypatch):
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps([[]]))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="1 Gram matrices for 11 cases"):
+        tool.run(str(tmp_path), 40)

@@ -246,9 +246,9 @@ class TestBuildMonic:
 
     def test_invalid_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            qp.SymPolynomial(2, (0.0, 1.0, 1.0), 0)  # parity violation
+            qp.SymPolynomial(2, (0.0, 1.0, 1.0))  # odd power in an even polynomial
         with pytest.raises(ValueError):
-            qp.SymPolynomial(2, (0.5, 0.0, 2.0), 0)  # not monic
+            qp.SymPolynomial(2, (0.5, 0.0, 2.0))  # not monic
 
 
 class TestExplicitForm:
@@ -261,6 +261,20 @@ class TestExplicitForm:
         poly = qp.build_monic(4, fam.V, CTX)
         got = qp.eval_explicit_monic(4, fam.V, CTX, 0.7)
         assert rel(got, poly(0.7)) < 1e-11
+
+    def test_monic_forms_the_ratio_products_once(self, monkeypatch):
+        # each ratio of the explicit form reads one q-number in its
+        # numerator and one in its denominator
+        from qsympoly import sympoly
+
+        calls = []
+        real = sympoly.q_number
+        monkeypatch.setattr(sympoly, "q_number", lambda z, ctx: calls.append(z) or real(z, ctx))
+        value = qp.eval_explicit_monic(9, ULTRA.V, CTX, 0.3)
+        assert len(calls) == 2 * (9 // 2)
+        monkeypatch.undo()
+        assert value == qp.eval_explicit(9, ULTRA.V, CTX, 0.3) / qp.explicit_leading_coeff(
+            9, ULTRA.V, CTX)
 
     def test_zero_denominator_reported(self):
         # b [1]_q + d q = 0 at d = -b [1]/q = 1/q

@@ -14,8 +14,10 @@ max |G_nm| / sqrt(G_nn G_mm) over n != m.  A case whose two 40-digit
 matrices are equal entry for entry is marked ``identical``, one whose
 change deviates more than twice as far as the parent ``WORSE``, any
 other ``ok``.  The exit code is 1 if any case is WORSE, else 0.
-Each tree runs in its own ``python`` subprocess; the run takes a few
-seconds.
+Each tree runs in its own ``python`` subprocess, through the
+``tools/gram_accuracy.py`` of its own checkout when there is one, so that
+each drives its own ``orthogonality_matrix`` across a change of its
+signature; the run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -75,11 +77,19 @@ def _pair(raw) -> list:
 
 
 def run(src: str, dps: int) -> list:
+    """grams(dps) from the qsympoly in src, by SRC/../tools/gram_accuracy.py
+    when that file exists and by this file otherwise."""
+    tool = os.path.join(os.path.dirname(os.path.abspath(src)), "tools", "gram_accuracy.py")
+    if not os.path.isfile(tool):
+        tool = __file__
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("QSYMPOLY_PRECISION", None)
-    res = subprocess.run([sys.executable, __file__, "--grams", str(dps)],
+    res = subprocess.run([sys.executable, tool, "--grams", str(dps)],
                          stdout=subprocess.PIPE, text=True, env=env, timeout=600, check=True)
-    return json.loads(res.stdout)
+    out = json.loads(res.stdout)
+    if len(out) != len(CASES):
+        sys.exit(f"{tool} returned {len(out)} Gram matrices for {len(CASES)} cases")
+    return out
 
 
 def deviation(G, R):
