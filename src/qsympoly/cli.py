@@ -285,7 +285,8 @@ def cmd_eval(args) -> int:
         scale = max(poly.magnitude(x), 1e-300)
         for column, form_name, form in forms:
             v = row[column] = form(x)
-            if _rel_dev(vr, v, 1e-3 * scale) > tol:
+            # a NaN deviation is not within tol
+            if not _rel_dev(vr, v, 1e-3 * scale) <= tol:
                 mismatch = True
                 errors.append({"x": fmt_num(x, args.precision),
                                "error": f"{form_name} form disagrees with recurrence"})

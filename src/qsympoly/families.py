@@ -59,6 +59,8 @@ GRAM_DPS = 40
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form
 CLOSED_FORM_FLAG_TOL = 1e-6
+# bits that the Gram's power table and monomial coefficients carry beyond F
+GRAM_EXTRA_BITS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,9 +318,11 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tup
 
     Opposite-parity entries are exactly zero (odd integrand).  Equal-parity
     entries are sums over the grid x_j = alpha q^j, j = 0 .. n_terms, of
-    the weight table t_j = q^j W*(x_j) times the recurrence values
-    phi_n(x_j) phi_m(x_j).  Each entry depends only on n and m, not on
-    n_max.
+    the weight table t_j = q^j W*(x_j) times phi_n(x_j) phi_m(x_j).  They
+    are formed from the weight's power moments mu_r = sum_j t_j q^(2rj),
+    r = 0 .. n_max: with phi_n(alpha y) = sum_i d_(n,i) y^i,
+    G_nm = 2 alpha (1 - q) sum_(i,k) d_(n,i) d_(m,k) mu_((i+k)/2), as
+    G = D M D^T.  Each entry depends only on n and m, not on n_max.
 
     The terms of the Jackson tail fall by q (1 + d (q - 1) / b) per grid
     point, the power base of the weight, so the CLI's default depth of
@@ -349,19 +353,24 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tup
     negative entry raises AdmissibilityError naming the first bad index j.
     J grows like 1 / (1 - q); past 10 max_terms, TruncationError is raised.
 
-    The grid points, the recurrence phi_{k+1} = x phi_k - C_k phi_{k-1}
-    and the sums run on Python ints scaled by 2^F: the weights by about
-    2^(F - e), where 2^e bounds the largest entry.  Points of weight 0
-    are dropped, so a depth whose q^n_terms lies below the float range
-    is summed too, and each sum is an exact integer dot product.  The
-    rounding is in the grid and recurrence, at 2^-F each, and in the
-    weights, whose smallest entries become 0 and each of which carries
-    the roundings of up to 2J steps, a few of 2^-F per step.  Relative
-    to sqrt(G_nn G_mm) these cost about (n_terms + 1 + 8J) (1 + psi_n)^2
-    2^-F / (d^2_n / d^2_0), where psi_n bounds |phi_n| on [-alpha, alpha]
-    and d^2_n / d^2_0 is the Favard product C_1 ... C_n.  F is prec plus
-    the bits of the largest such factor over n <= n_max.  alpha and q enter
-    at F bits and the C_k at prec + 60, so the entries keep prec bits.
+    The weights are Python ints scaled by about 2^(F - e), where 2^e
+    bounds the largest entry.  The power table S_i = q^(2i), i = 0 .. J,
+    and the coefficients d_(n,i), stepped by phi_{k+1} = x phi_k -
+    C_k phi_{k-1}, are ints scaled by 2^H, H = F + GRAM_EXTRA_BITS.  So
+    q^(2rj) = S_rj, and the moments and the contraction are exact integer
+    sums.  A term with rj > J is dropped: S_rj <= q^(2J+2) < 2^-(F0 + 2) by
+    the choice of J, so together they stay below 2^-(F0 + 2) mu_0.  The
+    rounding is in the weights, whose smallest entries become 0 and each
+    of which carries its truncation to an int and the roundings of up to
+    2J steps, a few of 2^-F per step, and in S and d, a few of 2^-H per
+    step.  As sum_i |d_(n,i)| <= psi_n, where psi_n = alpha psi_(n-1) +
+    |C_(n-1)| psi_(n-2) also bounds |phi_n| on [-alpha, alpha], the
+    contraction cancels from at most psi_n psi_m mu_0 to sqrt(G_nn G_mm).
+    Relative to that the rounding costs about (n_terms + 1 + 8J)
+    (1 + psi_n)^2 2^-F / (C_1 ... C_n), where C_1 ... C_n = d^2_n / d^2_0.
+    F0 and F are prec plus the bits of the largest such factor over n <=
+    n_max, without and with the 8J.  alpha and q^2 enter at H bits and the
+    C_k at prec + 60, so the entries keep prec bits.
 
     The entries come back in the type of q: floats for float input, mpf
     at the caller's precision for mpf input.
@@ -425,8 +434,7 @@ def _assemble_gram(fam, n_max, N):
     with mpmath.workprec(F + 8 + mpmath.mag(log_tJ)):
         beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
         tJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
-        QB, QG, Q2, Q = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q, q))
-        X = to_fixed(sqrt_(-V.b / V.a)._mpf_, F)  # alpha, the first grid point
+        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q))
         Et = mpmath.mag(tJ) - F
         mt = to_fixed(tJ._mpf_, -Et)
     # u_j = t_j / t_0 = m 2^E stepped up from u_0 = 1; s = s_j 2^F
@@ -452,26 +460,31 @@ def _assemble_gram(fam, n_max, N):
     top = max(Ej for _, Ej in table)
     weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
 
-    # the grid points step sequentially; a point of weight 0 adds 0 to every sum
-    xs, ws = [], []
-    for T in weights:
-        if T:
-            xs.append(X)
-            ws.append(T)
-        X = (X * Q + half) >> F
-    # phi_0 .. phi_n_max as columns over the kept points
-    phi = [[one] * len(xs), xs]
-    for Ck in Cs[:-1]:
-        Ck = to_fixed(Ck._mpf_, F)
-        phi.append([(x * u - Ck * v + half) >> F for x, u, v in zip(xs, phi[-1], phi[-2])])
-    # each sum carries the scale 2^-(top + RE + F) 2^F 2^F
-    scale = 2 * alpha * (1 - q)
+    # S_i = q^(2i) 2^H for i = 0 .. J, so that x_j^(2r) = alpha^(2r) S_rj 2^-H
+    H = F + GRAM_EXTRA_BITS
+    hh = 1 << (H - 1)
+    with mpmath.workprec(H + 8):
+        A, S1 = (to_fixed(v._mpf_, H) for v in (sqrt_(-V.b / V.a), q * q))
+    S = [1 << H]
+    for _ in range(J):
+        S.append((S[-1] * S1 + hh) >> H)
+    # mu_r = sum_j w_j S_rj, without the terms rj > J
     size = n_max + 1
+    mu = [sum(weights) << H] + [sum(map(mul, weights, S[::r])) for r in range(1, size)]
+    # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y)
+    D = [[1 << H], [0, A]]
+    for Ck in Cs[:-1]:
+        Ck = to_fixed(Ck._mpf_, H)
+        D.append([(A * u - Ck * v + hh) >> H for u, v in zip([0] + D[-1], D[-2] + [0, 0])])
+    # each sum of d d mu carries the scale 2^(top + RE + F) 2^-3H
+    scale, EG = 2 * alpha * (1 - q), top + RE + F - 3 * H
     G = [[0] * size for _ in range(size)]
     for n in range(size):
-        wn = list(map(mul, ws, phi[n]))
+        p = n % 2
+        # row[b] = sum_a d_(n,p+2a) mu_(p+a+b), contracted with d_(m,p+2b)
+        row = [sum(map(mul, D[n][p::2], mu[p + b:])) for b in range((n_max - p) // 2 + 1)]
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * mpf((sum(map(mul, wn, phi[m])), top + RE - F))
+            G[n][m] = G[m][n] = scale * mpf((sum(map(mul, row, D[m][p::2])), EG))
     return G
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResonanceError, ZeroDenominatorError
+from .errors import QSymPolyError, ResonanceError, ZeroDenominatorError
 from .qcore import (
     HypSeriesSpec,
     QContext,
@@ -341,13 +341,16 @@ def hypergeometric_parameters(n: int, V: CharVector, ctx: QContext):
     """Parameters ((u1, u2), (l1,), base, z_coeff) of the terminating 2phi1
     representation; the series argument at a point x is z_coeff * x**2.
 
-    Requires a != 0 and b != 0.
+    Requires a != 0 and b != 0, and a float q^(s - n) in the float range.
     """
     if V.a == 0 or V.b == 0:
         raise ValueError("the 2phi1 form needs a != 0 and b != 0")
     q = ctx.q
     s = sigma_parity(n)
-    u1 = q ** (s - n)
+    try:
+        u1 = q ** (s - n)
+    except OverflowError:
+        raise QSymPolyError(f"the 2phi1 parameter q^{s - n} overflows at q={q}") from None
     u2 = _a_eff(V, q) * q ** (n + s - 1) / V.a
     l1 = (V.b + V.d * (q - 1)) * q ** (2 * s + 1) / V.b
     return (u1, u2), (l1,), q * q, -V.a * q * q / V.b
@@ -381,7 +384,9 @@ def monic_factor(n: int, V: CharVector, ctx: QContext):
     )
     if den == 0:
         raise ZeroDenominatorError("factorial ratio in the monic prefactor vanishes")
-    return (-V.b / V.a) ** M * q ** (-2 * M) * num / den
+    # int a and b (the registry's ultraspherical vectors) must not divide to a float
+    ratio = Fraction(-V.b, V.a) if isinstance(V.a, int) and isinstance(V.b, int) else -V.b / V.a
+    return ratio**M * q ** (-2 * M) * num / den
 
 
 def _dq_coeffs(coeffs, ctx: QContext) -> tuple:

@@ -104,6 +104,26 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    def test_nan_2phi1_value_fails(self, capsys):
+        # monic_factor underflows to 0 and the 2phi1 sum is inf - inf: a NaN
+        # deviation must not read as agreement
+        code, out, _ = run(
+            capsys, ["eval", "--family", "chebyshev5", "-q", "0.05", "-n", "48", "-x", "0.5"]
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["rows"][0]["value_hypergeometric"] is None
+        assert payload["errors"] == [{"x": "0.5", "error": "2phi1 form disagrees with recurrence"}]
+
+    def test_2phi1_parameter_overflow_is_precondition_failure(self, capsys):
+        # q^(s - n) = 1e-5^-64 is beyond the float range
+        code, out, err = run(
+            capsys, ["eval", "--family", "chebyshev5", "-q", "0.00001", "-n", "64", "-x", "0.5"]
+        )
+        assert (code, out) == (2, "")
+        assert "q^-64 overflows" in err
+        assert "Traceback" not in err
+
 
 class TestRepeatedCalls:
     def test_no_state_between_calls(self, capsys):

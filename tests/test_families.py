@@ -1,6 +1,6 @@
 import math
 import time
-from functools import partial
+from functools import lru_cache, partial
 
 import mpmath
 import pytest
@@ -11,6 +11,21 @@ from conftest import rel, rng
 CTX = qp.QContext(0.5)
 Q = 0.5
 N_TERMS = 256  # the CLI's default grid depth
+
+
+@lru_cache(maxsize=None)
+def _oracle_grid(make, q, n_terms):
+    """The family of ``make`` at 40 digits, with its Jackson grid and direct
+    weight_star table at 60 digits for the same (exactly promoted) vector;
+    cached, since the table does not depend on n_max."""
+    with mpmath.workdps(40):
+        fam = make(qp.QContext(mpmath.mpf(q)))
+    with mpmath.workdps(60):
+        ctx = qp.QContext(fam.ctx.q)
+        alpha, qm = qp.make_custom(*fam.V.as_tuple(), ctx).support, ctx.q
+        xs = [alpha * qm**j for j in range(n_terms + 1)]
+        ws = [qm**j * qp.weight_star(fam.V, ctx, x) for j, x in enumerate(xs)]
+    return fam, xs, ws
 
 
 class TestMakers:
@@ -156,33 +171,40 @@ class TestOrthogonalityMatrix:
                 ).value
                 assert abs(G[n][m] - direct) <= 1e-14 * (G[n][n] * G[m][m]) ** 0.5
 
+    ORACLE_CASES = [
+        (lambda ctx: qp.make_ultraspherical(mpmath.mpf("0.4"), mpmath.mpf("0.7"), ctx), "0.5", 256),
+        (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3", 256),
+        # power base 1 + p (1 - q^2) = 0.0025: the weight table spans about
+        # 210 decades, so its smallest entries round to 0 in the fixed point
+        (lambda ctx: qp.make_hermite(mpmath.mpf("-5.25"), ctx), "0.9", 80),
+        # no named family: power base 0.9 and gamma = 1 + c(q-1)/a = 0.25
+        (lambda ctx: qp.make_custom(-1, 1, mpmath.mpf("-1.5"), mpmath.mpf("0.2"), ctx),
+         "0.5", 256),
+    ]
+    ORACLE_IDS = ["ultraspherical", "hermite", "hermite-wide-table", "custom"]
+
     @pytest.mark.parametrize(
-        "make,q,n_terms",
-        [(lambda ctx: qp.make_ultraspherical(mpmath.mpf("0.4"), mpmath.mpf("0.7"), ctx), "0.5", 256),
-         (lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.3", 256),
-         # power base 1 + p (1 - q^2) = 0.0025: the weight table spans about
-         # 210 decades, so its smallest entries round to 0 in the fixed point
-         (lambda ctx: qp.make_hermite(mpmath.mpf("-5.25"), ctx), "0.9", 80),
-         # no named family: power base 0.9 and gamma = 1 + c(q-1)/a = 0.25
-         (lambda ctx: qp.make_custom(-1, 1, mpmath.mpf("-1.5"), mpmath.mpf("0.2"), ctx),
-          "0.5", 256)],
-        ids=["ultraspherical", "hermite", "hermite-wide-table", "custom"],
+        "make,q,n_terms,n_max",
+        [case + (6,) for case in ORACLE_CASES]
+        # n_max = 10 has the largest cancellation, psi_10 against d^2_10 / d^2_0
+        + [case + (10,) for case in ORACLE_CASES]
+        + [(lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.9", 32, 10)],
+        ids=ORACLE_IDS + [i + "-n_max-10" for i in ORACLE_IDS] + ["hermite-q0.9-n_max-10"],
     )
-    def test_mp40_oracle(self, make, q, n_terms):
-        # a literal Jackson sum over a direct weight_star table and Horner
-        # values of the monic polynomials, at 40 digits
-        n_max = 6
+    def test_mp40_oracle(self, make, q, n_terms, n_max):
+        # the Gram at 40 digits against a literal Jackson sum over a direct
+        # weight_star table and Horner values of the monic polynomials, at 60
+        # digits: at 40 the Horner values themselves err by up to 1.3e-29 at
+        # n_max = 10
+        fam, xs, ws = _oracle_grid(make, q, n_terms)
         with mpmath.workdps(40):
-            ctx = qp.QContext(mpmath.mpf(q))
-            fam = make(ctx)
             G = qp.orthogonality_matrix(fam, n_max, n_terms)
-            qm, alpha = ctx.q, fam.support
-            xs = [alpha * qm**j for j in range(n_terms + 1)]
-            ws = [qm**j * qp.weight_star(fam.V, ctx, x) for j, x in enumerate(xs)]
+        with mpmath.workdps(60):
+            ctx = qp.QContext(fam.ctx.q)
             polys = [qp.build_monic(n, fam.V, ctx) for n in range(n_max + 1)]
             pv = [[p(x) for x in xs] for p in polys]
             oracle = [
-                [2 * alpha * (1 - qm) * mpmath.fsum(w * a * b for w, a, b in zip(ws, pn, pm))
+                [2 * xs[0] * (1 - ctx.q) * mpmath.fsum(w * a * b for w, a, b in zip(ws, pn, pm))
                  for pm in pv]
                 for pn in pv
             ]

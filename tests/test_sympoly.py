@@ -371,6 +371,28 @@ class TestMonicFactor:
             display = q ** (1 - n) * (-ULTRA.V.b / ULTRA.V.a) ** M * num / den
             assert rel(qp.monic_factor(n, ULTRA.V, CTX), display) < 1e-13
 
+    @pytest.mark.parametrize("make", [
+        lambda ctx: qp.make_ultraspherical(Fraction(2, 5), Fraction(7, 10), ctx),
+        qp.make_chebyshev5,
+        qp.make_chebyshev6,
+    ], ids=["ultraspherical", "chebyshev5", "chebyshev6"])
+    def test_exact_for_registry_family(self, make):
+        # the registry gives these vectors int a = -1 and b = 1, whose true
+        # quotient -b/a is a float; the 2phi1 form must stay exact
+        ctx = qp.QContext(Fraction(1, 2))
+        V = make(ctx).V
+        assert (type(V.a), type(V.b)) == (int, int)
+        for n in range(7):
+            mf = qp.monic_factor(n, V, ctx)
+            assert type(mf) is Fraction
+            poly = qp.build_monic(n, V, ctx)
+            for x in (Fraction(1, 3), Fraction(-5, 7)):
+                assert mf * qp.eval_hypergeometric(n, V, ctx, x) == poly(x)
+
+    def test_float_overflow_is_typed(self):
+        with pytest.raises(qp.QSymPolyError, match="q\\^-64 overflows"):
+            qp.monic_factor(64, ULTRA.V, qp.QContext(1e-5))
+
 
 class TestOdeResidual:
     def test_degree_zero_exact(self):
