@@ -45,6 +45,11 @@ WEIGHT_REF_POINT = 0.5
 # the sweep q = 1 - eps, largest eps first; the extrapolation to eps = 0
 # runs through all of its points, so it has order 2
 LIMIT_EPS = (1e-2, 1e-3, 1e-4)
+# the contexts of the sweep; infinite products converge like q^(2j), so the
+# factor budget must grow as 1/eps for the weight sweeps near q = 1
+_SWEEP_CTXS = tuple(QContext(1 - eps, max_terms=max(10_000, int(30 / eps))) for eps in LIMIT_EPS)
+# the context at which a subject gives its continuous limit vector
+_TARGET_CTX = QContext(0.5)
 
 
 def continuous_poly_coeffs(n: int, V: CharVector) -> tuple:
@@ -211,7 +216,7 @@ def limit_convergence_report(
     if quantity in ("poly", "weight") and x is None:
         raise ValueError(f"quantity {quantity!r} needs an evaluation point x")
 
-    fam0 = subject(QContext(0.5))
+    fam0 = subject(_TARGET_CTX)
     v_cont = fam0.limit_V
 
     # continuous target
@@ -223,7 +228,7 @@ def limit_convergence_report(
         scale = abs(target)
     elif quantity == "poly":
         coeffs = continuous_poly_coeffs(n, v_cont)
-        target = continuous_poly(n, v_cont, x)
+        target = _polyval(coeffs, x)
         scale = max(abs(target), max(abs(ck) * abs(x) ** k for k, ck in enumerate(coeffs)))
     else:
         target = continuous_weight(fam0, x) / continuous_weight(fam0, WEIGHT_REF_POINT)
@@ -232,10 +237,7 @@ def limit_convergence_report(
     if scale == 0:
         scale = 1
     values = []
-    for eps in LIMIT_EPS:
-        # infinite products converge like q^(2j), so the factor budget must
-        # grow as 1/eps for the weight sweeps near q = 1
-        ctx = QContext(1 - eps, max_terms=max(10_000, int(30 / eps)))
+    for ctx in _SWEEP_CTXS:
         V = subject(ctx).V
         if quantity == "C":
             values.append(recurrence_C(n, V, ctx))

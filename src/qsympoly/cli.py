@@ -403,10 +403,12 @@ def _check_lines_pearson(args, tol, gram) -> list:
         raise CLIError("pearson check needs a family with a support endpoint")
     ctx = fam.ctx
     q = ctx.q
+    # q x_j and x_(j+1) are often the same number: form each weight once
+    weight = functools.cache(functools.partial(weight_general, fam.V, ctx))
     residuals = []
     for j in range(1, 21):
         x = fam.support * q**j
-        lhs = weight_general(fam.V, ctx, q * x) / weight_general(fam.V, ctx, x)
+        lhs = weight(q * x) / weight(x)
         rhs = pearson_ratio(fam.V, ctx, x)
         residuals.append(abs(lhs - rhs) / abs(rhs))
     worst = max_or_nan(residuals)

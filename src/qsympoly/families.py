@@ -33,7 +33,7 @@ from .qcore import (
     q_shifted_factorial_inf,
     sqrt_,
 )
-from .sympoly import CharVector, recurrence_C
+from .sympoly import CharVector, _C_terms
 from .weights import _power_base, pearson_ratio, weight_star
 
 __all__ = [
@@ -266,8 +266,9 @@ def favard_norm(n: int, V: CharVector, ctx: QContext):
     Favard product C_1 C_2 ... C_n (equals the Jackson-integral ratio of
     phi_n^2 against the total weight mass)."""
     prod = 1
+    C_terms = _C_terms(V, ctx)
     for i in range(1, n + 1):
-        prod = prod * recurrence_C(i, V, ctx)
+        prod = prod * C_terms(i)[0]
     return prod
 
 
@@ -293,9 +294,10 @@ def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
     q = ctx.q
     fam = make_hermite(0.0, ctx)
     dev_c = 0.0
+    C_terms = _C_terms(fam.V, ctx)
     for n in range(1, n_max + 1):
         ref = q ** (n - 1) * (1 - q**n) / (1 - q * q)
-        val = recurrence_C(n, fam.V, ctx)
+        val = C_terms(n)[0]
         dev_c = max(dev_c, abs(val - ref) / abs(ref))
     dev_prod = 0.0
     for j in range(1, 21):
@@ -401,9 +403,10 @@ def _assemble_gram(fam, n_max, N):
     # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
     # re-enters the off-diagonal entries at the double-rounding level
     alpha = sqrt_(-V.b / V.a)
-    # C_1 .. C_n_max at prec + 60, as recurrence_C cancels; phi_n_max needs all but the last
+    # C_1 .. C_n_max at prec + 60, as the closed form cancels; phi_n_max needs all but the last
     with mpmath.workprec(mpmath.mp.prec + 60):
-        Cs = [recurrence_C(k, V, ictx) for k in range(1, n_max + 1)]
+        C_terms = _C_terms(V, ictx)
+        Cs = [C_terms(k)[0] for k in range(1, n_max + 1)]
     # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
@@ -526,10 +529,11 @@ def norm_triple_report(
     mass = gram[0][0]
     out = []
     fav = 1
+    C_terms = _C_terms(fam.V, fam.ctx)
     for n in range(n_max + 1):
         if n:
             # favard_norm(n), carried over from n - 1 in the same order
-            fav = fav * recurrence_C(n, fam.V, fam.ctx)
+            fav = fav * C_terms(n)[0]
         quad = gram[n][n] / mass
         pair_rel = abs(fav - quad) / max(abs(fav), abs(quad))
         closed = closed_rel = None

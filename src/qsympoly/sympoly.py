@@ -190,25 +190,34 @@ def _checked_den(t1, t2, t3, n: int):
     return den
 
 
-def _recurrence_C_terms(n: int, V: CharVector, ctx: QContext):
-    """C_n and the three additive terms of its numerator, q^(n+1) (t1 + t2 + t3)."""
+def _C_terms(V: CharVector, ctx: QContext):
+    """n -> C_n and the three additive terms of its numerator,
+    q^(n+1) (t1 + t2 + t3), with every n-independent factor formed once;
+    the per-n remainder keeps the closed form's operand order, bit for bit."""
     q = ctx.q
     a, b, c, d = V.as_tuple()
     ae = _a_eff(V, q)
-    sn = sigma_parity(n)
-    sn1 = sigma_parity(n - 1)
-    den = _checked_den(
-        a * a * q**4, q ** (4 * n) * ae * ae, -a * (q**3 + q) * q ** (2 * n) * ae, n
-    )
-    t1 = q ** (2 * n) * ae * ((d - d * q) * sn - b)
-    t2 = q**n * (a * (b * (q * q + 1) + d * (q - 1) * q * q) + b * c * (q - 1))
-    t3 = -(a * q * q * (b + d * (q - 1) * sn1))
-    return q ** (n + 1) * (t1 + t2 + t3) / den, (t1, t2, t3)
+    den1, den3 = a * a * q**4, -a * (q**3 + q)
+    dq, dq1, aqq = d - d * q, d * (q - 1), a * q * q
+    # by sigma_n and sigma_(n-1); a product with sigma = 0 fixes a zero's sign
+    u1 = (dq * 0 - b, dq - b)
+    u2 = a * (b * (q * q + 1) + dq1 * q * q) + b * c * (q - 1)
+    t3s = (-(aqq * (b + dq1 * 0)), -(aqq * (b + dq1)))
+
+    def terms(n: int):
+        q2n = q ** (2 * n)
+        den = _checked_den(den1, q ** (4 * n) * ae * ae, den3 * q2n * ae, n)
+        t1 = q2n * ae * u1[n % 2]
+        t2 = q**n * u2
+        t3 = t3s[(n - 1) % 2]
+        return q ** (n + 1) * (t1 + t2 + t3) / den, (t1, t2, t3)
+
+    return terms
 
 
 def recurrence_C(n: int, V: CharVector, ctx: QContext):
     """Three-term recurrence coefficient C_n = delta_n - delta_{n+1}, closed form."""
-    return _recurrence_C_terms(n, V, ctx)[0]
+    return _C_terms(V, ctx)(n)[0]
 
 
 def recurrence_C_even(m: int, V: CharVector, ctx: QContext):
@@ -256,8 +265,9 @@ def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
     if n >= 1:
         out.append(SymPolynomial(1, (0, 1)))
     prev, cur = [1], [0, 1]
+    C_terms = _C_terms(V, ctx)
     for k in range(1, n):
-        Ck = recurrence_C(k, V, ctx)
+        Ck = C_terms(k)[0]
         nxt = [0] * (k + 2)
         for i, ci in enumerate(cur):
             nxt[i + 1] = ci
@@ -463,9 +473,10 @@ def classify_orthogonality(
     """
     coeffs = []
     neg, zero, reso = [], [], []
+    C_terms = _C_terms(V, ctx)
     for n in range(1, n_max + 1):
         try:
-            cn, (t1, t2, t3) = _recurrence_C_terms(n, V, ctx)
+            cn, (t1, t2, t3) = C_terms(n)
         except ResonanceError:
             reso.append(n)
             coeffs.append(None)

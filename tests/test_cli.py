@@ -184,12 +184,11 @@ class TestTable:
 
     @staticmethod
     def count_recurrence_C(monkeypatch) -> list:
-        from qsympoly import families
-
+        # table reads C_n only through cli.recurrence_C; the families
+        # module forms its C_n from the factors sympoly shares
         calls = []
         real = cli.recurrence_C
-        for module in (cli, families):
-            monkeypatch.setattr(module, "recurrence_C", lambda *a: calls.append(a[0]) or real(*a))
+        monkeypatch.setattr(cli, "recurrence_C", lambda *a: calls.append(a[0]) or real(*a))
         return calls
 
     def test_favard_column_carried_across_rows(self, capsys, monkeypatch):
@@ -275,6 +274,18 @@ class TestCheck:
         assert out.splitlines()[1].endswith(
             "[closed form not evaluable at n=[0, 1, 2, 3, 4, 5, 6, 7, 8]; "
             "favard and quadrature agree]")
+
+    def test_pearson_forms_each_weight_once(self, capsys, monkeypatch):
+        # q x_j and x_(j+1) are often the same float: 40 weights, fewer points
+        calls = []
+        real = cli.weight_general
+        monkeypatch.setattr(cli, "weight_general",
+                            lambda V, ctx, x: calls.append(x) or real(V, ctx, x))
+        argv = ["check", "pearson", "--family", "hermite", "-p", "0.3", "-q", "0.9"]
+        assert run(capsys, argv)[0] == 0
+        xs = [qp.make_hermite(0.3, qp.QContext(0.9)).support * 0.9**j for j in range(1, 21)]
+        points = {0.9 * x for x in xs} | set(xs)
+        assert sorted(calls) == sorted(points) and len(calls) < 40
 
     def test_boundary_needs_support(self, capsys):
         code, out, err = run(capsys, ["check", "boundary", "--custom", "1,1,0.5,0"])

@@ -275,6 +275,22 @@ class TestOrthogonalityMatrix:
         qp.weight_grid_report(fam.V, fam.support, CTX, 0)
         assert calls == ["weight_star", "q_shifted_factorial_inf", "q_shifted_factorial_inf"]
 
+    def test_forms_the_C_factors_once(self, monkeypatch):
+        # one set of n-independent factors, read for each of C_1 .. C_n_max
+        from qsympoly import families
+
+        made, read = [], []
+        real = families._C_terms
+
+        def counted(V, ctx):
+            made.append(ctx.q)
+            terms = real(V, ctx)
+            return lambda n: read.append(n) or terms(n)
+
+        monkeypatch.setattr(families, "_C_terms", counted)
+        qp.orthogonality_matrix(qp.make_hermite(0.3, CTX), 10, N_TERMS)
+        assert (len(made), read) == (1, list(range(1, 11)))
+
     def test_near_q_one(self):
         # at q = 0.999 the weight products need more than 40,000 factors at
         # 40 digits; the Pearson table reaches its start depth (about 60,000)

@@ -200,6 +200,104 @@ class TestRecurrenceC:
                     ) < 1e-13
 
 
+def _closed_form_C_terms(n, V, ctx):
+    # the closed form with every factor formed per n, verbatim as it stood
+    # before its n-independent factors were shared
+    from qsympoly.sympoly import _a_eff, _checked_den
+    from qsympoly.qcore import sigma_parity
+
+    q = ctx.q
+    a, b, c, d = V.as_tuple()
+    ae = _a_eff(V, q)
+    sn = sigma_parity(n)
+    sn1 = sigma_parity(n - 1)
+    den = _checked_den(
+        a * a * q**4, q ** (4 * n) * ae * ae, -a * (q**3 + q) * q ** (2 * n) * ae, n
+    )
+    t1 = q ** (2 * n) * ae * ((d - d * q) * sn - b)
+    t2 = q**n * (a * (b * (q * q + 1) + d * (q - 1) * q * q) + b * c * (q - 1))
+    t3 = -(a * q * q * (b + d * (q - 1) * sn1))
+    return q ** (n + 1) * (t1 + t2 + t3) / den, (t1, t2, t3)
+
+
+class TestSharedCFactors:
+    """The C_n of the shared n-independent factors, bit for bit the closed form's."""
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return repr(f(*args))
+        except qp.ResonanceError as exc:
+            return f"ResonanceError: {exc}"
+
+    def assert_bit_identical(self, cases):
+        from qsympoly.sympoly import _C_terms
+
+        resonant = 0
+        for V, ctx in cases:
+            shared = _C_terms(V, ctx)
+            for n in range(1, 17):
+                want = self.outcome(_closed_form_C_terms, n, V, ctx)
+                resonant += want.startswith("ResonanceError")
+                assert self.outcome(shared, n) == want, (V, ctx.q, n)
+                assert self.outcome(qp.recurrence_C, n, V, ctx) == (
+                    self.outcome(lambda: _closed_form_C_terms(n, V, ctx)[0]))
+        return resonant
+
+    @staticmethod
+    def registry(ctx):
+        return [fam.V for fam in (
+            qp.make_ultraspherical(0.4, 0.7, ctx), qp.make_ultraspherical(-0.3, 1.2, ctx),
+            qp.make_chebyshev5(ctx), qp.make_chebyshev6(ctx),
+            qp.make_hermite(0, ctx), qp.make_hermite(0.3, ctx),
+        )]
+
+    def test_float(self):
+        r = rng(17)
+        cases = []
+        for _ in range(60):
+            q = r.uniform(0.05, 0.95)
+            a, b, c, d = (r.uniform(-3, 3) for _ in range(4))
+            cases.append((qp.CharVector(a, b, c, d), qp.QContext(q)))
+        for q in (0.3, 0.5, 0.9):
+            cases += [(V, qp.QContext(q)) for V in self.registry(qp.QContext(q))]
+        # custom(-1, 1, 2, 1/5) at q = 1/2: the C_2 denominator vanishes;
+        # b = +-0.0 gives zero terms whose sign the closed form fixes
+        cases += [(qp.CharVector(*V), CTX) for V in (
+            (-1.0, 1.0, 2.0, 0.2), (1.0, 0.0, 0.5, 0.3), (1.0, -0.0, 0.5, -0.3))]
+        assert self.assert_bit_identical(cases) >= 1
+
+    def test_mpf_30_digits(self):
+        import mpmath
+
+        r = rng(18)
+        with mpmath.workdps(30):
+            f = mpmath.mpf
+            cases = []
+            for _ in range(30):
+                q = f(r.uniform(0.05, 0.95)) / 3 + f(1) / 3
+                V = qp.CharVector(*(f(r.uniform(-3, 3)) / 7 for _ in range(4)))
+                cases.append((V, qp.QContext(q)))
+            for q in ("0.3", "0.9"):
+                ctx = qp.QContext(f(q))
+                cases += [(V, ctx) for V in self.registry(ctx)]
+            cases.append((qp.CharVector(f(-1), f(1), f(2), f(1) / 5), qp.QContext(f(1) / 2)))
+            assert self.assert_bit_identical(cases) >= 1
+
+    def test_fraction(self):
+        r = rng(19)
+        cases = []
+        while len(cases) < 30:
+            a, b, c, d = (Fraction(r.randint(-30, 30), r.randint(1, 10)) for _ in range(4))
+            if a or c:
+                cases.append((qp.CharVector(a, b, c, d),
+                              qp.QContext(Fraction(r.randint(1, 19), 20))))
+        half = qp.QContext(Fraction(1, 2))
+        cases += [(V, half) for V in self.registry(half)]
+        cases.append((TestResonanceGuard.vector(Fraction(2)), half))
+        assert self.assert_bit_identical(cases) >= 1
+
+
 class TestBuildMonic:
     def test_degree_zero_and_one(self):
         assert qp.build_monic(0, ULTRA.V, CTX).coeffs == (1,)
