@@ -33,6 +33,7 @@ from .families import (
 )
 from .qcore import QContext, isfinite_, max_or_nan
 from .sympoly import (
+    _C_terms,
     build_monic,
     classify_orthogonality,
     delta,
@@ -42,7 +43,6 @@ from .sympoly import (
     monic_factor,
     monic_ladder,
     ode_terms,
-    recurrence_C,
 )
 from .weights import boundary_vanishing_check, pearson_ratio, weight_general, weight_star
 
@@ -299,23 +299,30 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     V, ctx = args.fam.V, args.fam.ctx
     cls = classify_orthogonality(V, ctx, max(args.n_max, 1))
+    C_terms = _C_terms(V, ctx)
     rows = []
     errors = []
     have_closed = args.fam.closed_norm is not None
-    # favard_norm(n), carried over from n - 1 in the same order; once a C_k
-    # raises, every later product raises with it
+    # C_n is read once per row, for its column and for favard_norm(n), which
+    # is carried over from n - 1 in the same order; once a C_k raises, every
+    # later product raises with it
     fav, fav_error = 1, None
     for n in range(args.n_max + 1):
         row = {"n": n, "classification": cls.kind}
+        try:
+            C, C_error = C_terms(n)[0], None
+        except QSymPolyError as exc:
+            C, C_error = None, exc
         if n and fav_error is None:
-            try:
-                fav = fav * recurrence_C(n, V, ctx)
-            except QSymPolyError as exc:
-                fav_error = exc
+            if C_error is None:
+                fav = fav * C
+            fav_error = C_error
         try:
             row["lambda"] = eigenvalue(n, V, ctx)
             row["delta"] = delta(n, V, ctx)
-            row["C"] = recurrence_C(n, V, ctx)
+            if C_error is not None:
+                raise C_error
+            row["C"] = C
             if fav_error is not None:
                 raise fav_error
             row["favard_norm"] = fav

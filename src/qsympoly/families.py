@@ -19,6 +19,7 @@ and reports both values; it never silently corrects the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
@@ -59,7 +60,8 @@ GRAM_DPS = 40
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form
 CLOSED_FORM_FLAG_TOL = 1e-6
-# bits that the Gram's power table and monomial coefficients carry beyond F
+# bits that the Gram's weights carry beyond their error bound, and that its
+# power table and monomial coefficients carry beyond the weights
 GRAM_EXTRA_BITS = 16
 
 
@@ -345,34 +347,62 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tup
 
     The weight table comes from the Pearson relation alone, with no
     infinite product.  With s_j = q^(2j), beta = 1 + d(q-1)/b the power
-    base and gamma = 1 + c(q-1)/a, t_{j+1} / t_j = q (beta - gamma s_j) /
-    (1 - q^2 s_j).  At a depth J > n_terms both q-products of W* are 1 to
-    far below 2^-prec, so t_J = q^J beta^(log(alpha^2) / (2 log q) + J).  The
-    ratios t_j / t_0 are stepped up to j = J on F-bit integer mantissas
-    with binary exponents, and t_J fixes their scale.  The table can span
-    hundreds of decades (940 for hermite p = -5 at q = 0.9, n_terms =
-    700), and its positivity guard reads the signs of the mantissas: a
-    negative entry raises AdmissibilityError naming the first bad index j.
-    J grows like 1 / (1 - q); past 10 max_terms, TruncationError is raised.
+    base, gamma = 1 + c(q-1)/a and g = gamma / beta, t_{j+1} / t_j =
+    q (beta - gamma s_j) / (1 - q^2 s_j).  Only a head j < J' is stepped,
+    where J' is the first j with s_j <= 2^-8 (1 - q^2) / (1 + |g|): about
+    35 points at q = 0.9, whatever n_terms is.  Past it the q-binomial
+    theorem (Gasper and Rahman, Basic Hypergeometric Series, eq. 1.3.2)
+    gives every weight in closed form, t_j = A (q beta)^(j - J') sum_k e_k
+    s_j^k with A = q^J' beta^(log(alpha^2) / (2 log q) + J'), e_0 = 1 and
+    e_(k+1) = e_k (g - q^(2k+2)) / (1 - q^(2k+2)).  For j >= J' each term
+    of the series is at least 2^8 below the one before it, and g s_j < 1,
+    so t_j > 0.  The ratios t_j / t_0 are stepped up to j = J' on F-bit
+    integer mantissas with binary exponents, and t_J' from the series
+    fixes their scale.  The weights can span hundreds of decades (940 for
+    hermite p = -5 at q = 0.9 over 700 points).  The positivity guard
+    reads the signs of the head's mantissas: a negative entry raises
+    AdmissibilityError naming the first bad index j.  J' grows like
+    1 / (1 - q); past max_terms, TruncationError is raised.
 
-    The weights are Python ints scaled by about 2^(F - e), where 2^e
-    bounds the largest entry.  The power table S_i = q^(2i), i = 0 .. J,
-    and the coefficients d_(n,i), stepped by phi_{k+1} = x phi_k -
-    C_k phi_{k-1}, are ints scaled by 2^H, H = F + GRAM_EXTRA_BITS.  So
-    q^(2rj) = S_rj, and the moments and the contraction are exact integer
-    sums.  A term with rj > J is dropped: S_rj <= q^(2J+2) < 2^-(F0 + 2) by
-    the choice of J, so together they stay below 2^-(F0 + 2) mu_0.  The
-    rounding is in the weights, whose smallest entries become 0 and each
-    of which carries its truncation to an int and the roundings of up to
-    2J steps, a few of 2^-F per step, and in S and d, a few of 2^-H per
-    step.  As sum_i |d_(n,i)| <= psi_n, where psi_n = alpha psi_(n-1) +
-    |C_(n-1)| psi_(n-2) also bounds |phi_n| on [-alpha, alpha], the
-    contraction cancels from at most psi_n psi_m mu_0 to sqrt(G_nn G_mm).
-    Relative to that the rounding costs about (n_terms + 1 + 8J)
-    (1 + psi_n)^2 2^-F / (C_1 ... C_n), where C_1 ... C_n = d^2_n / d^2_0.
-    F0 and F are prec plus the bits of the largest such factor over n <=
-    n_max, without and with the 8J.  alpha and q^2 enter at H bits and the
-    C_k at prec + 60, so the entries keep prec bits.
+    The moments split at J'.  The tail j = J' .. n_terms of mu_r is
+    A q^(2J'r) sum_k e_k q^(2J'k) H_(k+r), where H_i = sum_(l < n_tail)
+    rho_i^l is a geometric sum of rho_i = q beta q^(2i) over the n_tail =
+    n_terms + 1 - J' tail points: some 25 series terms and 35 geometric
+    sums replace a pass over the grid, so the cost does not grow with
+    n_terms.  When n_terms < J' the tail is empty.  H_i is 1 / (1 - rho_i)
+    where rho_i^n_tail < 2^-(P + 2), and is otherwise formed by doubling,
+    H(2l) = H(l) (1 + rho^l), with no division by 1 - rho, so it keeps its
+    digits at and beyond rho = 1 (q beta >= 1, where the grid sum diverges
+    as n_terms grows).
+
+    The head weights are Python ints scaled by about 2^(F - e), where 2^e
+    bounds the largest of them.  The power table S_i = q^(2i), i = 0 ..
+    n_max (J' - 1), and the coefficients d_(n,i), stepped by phi_{k+1} =
+    x phi_k - C_k phi_{k-1}, are ints scaled by 2^H, H = F +
+    GRAM_EXTRA_BITS, so the head moments and the contraction are exact
+    integer sums.  The tail's e_k q^(2J'k), q^(2J'r), rho_i and H_i are
+    ints scaled by 2^P.  The rounding is in the head weights, each of which
+    carries its truncation to an int and the roundings of up to 2J' steps,
+    a few of 2^-F per step; in S and d, a few of 2^-H per step; and in the
+    tail.  There, each step of e_k divides by 1 - q^(2k+2) >= 1 - q^2, so
+    its rounding grows by up to 1 / (1 - q^2); H_i errs by up to about
+    n_tail 2^-P relative, as each squaring doubles the relative error of
+    rho^l; and since sum_(k>=1) |e_k| q^(2J'k) < 2^-7 and H_(k+r) <= H_r,
+    the alternating series cancels by less than 2^-7.  So with P = F + 8
+    plus the bits of (n_tail + 1) / (1 - q^2), the tail of mu_r errs by
+    about 2^-F of itself, and it is at most mu_0.  As sum_i |d_(n,i)| <=
+    psi_n, where psi_n = alpha psi_(n-1) + |C_(n-1)| psi_(n-2) also bounds
+    |phi_n| on [-alpha, alpha], the contraction cancels from at most
+    psi_n psi_m mu_0 to sqrt(G_nn G_mm).  Relative to that the rounding
+    costs about (h + 8J' + 2) (1 + psi_n)^2 2^-F / (C_1 ... C_n), where h =
+    min(n_terms + 1, J') counts the head's points, 2 the anchor and the
+    tail, and C_1 ... C_n = d^2_n / d^2_0.  F is prec plus the bits of the
+    largest such factor over n <= n_max, plus GRAM_EXTRA_BITS: the bound
+    counts every rounding at its worst, while the error that occurs
+    follows 2^-F, and these bits hold it far below the bound (an
+    off-diagonal residual of 9e-56 for hermite p = 0.3 at q = 0.9 over
+    5000 points).  alpha and q^2 enter at H bits and the C_k at prec + 60,
+    so the entries keep prec bits.
 
     The entries come back in the type of q: floats for float input, mpf
     at the caller's precision for mpf input.
@@ -411,7 +441,7 @@ def _assemble_gram(fam, n_max, N):
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
 
-    # guard bits: the largest (n_terms + 1) (1 + psi_n)^2 / (C_1 ... C_n)
+    # guard bits: the largest (h + 8J + 2) (1 + psi_n)^2 / (C_1 ... C_n)
     # over n <= n_max (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
     psi_prev, psi, norm_ratio, worst = mpf(1), alpha, mpf(1), mpf(4)
     for k, Ck in enumerate(Cs, 1):
@@ -420,26 +450,44 @@ def _assemble_gram(fam, n_max, N):
             raise AdmissibilityError(f"the norm ratio C_1 ... C_{k} vanishes")
         worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
         psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
-    # J solves max(q^(2J+2), |gamma/beta| q^(2J)) / (1 - q^2) < 2^-(F0 + 2)
+    # the head j < J is stepped: J is the first j with q^(2j) <= 2^-8 (1 - q^2) / (1 + |g|),
+    # g = gamma / beta, past which the tail's series falls by 2^8 per term
     prec = mpmath.mp.prec
     beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
-    L = mpmath.log(-V.b / V.a) / (2 * mpmath.log(q))
-    tail = mpmath.log(max(q * q, abs(gamma / beta)) / (1 - q * q), 2)
-    F0 = prec + mpmath.mag((N + 1) * worst)
-    J = int((F0 + 2 + tail) / (-2 * mpmath.log(q, 2))) + 1
-    if J > 10 * fam.ctx.max_terms:
-        raise TruncationError(f"weight table start depth {J} exceeds 10 max_terms")
-    J = max(N + 1, J)
-    F = prec + mpmath.mag((N + 1 + 8 * J) * worst)
+    q2 = q * q
+    J = int(mpmath.log((1 - q2) / (256 * (1 + abs(gamma / beta)))) / mpmath.log(q2)) + 1
+    if J > fam.ctx.max_terms:
+        raise TruncationError(f"weight table start depth {J} exceeds max_terms")
+    h, n_tail = min(N + 1, J), max(0, N + 1 - J)
+    F = prec + GRAM_EXTRA_BITS + mpmath.mag((h + 8 * J + 2) * worst)
+    P = F + 8 + mpmath.mag((n_tail + 1) / (1 - q2))
     one, half = 1 << F, 1 << (F - 1)
-    # the power t_J = q^J beta^(L + J) loses the bits of |log t_J| to rounding
-    log_tJ = abs((L + J) * mpmath.log(beta)) - J * mpmath.log(q)
-    with mpmath.workprec(F + 8 + mpmath.mag(log_tJ)):
+    # t_j = AJ (q beta)^(j-J) sum_k e_k q^(2jk) for j >= J, and the power
+    # AJ = q^J beta^(L + J) loses the bits of |log AJ| to rounding
+    L = mpmath.log(-V.b / V.a) / (2 * mpmath.log(q))
+    log_AJ = abs((L + J) * mpmath.log(beta)) - J * mpmath.log(q)
+    with mpmath.workprec(P + 8 + mpmath.mag(log_AJ)):
         beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
-        tJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
-        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q * q))
-        Et = mpmath.mag(tJ) - F
-        mt = to_fixed(tJ._mpf_, -Et)
+        q2 = q * q
+        z = q2**J
+        AJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
+        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q2))
+        GZ, Z, RHO, S2 = (to_fixed(v._mpf_, P) for v in (gamma / beta * z, z, q * beta, q2))
+        EA = mpmath.mag(AJ) - P
+        mA = to_fixed(AJ._mpf_, -EA)
+    # e_k z^k 2^P, z = q^(2J), from e_0 = 1 and e_(k+1) = e_k (g - q^(2k+2)) / (1 - q^(2k+2))
+    ONE = 1 << P
+    es, e, s = [], ONE, ONE
+    while e:
+        es.append(e)
+        s = (s * S2) >> P
+        den = ONE - s
+        e = (e * (GZ - ((Z * s) >> P)) + (den >> 1)) // den
+    # H_i 2^P, H_i = sum_(l<n_tail) (q beta q^(2i))^l, for i = 0 .. len(es) - 1 + n_max
+    Hs, rho = [], RHO
+    for _ in range(len(es) + n_max):
+        Hs.append(_geometric_sum(rho, n_tail, P))
+        rho = (rho * S2) >> P
     # u_j = t_j / t_0 = m 2^E stepped up from u_0 = 1; s = s_j 2^F
     m, E, s, table = one, -F, one, []
     for j in range(J):
@@ -452,7 +500,10 @@ def _assemble_gram(fam, n_max, N):
         m = ((m * num) << F) // (one - s)
         k = m.bit_length() - F
         m, E = (m >> k if k >= 0 else m << -k), E + k - F
-    # t_j = u_j t_J / u_J = m_j R 2^(E_j + RE)
+    # t_J = AJ sum_k e_k z^k = mt 2^Et, and t_j = u_j t_J / u_J = m_j R 2^(E_j + RE)
+    mt, Et = mA * sum(es), EA - P
+    k = mt.bit_length() - F
+    mt, Et = (mt >> k if k >= 0 else mt << -k), Et + k
     R, RE = (mt << F) // m, Et - E - F
     for j, (mj, _) in enumerate(table):
         if mj * R <= 0:
@@ -463,17 +514,23 @@ def _assemble_gram(fam, n_max, N):
     top = max(Ej for _, Ej in table)
     weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
 
-    # S_i = q^(2i) 2^H for i = 0 .. J, so that x_j^(2r) = alpha^(2r) S_rj 2^-H
+    # S_i = q^(2i) 2^H for i = 0 .. n_max (h - 1), so that x_j^(2r) = alpha^(2r) S_rj 2^-H
     H = F + GRAM_EXTRA_BITS
     hh = 1 << (H - 1)
     with mpmath.workprec(H + 8):
         A, S1 = (to_fixed(v._mpf_, H) for v in (sqrt_(-V.b / V.a), q * q))
     S = [1 << H]
-    for _ in range(J):
+    for _ in range(n_max * (h - 1)):
         S.append((S[-1] * S1 + hh) >> H)
-    # mu_r = sum_j w_j S_rj, without the terms rj > J
+    # mu_r = sum_(j<h) w_j S_rj plus the tail sum_(j>=J) t_j q^(2rj) = AJ z^r sum_k e_k z^k H_(k+r)
     size = n_max + 1
+    tails, zr = [], ONE
+    for r in range(size):
+        tails.append(mA * zr * sum(map(mul, es, Hs[r:])))
+        zr = (zr * Z) >> P
+    sh = EA - 3 * P + H - top - RE - F
     mu = [sum(weights) << H] + [sum(map(mul, weights, S[::r])) for r in range(1, size)]
+    mu = [u + (t << sh if sh >= 0 else t >> -sh) for u, t in zip(mu, tails)]
     # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y)
     D = [[1 << H], [0, A]]
     for Ck in Cs[:-1]:
@@ -489,6 +546,21 @@ def _assemble_gram(fam, n_max, N):
         for m in range(n, size, 2):
             G[n][m] = G[m][n] = scale * mpf((sum(map(mul, row, D[m][p::2])), EG))
     return G
+
+
+def _geometric_sum(r, n, P):
+    """sum_(i<n) (r 2^-P)^i, times 2^P, for an int r >= 0."""
+    one = 1 << P
+    if n * (P - math.log2(r or 1)) > P + 2:
+        # r^n < 2^-(P + 2), so it is dropped, and 1 - r > 1 / n cancels little
+        return (one << P) // (one - r)
+    # s(2k) = s(k) (1 + r^k) and s(k + 1) = s(k) + r^k, with no division by 1 - r
+    s, p = 0, one
+    for bit in bin(n)[2:]:
+        s, p = s + ((s * p) >> P), (p * p) >> P
+        if bit == "1":
+            s, p = s + p, (p * r) >> P
+    return s
 
 
 @dataclass(frozen=True)

@@ -183,18 +183,24 @@ class TestTable:
         assert json.loads(out)["meta"]["n_terms"] == 400
 
     @staticmethod
-    def count_recurrence_C(monkeypatch) -> list:
-        # table reads C_n only through cli.recurrence_C; the families
-        # module forms its C_n from the factors sympoly shares
-        calls = []
-        real = cli.recurrence_C
-        monkeypatch.setattr(cli, "recurrence_C", lambda *a: calls.append(a[0]) or real(*a))
-        return calls
+    def count_C_reads(monkeypatch) -> tuple:
+        # table reads C_n only through one cli._C_terms per table; the
+        # classification scan forms its own in sympoly
+        made, reads = [], []
+        real = cli._C_terms
+
+        def counted(V, ctx):
+            made.append(ctx.q)
+            terms = real(V, ctx)
+            return lambda n: reads.append(n) or terms(n)
+
+        monkeypatch.setattr(cli, "_C_terms", counted)
+        return made, reads
 
     def test_favard_column_carried_across_rows(self, capsys, monkeypatch):
         # C_1 resonates, and delta_2 too: every later row reports the first
         # failing C_k of its product, as favard_norm(n) would raise it
-        calls = self.count_recurrence_C(monkeypatch)
+        made, reads = self.count_C_reads(monkeypatch)
         n_max = 4
         code, out, _ = run(capsys, ["table", "--custom=-1,1,2,0.2", "-q", "0.5",
                                     "--n-max", str(n_max)])
@@ -207,16 +213,17 @@ class TestTable:
             {"n": 4, "error": "C_1 denominator vanishes"},
         ]
         assert [r["favard_norm"] for r in payload["rows"]] == [1, None, None, None, None]
-        assert len(calls) <= 2 * (n_max + 1)
+        assert (len(made), reads) == (1, list(range(n_max + 1)))
 
     def test_favard_column_is_favard_norm(self, capsys, monkeypatch):
-        # the product is carried, not recomputed: 2 n_max + 1 calls of
-        # recurrence_C, where one favard_norm per row makes 91
-        calls = self.count_recurrence_C(monkeypatch)
+        # the product is carried, not recomputed, and shares each row's C_n:
+        # n_max + 1 reads of one set of factors, where one favard_norm per
+        # row makes 91
+        made, reads = self.count_C_reads(monkeypatch)
         code, out, _ = run(capsys, ["table", "--family", "hermite", "-p", "0.3",
                                     "-q", "0.9", "--n-max", "12"])
         assert code == 0
-        assert len(calls) == 25
+        assert (len(made), reads) == (1, list(range(13)))
         ctx = qp.QContext(0.9)
         V = qp.make_hermite(0.3, ctx).V
         assert [r["favard_norm"] for r in json.loads(out)["rows"]] == [
@@ -314,6 +321,19 @@ class TestCheck:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_divergent_jackson_sum_fails(self, capsys):
+        # q beta = 0.9 (1 + 2 (1 - 0.81)) = 1.242: the grid sum diverges and
+        # its truncation at 700 points is not orthogonal.  That is a FAIL with
+        # exit 1, not an input error with exit 2, and the Gram still forms
+        code, out, err = run(
+            capsys,
+            ["check", "all", "--family", "hermite", "-p", "2", "-q", "0.9",
+             "--n-terms", "700"],
+        )
+        assert (code, err) == (1, "")
+        assert "FAIL orthogonality off-diagonal" in out
+        assert "PASS odd-parity entries exactly zero" in out
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         nan = float("nan")

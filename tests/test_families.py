@@ -1,6 +1,6 @@
 import math
 import time
-from functools import lru_cache, partial
+from functools import partial
 
 import mpmath
 import pytest
@@ -13,19 +13,34 @@ Q = 0.5
 N_TERMS = 256  # the CLI's default grid depth
 
 
-@lru_cache(maxsize=None)
+_ORACLE_GRIDS = {}
+
+
 def _oracle_grid(make, q, n_terms):
     """The family of ``make`` at 40 digits, with its Jackson grid and direct
-    weight_star table at 60 digits for the same (exactly promoted) vector;
-    cached, since the table does not depend on n_max."""
-    with mpmath.workdps(40):
-        fam = make(qp.QContext(mpmath.mpf(q)))
+    weight_star table at 60 digits for the same (exactly promoted) vector,
+    j = 0 .. n_terms; one table per (make, q), extended as deeper grids are
+    asked for, since its entries do not depend on n_terms or n_max."""
+    if (make, q) not in _ORACLE_GRIDS:
+        with mpmath.workdps(40):
+            _ORACLE_GRIDS[make, q] = make(qp.QContext(mpmath.mpf(q))), [], []
+    fam, xs, ws = _ORACLE_GRIDS[make, q]
     with mpmath.workdps(60):
         ctx = qp.QContext(fam.ctx.q)
         alpha, qm = qp.make_custom(*fam.V.as_tuple(), ctx).support, ctx.q
-        xs = [alpha * qm**j for j in range(n_terms + 1)]
-        ws = [qm**j * qp.weight_star(fam.V, ctx, x) for j, x in enumerate(xs)]
-    return fam, xs, ws
+        for j in range(len(xs), n_terms + 1):
+            xs.append(alpha * qm**j)
+            ws.append(qm**j * qp.weight_star(fam.V, ctx, xs[-1]))
+    return fam, xs[:n_terms + 1], ws[:n_terms + 1]
+
+
+def _oracle_hermite(p: str):
+    """A maker of hermite(p) with p read at the working precision."""
+    return lambda ctx: qp.make_hermite(mpmath.mpf(p), ctx)
+
+
+# one maker, so that its grids at q = 0.9 share one table
+_ORACLE_HERMITE_03 = _oracle_hermite("0.3")
 
 
 class TestMakers:
@@ -182,14 +197,24 @@ class TestOrthogonalityMatrix:
          "0.5", 256),
     ]
     ORACLE_IDS = ["ultraspherical", "hermite", "hermite-wide-table", "custom"]
+    # the stepped head of hermite(0.3) at q = 0.9 has J' = 35 points, as
+    # 0.81^35 = 6.3e-4 <= 2^-8 (1 - 0.81) = 7.4e-4 < 0.81^34 (gamma = 0);
+    # the grid ends before it, on either side of its end, and far past it
+    HEAD_DEPTHS = [1, 8, 34, 35, 36, 5000]
 
     @pytest.mark.parametrize(
         "make,q,n_terms,n_max",
         [case + (6,) for case in ORACLE_CASES]
         # n_max = 10 has the largest cancellation, psi_10 against d^2_10 / d^2_0
         + [case + (10,) for case in ORACLE_CASES]
-        + [(lambda ctx: qp.make_hermite(mpmath.mpf("0.3"), ctx), "0.9", 32, 10)],
-        ids=ORACLE_IDS + [i + "-n_max-10" for i in ORACLE_IDS] + ["hermite-q0.9-n_max-10"],
+        + [(_ORACLE_HERMITE_03, "0.9", N, 10) for N in [32] + HEAD_DEPTHS]
+        # gamma / beta = -2.22: the tail's series alternates
+        + [(lambda ctx: qp.make_custom(-1, 1, -6, mpmath.mpf("0.2"), ctx), "0.5", 256, 10),
+           # q beta = 1 - 1.06e-7: the tail's geometric sums sit next to 1
+           (_oracle_hermite("0.5847947"), "0.9", 100, 10)],
+        ids=ORACLE_IDS + [i + "-n_max-10" for i in ORACLE_IDS] + ["hermite-q0.9-n_max-10"]
+        + [f"hermite-q0.9-N{N}" for N in HEAD_DEPTHS] + ["custom-alternating-tail",
+                                                         "hermite-q-beta-near-1"],
     )
     def test_mp40_oracle(self, make, q, n_terms, n_max):
         # the Gram at 40 digits against a literal Jackson sum over a direct
@@ -203,15 +228,48 @@ class TestOrthogonalityMatrix:
             ctx = qp.QContext(fam.ctx.q)
             polys = [qp.build_monic(n, fam.V, ctx) for n in range(n_max + 1)]
             pv = [[p(x) for x in xs] for p in polys]
-            oracle = [
-                [2 * xs[0] * (1 - ctx.q) * mpmath.fsum(w * a * b for w, a, b in zip(ws, pn, pm))
-                 for pm in pv]
-                for pn in pv
-            ]
+
+            def oracle(n, m):
+                return 2 * xs[0] * (1 - ctx.q) * mpmath.fsum(
+                    w * a * b for w, a, b in zip(ws, pv[n], pv[m]))
+
+            diagonal = [oracle(n, n) for n in range(n_max + 1)]
             for n in range(n_max + 1):
                 for m in range(n, n_max + 1, 2):
-                    scale = mpmath.sqrt(oracle[n][n] * oracle[m][m])
-                    assert abs(G[n][m] - oracle[n][m]) <= mpmath.mpf("1e-33") * scale
+                    scale = mpmath.sqrt(diagonal[n] * diagonal[m])
+                    exact = diagonal[n] if m == n else oracle(n, m)
+                    assert abs(G[n][m] - exact) <= mpmath.mpf("1e-33") * scale
+
+    def test_head_length(self, monkeypatch):
+        # the head is stepped for j < J' = 35, and the tail j = J' .. N is
+        # summed in closed form: N = 34 leaves it empty, N = 35 one point long
+        from qsympoly import families
+
+        lengths = []
+        real = families._geometric_sum
+        monkeypatch.setattr(families, "_geometric_sum",
+                            lambda r, n, P: lengths.append(n) or real(r, n, P))
+        ctx = qp.QContext(0.9)
+        for N in (34, 35, 700):
+            lengths.clear()
+            qp.orthogonality_matrix(qp.make_hermite(0.3, ctx), 10, N)
+            assert set(lengths) == {N + 1 - 35}
+
+    @pytest.mark.parametrize("r", [0, 1, 2**40, 2**64 - 2**20, 2**64, 2**64 + 2**30, 3 * 2**63])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 700, 10**6])
+    def test_geometric_sum(self, r, n):
+        # sum_(i<n) (r 2^-64)^i 2^64 on both sides of 1, against the closed
+        # form at 4000 bits: each squaring doubles the relative error of r^k,
+        # so up to about n roundings of 2^-64 reach the sum, which the Gram's
+        # tail precision budgets with the bits of n
+        from qsympoly.families import _geometric_sum
+
+        P = 64
+        with mpmath.workprec(4000):
+            x = mpmath.ldexp(r, -P)
+            exact = n if x == 1 else (1 - x**n) / (1 - x)
+            err = abs(mpmath.ldexp(_geometric_sum(r, n, P), -P) - exact)
+            assert err <= 4 * (n + 1) * max(exact, 1) * mpmath.ldexp(1, -P)
 
     def test_depth_at_least_one(self):
         fam = qp.make_hermite(0.3, CTX)
@@ -293,9 +351,10 @@ class TestOrthogonalityMatrix:
 
     def test_near_q_one(self):
         # at q = 0.999 the weight products need more than 40,000 factors at
-        # 40 digits; the Pearson table reaches its start depth (about 60,000)
-        # in integer steps.  3000 points leave a tail of 0.999^3000 = 0.05,
-        # so only the diagonal is meaningful here
+        # 40 digits; the Pearson table steps its head of J' = 6,223 points
+        # in integers (a full table would start at a depth of about 60,000),
+        # and sums the rest in closed form.  3000 points leave a tail of
+        # 0.999^3000 = 0.05, so only the diagonal is meaningful here
         ctx = qp.QContext(0.999)
         fam = qp.make_ultraspherical(0.4, 0.7, ctx)
         G = qp.orthogonality_matrix(fam, 4, 3000)
@@ -309,9 +368,10 @@ class TestOrthogonalityMatrix:
         ],
     )
     def test_start_depth_capped(self, make, q, max_terms):
-        # the start depth grows like 1 / (1 - q): about 1.3e9 for hermite at
-        # q = 1 - 1e-7, and 60,000 for the family above at q = 0.999, past
-        # 10 max_terms = 10,000.  Both raise before a single step is taken
+        # the start depth J' of the head grows like 1 / (1 - q): about 1.0e8
+        # for hermite at q = 1 - 1e-7, past max_terms = 10,000, and 6,223 for
+        # the family above at q = 0.999, past max_terms = 1,000.  Both raise
+        # before a single step is taken
         ctx = qp.QContext(q, max_terms=max_terms)
         fam = make(ctx)
         t0 = time.perf_counter()

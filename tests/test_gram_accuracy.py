@@ -30,6 +30,10 @@ def test_cases(tool):
         ("hermite", (-5.0,), 0.99, 256),
         ("hermite", (0.5,), 0.3, 256),
         ("hermite", (0.0,), 0.3, 256),
+        ("hermite", (0.3,), 0.9, 8),
+        ("hermite", (0.3,), 0.9, 5000),
+        ("custom", (-1.0, 1.0, -6.0, 0.2), 0.5, 256),
+        ("ultraspherical", (0.4, 0.7), 0.999, 3000),
     )
     assert (tool.N_MAX, tool.DPS, tool.REF_DPS) == (10, 40, 90)
 
@@ -56,6 +60,11 @@ def test_verdict(tool):
     assert tool.verdict(A, B, f(1), f(2.5)) == "WORSE"
 
 
+def _reply(cases, n):
+    """A --grams reply that echoes ``cases`` with n (empty) matrices."""
+    return json.dumps({"cases": json.loads(json.dumps(cases)), "grams": [[]] * n})
+
+
 @pytest.mark.parametrize("own_tool", [True, False])
 def test_run_uses_the_tree_s_own_tool(tool, tmp_path, monkeypatch, own_tool):
     src = tmp_path / "src"
@@ -69,8 +78,9 @@ def test_run_uses_the_tree_s_own_tool(tool, tmp_path, monkeypatch, own_tool):
 
     def fake_run(argv, **kwargs):
         argvs.append(argv)
-        stdout = json.dumps([[]] * len(tool.CASES))
-        return subprocess.CompletedProcess(argv, 0, stdout=stdout)
+        # the case list goes to the tool on stdin
+        assert json.loads(kwargs["input"]) == json.loads(json.dumps(tool.CASES))
+        return subprocess.CompletedProcess(argv, 0, stdout=_reply(tool.CASES, len(tool.CASES)))
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
     assert tool.run(str(src), 40) == [[]] * len(tool.CASES)
@@ -79,10 +89,39 @@ def test_run_uses_the_tree_s_own_tool(tool, tmp_path, monkeypatch, own_tool):
     assert rest == ["--grams", "40"]
 
 
-def test_run_rejects_a_short_case_list(tool, tmp_path, monkeypatch):
+def test_run_replaces_a_tool_with_its_own_case_list(tool, tmp_path, monkeypatch):
+    # a tool that predates the case list on stdin prints a bare list of its
+    # own cases; this file then computes the tree's matrices
+    (tmp_path / "tools").mkdir()
+    own = tmp_path / "tools" / "gram_accuracy.py"
+    own.write_text("")
+    paths = []
+
     def fake_run(argv, **kwargs):
-        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps([[]]))
+        paths.append(argv[1])
+        if os.path.samefile(argv[1], own):
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps([[]] * 11))
+        return subprocess.CompletedProcess(argv, 0, stdout=_reply(tool.CASES, len(tool.CASES)))
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
-    with pytest.raises(SystemExit, match="1 Gram matrices for 11 cases"):
+    assert tool.run(str(tmp_path / "src"), 40) == [[]] * len(tool.CASES)
+    assert [os.path.samefile(p, own) for p in paths] == [True, False]
+    assert os.path.samefile(paths[1], tool.__file__)
+
+
+def test_run_rejects_a_short_case_list(tool, tmp_path, monkeypatch):
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=_reply(tool.CASES, 1))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match=f"1 Gram matrices for {len(tool.CASES)} cases"):
+        tool.run(str(tmp_path), 40)
+
+
+def test_run_rejects_a_foreign_case_list(tool, tmp_path, monkeypatch):
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=_reply(tool.CASES[:1], 1))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match=f"did not return the Gram matrices of the {len(tool.CASES)} cases"):
         tool.run(str(tmp_path), 40)

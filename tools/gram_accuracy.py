@@ -17,7 +17,9 @@ other ``ok``.  The exit code is 1 if any case is WORSE, else 0.
 Each tree runs in its own ``python`` subprocess, through the
 ``tools/gram_accuracy.py`` of its own checkout when there is one, so that
 each drives its own ``orthogonality_matrix`` across a change of its
-signature; the run takes a few seconds.
+signature.  That tool is handed this file's case list and must echo it
+back; a tool that computes a case list of its own instead is replaced by
+this file.  The run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ CASES = (
     ("hermite", (-5.0,), 0.99, 256),
     ("hermite", (0.5,), 0.3, 256),
     ("hermite", (0.0,), 0.3, 256),
+    # grids shorter than, and far past, the stepped head of about 35 points
+    ("hermite", (0.3,), 0.9, 8),
+    ("hermite", (0.3,), 0.9, 5000),
+    # gamma / beta = -2.22
+    ("custom", (-1.0, 1.0, -6.0, 0.2), 0.5, 256),
+    ("ultraspherical", (0.4, 0.7), 0.999, 3000),
 )
 N_MAX = 10
 DPS, REF_DPS = 40, 90
@@ -51,20 +59,23 @@ def label(case) -> str:
     return f"{name}({', '.join(map(repr, params))}) q={q} N={depth}"
 
 
-def grams(dps: int) -> list:
+def grams(cases, dps: int) -> list:
     """The Gram matrix of every case at ``dps`` digits, each entry as the
-    exact pair (mantissa, exponent), from the qsympoly on sys.path."""
+    exact pair (mantissa, exponent), from the qsympoly on sys.path.
+
+    The contexts allow 10**6 terms, so that no case hits a depth cap at
+    90 digits that it passes at 40."""
     import mpmath
     import qsympoly as qp
     from qsympoly.families import FAMILIES
 
     out = []
-    for name, params, q, depth in CASES:
+    for name, params, q, depth in cases:
         ctx = qp.QContext(q)
         make = qp.make_custom if name == "custom" else FAMILIES[name][0]
         V = make(*params, ctx).V
         with mpmath.workdps(dps):
-            mctx = qp.QContext(mpmath.mpf(q))
+            mctx = qp.QContext(mpmath.mpf(q), max_terms=10**6)
             fam = qp.make_custom(*(mpmath.mpf(v) for v in V.as_tuple()), mctx)
             G = qp.orthogonality_matrix(fam, N_MAX, depth)
         out.append([[_pair(v._mpf_) for v in row] for row in G])
@@ -77,19 +88,25 @@ def _pair(raw) -> list:
 
 
 def run(src: str, dps: int) -> list:
-    """grams(dps) from the qsympoly in src, by SRC/../tools/gram_accuracy.py
-    when that file exists and by this file otherwise."""
-    tool = os.path.join(os.path.dirname(os.path.abspath(src)), "tools", "gram_accuracy.py")
-    if not os.path.isfile(tool):
-        tool = __file__
+    """grams(CASES, dps) from the qsympoly in src, by
+    SRC/../tools/gram_accuracy.py when that file exists and echoes CASES
+    back, and by this file otherwise."""
+    own = os.path.join(os.path.dirname(os.path.abspath(src)), "tools", "gram_accuracy.py")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("QSYMPOLY_PRECISION", None)
-    res = subprocess.run([sys.executable, tool, "--grams", str(dps)],
-                         stdout=subprocess.PIPE, text=True, env=env, timeout=600, check=True)
-    out = json.loads(res.stdout)
-    if len(out) != len(CASES):
-        sys.exit(f"{tool} returned {len(out)} Gram matrices for {len(CASES)} cases")
-    return out
+    cases = json.loads(json.dumps(CASES))
+    for tool in ([own] if os.path.isfile(own) else []) + [__file__]:
+        res = subprocess.run([sys.executable, tool, "--grams", str(dps)],
+                             input=json.dumps(cases), stdout=subprocess.PIPE, text=True,
+                             env=env, timeout=600, check=True)
+        out = json.loads(res.stdout)
+        if isinstance(out, dict) and out["cases"] == cases:
+            break
+    else:
+        sys.exit(f"{tool} did not return the Gram matrices of the {len(CASES)} cases")
+    if len(out["grams"]) != len(CASES):
+        sys.exit(f"{tool} returned {len(out['grams'])} Gram matrices for {len(CASES)} cases")
+    return out["grams"]
 
 
 def deviation(G, R):
@@ -125,7 +142,8 @@ def main(argv=None) -> int:
     ap.add_argument("--grams", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.grams is not None:
-        print(json.dumps(grams(args.grams)))
+        cases = json.load(sys.stdin)
+        print(json.dumps({"cases": cases, "grams": grams(cases, args.grams)}))
         return 0
     if args.change_src is None:
         ap.error("PARENT_SRC and CHANGE_SRC are required")
