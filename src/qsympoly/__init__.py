@@ -59,7 +59,6 @@ from .jackson import (
     q_integral_zero_to,
 )
 from .qcore import (
-    HypSeriesSpec,
     QContext,
     basic_hypergeometric,
     q_binomial,

@@ -1,12 +1,13 @@
 """Scalar q-arithmetic primitives.
 
-Everything here is a pure function of its numeric inputs plus a
-:class:`QContext`, which carries the base q and the truncation policy for
-infinite sums and products.  Arithmetic is duck typed: with ``float``
-inputs the computations run in IEEE double precision (15 to 17
-significant digits); feeding ``mpmath.mpf`` values through the same entry
-points runs them at whatever precision mpmath is configured for.  All
-values are immutable and safe to share between threads.
+Everything here is a pure function of its numeric inputs, most of them
+together with a :class:`QContext`, which carries the base q and the
+truncation policy for infinite sums and products.  Arithmetic is duck
+typed: with ``float`` inputs the computations run in IEEE double
+precision (15 to 17 significant digits); feeding ``mpmath.mpf`` values
+through the same entry points runs them at whatever precision mpmath is
+configured for.  All values are immutable and safe to share between
+threads.
 
 Only real arguments with 0 < q < 1 are supported.  The q -> 1 limits live
 in :mod:`qsympoly.classical`; complex bases and arguments are out of
@@ -19,11 +20,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DivergenceError, IllDefinedSeriesError, TruncationError
+from .errors import IllDefinedSeriesError, TruncationError
 
 __all__ = [
     "QContext",
-    "HypSeriesSpec",
     "q_number",
     "q_shifted_factorial",
     "q_shifted_factorial_inf",
@@ -103,30 +103,6 @@ class QContext:
         object.__setattr__(self, "eps_term", eps)
 
 
-@dataclass(frozen=True)
-class HypSeriesSpec:
-    """Parameters of a basic hypergeometric series r_phi_s.
-
-    ``upper`` and ``lower`` hold the numerator and denominator
-    parameters, ``base`` is the series base (q**2 for every series used
-    by this package) and ``argument`` is the point z at which the series
-    is summed.  Lower parameters of the form base**(-k), k = 0, 1, ...,
-    make the series ill defined; this is detected lazily during
-    evaluation, up to the summed length.
-    """
-
-    upper: tuple
-    lower: tuple
-    base: float
-    argument: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(self.upper))
-        object.__setattr__(self, "lower", tuple(self.lower))
-        if not (0 < self.base < 1):
-            raise ValueError(f"series base must satisfy 0 < base < 1, got {self.base!r}")
-
-
 def q_number(z, ctx: QContext):
     """The q-number [z]_q = (q**z - 1)/(q - 1).
 
@@ -183,79 +159,35 @@ def q_binomial(n: int, m: int, ctx: QContext, base=None):
     return num / den
 
 
-def _termination_index(upper, base):
-    """Index K such that (a; base)_k = 0 for k > K, or None.
+def basic_hypergeometric(upper, lower, base, z, K: int):
+    """Sum over k = 0 .. K of the balanced series r_phi_(r-1) in base ``base``.
 
-    A series terminates when some upper parameter equals base**(-K).  The
-    match is detected by rounding -log(a)/log(base) and verifying
-    |a * base**K - 1| <= 1e-9, so callers do not have to produce the
-    parameter with bit-exact rounding.  Parameters within 1e-9 of a
-    base**(-K) are therefore treated as exact terminators.
+    ``upper`` and ``lower`` hold the numerator and denominator parameters,
+    with one more upper than lower, so the terms need no
+    ((-1)**k base**binom(k,2)) correction.  The term ratio is formed as
+    num/den then times z.  For a terminating series, an upper parameter
+    equal to base**(-K), the sum is the whole series.  A lower factor
+    that is exactly 0 within the summed length raises
+    IllDefinedSeriesError.
     """
-    best = None
-    logb = math.log(float(base))
-    for a in upper:
-        av = float(a)
-        if av <= 0:
-            continue
-        k = round(-math.log(av) / logb) if av != 1 else 0
-        if k < 0:
-            continue
-        if abs(a * base**k - 1) <= 1e-9:
-            best = k if best is None else min(best, k)
-    return best
-
-
-def basic_hypergeometric(spec: HypSeriesSpec, ctx: QContext):
-    """Sum of the basic hypergeometric series r_phi_s.
-
-    Terms carry the standard correction ((-1)**k base**binom(k,2))**(1+s-r)
-    so that series with s + 1 != r are summed with their defining factor.
-    Terminating series (an upper parameter equal to base**(-K)) are summed
-    exactly through k = K; otherwise summation stops once two consecutive
-    terms drop below eps_term relative to the partial sum, and raises
-    DivergenceError if that never happens within max_terms.
-    """
-    base = spec.base
-    z = spec.argument
-    corr = 1 + len(spec.lower) - len(spec.upper)
-    K = _termination_index(spec.upper, base)
-    term = 1 + z * 0
-    total = term
-    prev_small = False
-    k = 0
-    while True:
-        if K is not None and k >= K:
-            return total
-        if K is None and k >= ctx.max_terms:
-            raise DivergenceError(
-                f"series did not converge within max_terms={ctx.max_terms}"
-            )
+    one = 1 + z * 0  # carries the numeric type of z
+    term = total = one
+    for k in range(K):
         bk = base**k
-        num = 1 + z * 0
-        for a in spec.upper:
+        num = one
+        for a in upper:
             num = num * (1 - a * bk)
         den = 1 - base ** (k + 1)
-        for bparam in spec.lower:
+        for bparam in lower:
             f = 1 - bparam * bk
             if f == 0:
                 raise IllDefinedSeriesError(
                     f"lower parameter {bparam!r} equals base**(-{k}); series undefined"
                 )
             den = den * f
-        ratio = (num / den) * z
-        if corr:
-            ratio = ratio * (-bk) ** corr
-        term = term * ratio
+        term = term * ((num / den) * z)
         total = total + term
-        k += 1
-        if K is None:
-            if abs(term) > 1e100:
-                raise DivergenceError("series terms are growing; not summable")
-            small = abs(term) <= ctx.eps_term * max(1.0, abs(total))
-            if small and prev_small:
-                return total
-            prev_small = small
+    return total
 
 
 def q_derivative(f: Callable, x, ctx: QContext, derivative_at_zero=None):

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .errors import QSymPolyError, ResonanceError, ZeroDenominatorError
 from .qcore import (
-    HypSeriesSpec,
     QContext,
     basic_hypergeometric,
     isfinite_,
@@ -369,8 +368,7 @@ def hypergeometric_parameters(n: int, V: CharVector, ctx: QContext):
 def eval_hypergeometric(n: int, V: CharVector, ctx: QContext, x):
     """The polynomial as x**sigma_n times a terminating 2phi1 in x**2."""
     upper, lower, base, zc = hypergeometric_parameters(n, V, ctx)
-    spec = HypSeriesSpec(upper, lower, base, zc * x * x)
-    return x ** sigma_parity(n) * basic_hypergeometric(spec, ctx)
+    return x ** sigma_parity(n) * basic_hypergeometric(upper, lower, base, zc * x * x, n // 2)
 
 
 def monic_factor(n: int, V: CharVector, ctx: QContext):

@@ -645,6 +645,22 @@ class TestPrecisionEnv:
             monkeypatch.delenv("QSYMPOLY_PRECISION")
             assert run(capsys, ["check", "limit"] + argv)[:2] == (code, "\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("q", ["0.00001", "1e-12"])
+    def test_tiny_q_eval_at_40_digits(self, capsys, monkeypatch, q):
+        # q^-64 is beyond the float range but not the mpf one: the 2phi1 sum
+        # must not pass its parameters through float
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "40")
+        code, out, err = run(
+            capsys, ["eval", "--family", "chebyshev5", "-q", q, "-n", "64", "-x", "0.5"]
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["errors"] == []
+        row = payload["rows"][0]
+        values = {row[k] for k in ("value_recurrence", "value_explicit", "value_hypergeometric")}
+        assert len(values) == 1
+        assert float(values.pop()) == pytest.approx(-1.6263032580777353e-19, rel=1e-9)
+
     def test_export_weight_at_working_precision(self, capsys, monkeypatch):
         # 40-digit weights, not 18-digit ones from a float truncation threshold
         import mpmath

@@ -438,6 +438,21 @@ class TestHypergeometricForm:
         assert u2 == 0.0
         assert rel(zc, 0.5**2 * (1 - 0.25)) < 1e-15
 
+    def test_exact_near_terminator_sums_to_n_over_2(self):
+        # u2 = q^-2 (1 + 1e-10) is close to, but not, a terminator of the
+        # series; the sum must still run to k = n // 2 and equal the recurrence
+        q = Fraction(1, 2)
+        a, b, d, n = Fraction(-1), Fraction(1), Fraction(1, 5), 8
+        u2 = q**-2 * (1 + Fraction(1, 10**10))
+        c = (a * u2 * q ** (1 - n) - a) / (q - 1)  # solves u2 = (a + c(q-1)) q^(n-1) / a
+        V = qp.CharVector(a, b, c, d)
+        ctx = qp.QContext(q)
+        assert qp.hypergeometric_parameters(n, V, ctx)[0][1] == u2
+        mf = qp.monic_factor(n, V, ctx)
+        poly = qp.build_monic(n, V, ctx)
+        for x in (Fraction(1, 3), Fraction(-5, 7)):
+            assert mf * qp.eval_hypergeometric(n, V, ctx, x) == poly(x)
+
 
 class TestMonicFactor:
     def test_low_degrees(self):
