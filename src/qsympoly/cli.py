@@ -23,7 +23,7 @@ import os
 import sys
 
 from .classical import continuous_weight, limit_convergence_report
-from .errors import QSymPolyError, ZeroDenominatorError
+from .errors import DivergenceError, QSymPolyError, ZeroDenominatorError
 from .families import (
     FAMILIES,
     FamilyDescriptor,
@@ -94,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", default="0.7", help="ultraspherical beta")
         sp.add_argument("-p", "--hermite-p", dest="p", default="0", help="hermite parameter p")
         sp.add_argument("-q", default="0.5", help="base q in (0,1)")
-        sp.add_argument("--n-terms", type=int, default=256, help="Jackson grid depth")
+        sp.add_argument("--n-terms", type=int, default=256,
+                        help="Jackson grid depth; only echoed in the JSON meta, since "
+                        "the Gram sums the whole grid exactly")
         sp.add_argument("--tol", type=float, default=None, help="tolerance override")
         sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         sp.add_argument("-o", "--output", dest="out", default=None, help="output path")
@@ -344,6 +346,12 @@ def cmd_table(args) -> int:
 
 # Each suite takes the parsed arguments, its tolerance and the Gram matrix
 # at --n-max, which is None until the ortho or the norm suite needs it.
+# The lines of the suites that read the Gram, which all FAIL when its
+# Jackson sum diverges:
+GRAM_LINES = {
+    "ortho": ("orthogonality off-diagonal (scaled)", "odd-parity entries exactly zero"),
+    "norm": ("norm: favard vs quadrature", "norm: closed form vs favard"),
+}
 
 def _check_lines_ode(args, tol, gram) -> list:
     fam = args.fam
@@ -368,20 +376,18 @@ def _check_lines_ortho(args, tol, G) -> list:
         for i in range(size)
         for j in range(i + 2, size, 2)
     )
+    off_diagonal, parity = GRAM_LINES["ortho"]
     return [
-        ("orthogonality off-diagonal (scaled)", worst, tol, worst <= tol, ""),
-        ("odd-parity entries exactly zero", 0.0 if parity_ok else 1.0, 0.0,
-         parity_ok, ""),
+        (off_diagonal, worst, tol, worst <= tol, ""),
+        (parity, 0.0 if parity_ok else 1.0, 0.0, parity_ok, ""),
     ]
 
 
 def _check_lines_norm(args, tol, gram) -> list:
     report = norm_triple_report(args.fam, min(args.n_max, 8), gram, pair_tol=tol)
-    lines = []
+    pair_name, closed_name = GRAM_LINES["norm"]
     worst_pair = max_or_nan(r.favard_vs_quadrature for r in report)
-    lines.append(
-        ("norm: favard vs quadrature", worst_pair, tol, worst_pair <= tol, "")
-    )
+    lines = [(pair_name, worst_pair, tol, worst_pair <= tol, "")]
     flagged = [r for r in report if r.discrepancy_flagged]
     closed_ok = all(r.ok for r in report)
     # a flagged degree without a closed-form value was never compared
@@ -400,7 +406,7 @@ def _check_lines_norm(args, tol, gram) -> list:
     worst_closed = max_or_nan(
         r.closed_vs_favard for r in report if r.closed_vs_favard is not None and not r.discrepancy_flagged
     )
-    lines.append(("norm: closed form vs favard", worst_closed, tol, closed_ok, note))
+    lines.append((closed_name, worst_closed, tol, closed_ok, note))
     return lines
 
 
@@ -473,11 +479,19 @@ def cmd_check(args) -> int:
     lines = []
     gram = None
     for s in selected:
-        if s in ("ortho", "norm") and gram is None:
-            # assembled once: the norm suite reads its leading block
-            gram = orthogonality_matrix(args.fam, args.n_max, args.n_terms)
         suite, default_tol = CHECK_SUITES[s]
-        lines.extend(suite(args, args.tol if args.tol is not None else default_tol, gram))
+        tol = args.tol if args.tol is not None else default_tol
+        if s in GRAM_LINES:
+            if gram is None:
+                # assembled once: the norm suite reads its leading block
+                try:
+                    gram = orthogonality_matrix(args.fam, args.n_max)
+                except DivergenceError as exc:
+                    gram = exc
+            if isinstance(gram, DivergenceError):
+                lines.extend((name, float("inf"), tol, False, str(gram)) for name in GRAM_LINES[s])
+                continue
+        lines.extend(suite(args, tol, gram))
     all_ok = all(ok for (_, _, _, ok, _) in lines)
     rows = []
     for name, residual, tol, ok, note in lines:

@@ -19,13 +19,12 @@ and reports both values; it never silently corrects the closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
 from typing import Callable
 
-from .errors import AdmissibilityError, TruncationError, ZeroDenominatorError
+from .errors import AdmissibilityError, DivergenceError, ZeroDenominatorError
 from .qcore import (
     QContext,
     exp_,
@@ -60,8 +59,8 @@ GRAM_DPS = 40
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form
 CLOSED_FORM_FLAG_TOL = 1e-6
-# bits that the Gram's weights carry beyond their error bound, and that its
-# power table and monomial coefficients carry beyond the weights
+# bits that the Gram's moments and monomial coefficients carry beyond their
+# error bound
 GRAM_EXTRA_BITS = 16
 
 
@@ -315,100 +314,46 @@ def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
     )
 
 
-def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tuple:
-    """Gram matrix G[n][m] = integral of W* phi_n phi_m over [-alpha, alpha]
-    by symmetric Jackson integration, for n, m = 0 .. n_max, as a tuple
-    of row tuples.
+def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
+    """Gram matrix G[n][m] = sum_j t_j phi_n(x_j) phi_m(x_j) / sum_j t_j
+    over the whole Jackson grid x_j = alpha q^j, j >= 0, with t_j = q^j
+    W*(x_j), for n, m = 0 .. n_max, as a tuple of row tuples.  The weight
+    is normalized to unit mass: G[0][0] = 1 and G[n][n] = h_n / h_0.  It
+    is fixed only up to a q-periodic factor (see the weights module), and
+    every consumer reads ratios (the ortho and norm suites and
+    norm_triple_report); the absolute scale would need four 40-digit
+    infinite products, 27-39 ms at q = 0.9.  Opposite-parity entries are
+    exactly zero.
 
-    Opposite-parity entries are exactly zero (odd integrand).  Equal-parity
-    entries are sums over the grid x_j = alpha q^j, j = 0 .. n_terms, of
-    the weight table t_j = q^j W*(x_j) times phi_n(x_j) phi_m(x_j).  They
-    are formed from the weight's power moments mu_r = sum_j t_j q^(2rj),
-    r = 0 .. n_max: with phi_n(alpha y) = sum_i d_(n,i) y^i,
-    G_nm = 2 alpha (1 - q) sum_(i,k) d_(n,i) d_(m,k) mu_((i+k)/2), as
-    G = D M D^T.  Each entry depends only on n and m, not on n_max.
+    With s_j = q^(2j), beta = 1 + d(q-1)/b, gamma = 1 + c(q-1)/a and g =
+    gamma / beta, the Pearson relation gives t_(j+1) / t_j = q beta (1 -
+    g s_j) / (1 - q^2 s_j): every t_j is positive iff g < 1, and the sum
+    converges iff q beta < 1.  By the q-binomial theorem (Gasper and
+    Rahman, Basic Hypergeometric Series, section 1.3) the moments are then
+    exact: m_r = sum_j t_j s_j^r / sum_j t_j = prod_(i<r) (1 - q^(2i+1)
+    beta) / (1 - q^(2i+1) gamma), each factor in (0, 1).  With phi_n(alpha
+    y) = sum_i d_(n,i) y^i, G_nm = sum_(i,k) d_(n,i) d_(m,k) m_((i+k)/2),
+    as G = D M D^T.  Errors come in this order: the family's violation,
+    InvalidBaseError (beta <= 0), a Pearson pole at alpha, a vanishing
+    norm ratio C_1 ... C_k (C_1 = alpha^2 (1 - q beta) / (1 - q gamma)),
+    and for g >= 1 a zero factor 1 - g q^(2i) (ZeroDenominatorError) or
+    the first non-positive weight (AdmissibilityError; index 0 when an odd
+    number of those factors is negative, else 1); then DivergenceError
+    for q beta >= 1.
 
-    The terms of the Jackson tail fall by q (1 + d (q - 1) / b) per grid
-    point, the power base of the weight, so the CLI's default depth of
-    256 points is not enough at q = 0.9 for every family.  The
-    off-diagonal residual of ``check ortho`` (tolerance 1e-10) at q = 0.9
-    measures 2.2e-6 for hermite p = 0.3 (ratio 0.951) and 5.4e-7 for
-    ultraspherical alpha = -0.3, beta = 1.2 (ratio 0.946), which both
-    pass at 700 points, and 7.7e-3 for hermite p = 0.5 (ratio 0.986),
-    which still fails at 700 (1.2e-5) and at 1000 (1.4e-7).  At q = 0.3
-    and q = 0.5 these families pass at 256 points.
-
-    The true Gram matrix of the exact polynomials is diagonal, but seeing
-    that to 1e-10 relative needs more headroom than double precision
-    offers: ulp-level rounding of the recurrence coefficients is
-    amplified by the norm ratio d^2_0 / d^2_n, around 1e10 at n = 10.
-    The inputs are therefore promoted exactly to mpmath, and the matrix
-    is assembled at max(GRAM_DPS, mp.dps) digits, prec bits.
-
-    The weight table comes from the Pearson relation alone, with no
-    infinite product.  With s_j = q^(2j), beta = 1 + d(q-1)/b the power
-    base, gamma = 1 + c(q-1)/a and g = gamma / beta, t_{j+1} / t_j =
-    q (beta - gamma s_j) / (1 - q^2 s_j).  Only a head j < J' is stepped,
-    where J' is the first j with s_j <= 2^-8 (1 - q^2) / (1 + |g|): about
-    35 points at q = 0.9, whatever n_terms is.  Past it the q-binomial
-    theorem (Gasper and Rahman, Basic Hypergeometric Series, eq. 1.3.2)
-    gives every weight in closed form, t_j = A (q beta)^(j - J') sum_k e_k
-    s_j^k with A = q^J' beta^(log(alpha^2) / (2 log q) + J'), e_0 = 1 and
-    e_(k+1) = e_k (g - q^(2k+2)) / (1 - q^(2k+2)).  For j >= J' each term
-    of the series is at least 2^8 below the one before it, and g s_j < 1,
-    so t_j > 0.  The ratios t_j / t_0 are stepped up to j = J' on F-bit
-    integer mantissas with binary exponents, and t_J' from the series
-    fixes their scale.  The weights can span hundreds of decades (940 for
-    hermite p = -5 at q = 0.9 over 700 points).  The positivity guard
-    reads the signs of the head's mantissas: a negative entry raises
-    AdmissibilityError naming the first bad index j.  J' grows like
-    1 / (1 - q); past max_terms, TruncationError is raised.
-
-    The moments split at J'.  The tail j = J' .. n_terms of mu_r is
-    A q^(2J'r) sum_k e_k q^(2J'k) H_(k+r), where H_i = sum_(l < n_tail)
-    rho_i^l is a geometric sum of rho_i = q beta q^(2i) over the n_tail =
-    n_terms + 1 - J' tail points: some 25 series terms and 35 geometric
-    sums replace a pass over the grid, so the cost does not grow with
-    n_terms.  When n_terms < J' the tail is empty.  H_i is 1 / (1 - rho_i)
-    where rho_i^n_tail < 2^-(P + 2), and is otherwise formed by doubling,
-    H(2l) = H(l) (1 + rho^l), with no division by 1 - rho, so it keeps its
-    digits at and beyond rho = 1 (q beta >= 1, where the grid sum diverges
-    as n_terms grows).
-
-    The head weights are Python ints scaled by about 2^(F - e), where 2^e
-    bounds the largest of them.  The power table S_i = q^(2i), i = 0 ..
-    n_max (J' - 1), and the coefficients d_(n,i), stepped by phi_{k+1} =
-    x phi_k - C_k phi_{k-1}, are ints scaled by 2^H, H = F +
-    GRAM_EXTRA_BITS, so the head moments and the contraction are exact
-    integer sums.  The tail's e_k q^(2J'k), q^(2J'r), rho_i and H_i are
-    ints scaled by 2^P.  The rounding is in the head weights, each of which
-    carries its truncation to an int and the roundings of up to 2J' steps,
-    a few of 2^-F per step; in S and d, a few of 2^-H per step; and in the
-    tail.  There, each step of e_k divides by 1 - q^(2k+2) >= 1 - q^2, so
-    its rounding grows by up to 1 / (1 - q^2); H_i errs by up to about
-    n_tail 2^-P relative, as each squaring doubles the relative error of
-    rho^l; and since sum_(k>=1) |e_k| q^(2J'k) < 2^-7 and H_(k+r) <= H_r,
-    the alternating series cancels by less than 2^-7.  So with P = F + 8
-    plus the bits of (n_tail + 1) / (1 - q^2), the tail of mu_r errs by
-    about 2^-F of itself, and it is at most mu_0.  As sum_i |d_(n,i)| <=
-    psi_n, where psi_n = alpha psi_(n-1) + |C_(n-1)| psi_(n-2) also bounds
-    |phi_n| on [-alpha, alpha], the contraction cancels from at most
-    psi_n psi_m mu_0 to sqrt(G_nn G_mm).  Relative to that the rounding
-    costs about (h + 8J' + 2) (1 + psi_n)^2 2^-F / (C_1 ... C_n), where h =
-    min(n_terms + 1, J') counts the head's points, 2 the anchor and the
-    tail, and C_1 ... C_n = d^2_n / d^2_0.  F is prec plus the bits of the
-    largest such factor over n <= n_max, plus GRAM_EXTRA_BITS: the bound
-    counts every rounding at its worst, while the error that occurs
-    follows 2^-F, and these bits hold it far below the bound (an
-    off-diagonal residual of 9e-56 for hermite p = 0.3 at q = 0.9 over
-    5000 points).  alpha and q^2 enter at H bits and the C_k at prec + 60,
-    so the entries keep prec bits.
-
-    The entries come back in the type of q: floats for float input, mpf
-    at the caller's precision for mpf input.
+    Ulp-level rounding of the C_k is amplified by h_0 / h_n, around 1e10
+    at n = 10, so the inputs are promoted exactly to mpmath, the C_k formed
+    at prec + 60 bits and the rest at max(GRAM_DPS, mp.dps) digits, prec
+    bits.  M and D are ints scaled by 2^H, so the contraction is exact.
+    The rounding is in q beta, q gamma, q^2 and alpha, and in the steps of
+    m_r and d_(n,i).  Each factor of m_r has its numerator and denominator
+    at least 1 - q beta, so m_r errs by about r^2 2^-H / (1 - q beta).  As
+    sum_i |d_(n,i)| <= psi_n = alpha psi_(n-1) + |C_(n-1)| psi_(n-2), which
+    bounds |phi_n| on [-alpha, alpha], the contraction cancels from at most
+    psi_n psi_m to sqrt(G_nn G_mm).  So H is prec plus GRAM_EXTRA_BITS plus
+    the bits of the largest (n_max + 1)^2 (1 + psi_n)^2 / ((1 - q beta)
+    C_1 ... C_n).  The entries come back in the type of q.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
     if fam.support is None:
@@ -416,12 +361,12 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int, n_terms: int) -> tup
     import mpmath
 
     with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
-        G = _assemble_gram(fam, n_max, n_terms)
+        G = _assemble_gram(fam, n_max)
     out = mpmath.mpf if isinstance(fam.ctx.q, mpmath.mpf) else float
     return tuple(tuple(out(v) for v in row) for row in G)
 
 
-def _assemble_gram(fam, n_max, N):
+def _assemble_gram(fam, n_max):
     import mpmath
     from mpmath.libmp import to_fixed
 
@@ -429,9 +374,6 @@ def _assemble_gram(fam, n_max, N):
     q = mpf(fam.ctx.q)
     ictx = QContext(q)
     V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
-    # the endpoint must be the root of a x^2 + b at *working* precision,
-    # otherwise the boundary term A(alpha) W(alpha) stops vanishing and
-    # re-enters the off-diagonal entries at the double-rounding level
     alpha = sqrt_(-V.b / V.a)
     # C_1 .. C_n_max at prec + 60, as the closed form cancels; phi_n_max needs all but the last
     with mpmath.workprec(mpmath.mp.prec + 60):
@@ -441,8 +383,8 @@ def _assemble_gram(fam, n_max, N):
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
 
-    # guard bits: the largest (h + 8J + 2) (1 + psi_n)^2 / (C_1 ... C_n)
-    # over n <= n_max (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
+    # guard bits: the largest (1 + psi_n)^2 / (C_1 ... C_n) over n <= n_max
+    # (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
     psi_prev, psi, norm_ratio, worst = mpf(1), alpha, mpf(1), mpf(4)
     for k, Ck in enumerate(Cs, 1):
         norm_ratio = norm_ratio * Ck
@@ -450,117 +392,52 @@ def _assemble_gram(fam, n_max, N):
             raise AdmissibilityError(f"the norm ratio C_1 ... C_{k} vanishes")
         worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
         psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
-    # the head j < J is stepped: J is the first j with q^(2j) <= 2^-8 (1 - q^2) / (1 + |g|),
-    # g = gamma / beta, past which the tail's series falls by 2^8 per term
-    prec = mpmath.mp.prec
     beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
-    q2 = q * q
-    J = int(mpmath.log((1 - q2) / (256 * (1 + abs(gamma / beta)))) / mpmath.log(q2)) + 1
-    if J > fam.ctx.max_terms:
-        raise TruncationError(f"weight table start depth {J} exceeds max_terms")
-    h, n_tail = min(N + 1, J), max(0, N + 1 - J)
-    F = prec + GRAM_EXTRA_BITS + mpmath.mag((h + 8 * J + 2) * worst)
-    P = F + 8 + mpmath.mag((n_tail + 1) / (1 - q2))
-    one, half = 1 << F, 1 << (F - 1)
-    # t_j = AJ (q beta)^(j-J) sum_k e_k q^(2jk) for j >= J, and the power
-    # AJ = q^J beta^(L + J) loses the bits of |log AJ| to rounding
-    L = mpmath.log(-V.b / V.a) / (2 * mpmath.log(q))
-    log_AJ = abs((L + J) * mpmath.log(beta)) - J * mpmath.log(q)
-    with mpmath.workprec(P + 8 + mpmath.mag(log_AJ)):
-        beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
-        q2 = q * q
-        z = q2**J
-        AJ = q**J * beta ** (mpmath.log(-V.b / V.a) / (2 * mpmath.log(q)) + J)
-        QB, QG, Q2 = (to_fixed(v._mpf_, F) for v in (q * beta, q * gamma, q2))
-        GZ, Z, RHO, S2 = (to_fixed(v._mpf_, P) for v in (gamma / beta * z, z, q * beta, q2))
-        EA = mpmath.mag(AJ) - P
-        mA = to_fixed(AJ._mpf_, -EA)
-    # e_k z^k 2^P, z = q^(2J), from e_0 = 1 and e_(k+1) = e_k (g - q^(2k+2)) / (1 - q^(2k+2))
-    ONE = 1 << P
-    es, e, s = [], ONE, ONE
-    while e:
-        es.append(e)
-        s = (s * S2) >> P
-        den = ONE - s
-        e = (e * (GZ - ((Z * s) >> P)) + (den >> 1)) // den
-    # H_i 2^P, H_i = sum_(l<n_tail) (q beta q^(2i))^l, for i = 0 .. len(es) - 1 + n_max
-    Hs, rho = [], RHO
-    for _ in range(len(es) + n_max):
-        Hs.append(_geometric_sum(rho, n_tail, P))
-        rho = (rho * S2) >> P
-    # u_j = t_j / t_0 = m 2^E stepped up from u_0 = 1; s = s_j 2^F
-    m, E, s, table = one, -F, one, []
-    for j in range(J):
-        if j <= N:
-            table.append((m, E))
-        num = QB - ((QG * s + half) >> F)
-        if num == 0:
+    # the factor 1 - g q^(2i) of t_(i+1) / t_i is negative while gamma q^(2i) > beta;
+    # past them the weights keep the sign of W* near 0, so an odd count makes t_0
+    # the first bad weight, and an even one t_1
+    s, negative = mpf(1), 0
+    while gamma * s >= beta:
+        if gamma * s == beta:
             raise ZeroDenominatorError("weight denominator product vanishes")
-        s = (s * Q2 + half) >> F
-        m = ((m * num) << F) // (one - s)
-        k = m.bit_length() - F
-        m, E = (m >> k if k >= 0 else m << -k), E + k - F
-    # t_J = AJ sum_k e_k z^k = mt 2^Et, and t_j = u_j t_J / u_J = m_j R 2^(E_j + RE)
-    mt, Et = mA * sum(es), EA - P
-    k = mt.bit_length() - F
-    mt, Et = (mt >> k if k >= 0 else mt << -k), Et + k
-    R, RE = (mt << F) // m, Et - E - F
-    for j, (mj, _) in enumerate(table):
-        if mj * R <= 0:
-            raise AdmissibilityError(
-                f"weight is not positive on the grid (first bad index {j})"
-            )
-    # the weights are t_j 2^-(top + RE + F), below 2^(F + 1)
-    top = max(Ej for _, Ej in table)
-    weights = [(mj * R) >> (top - Ej + F) for mj, Ej in table]
+        s, negative = s * q * q, negative + 1
+    if negative:
+        raise AdmissibilityError(
+            f"weight is not positive on the grid (first bad index {1 - negative % 2})"
+        )
+    if q * beta >= 1:
+        raise DivergenceError(
+            "the Jackson sum diverges: the weight ratio t_(j+1) / t_j tends to "
+            f"q beta = {float(q * beta):.6g} >= 1"
+        )
 
-    # S_i = q^(2i) 2^H for i = 0 .. n_max (h - 1), so that x_j^(2r) = alpha^(2r) S_rj 2^-H
-    H = F + GRAM_EXTRA_BITS
-    hh = 1 << (H - 1)
+    H = mpmath.mp.prec + GRAM_EXTRA_BITS + mpmath.mag((n_max + 1) ** 2 * worst / (1 - q * beta))
+    one, hh = 1 << H, 1 << (H - 1)
     with mpmath.workprec(H + 8):
-        A, S1 = (to_fixed(v._mpf_, H) for v in (sqrt_(-V.b / V.a), q * q))
-    S = [1 << H]
-    for _ in range(n_max * (h - 1)):
-        S.append((S[-1] * S1 + hh) >> H)
-    # mu_r = sum_(j<h) w_j S_rj plus the tail sum_(j>=J) t_j q^(2rj) = AJ z^r sum_k e_k z^k H_(k+r)
-    size = n_max + 1
-    tails, zr = [], ONE
-    for r in range(size):
-        tails.append(mA * zr * sum(map(mul, es, Hs[r:])))
-        zr = (zr * Z) >> P
-    sh = EA - 3 * P + H - top - RE - F
-    mu = [sum(weights) << H] + [sum(map(mul, weights, S[::r])) for r in range(1, size)]
-    mu = [u + (t << sh if sh >= 0 else t >> -sh) for u, t in zip(mu, tails)]
+        beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
+        QB, QG, Q2, A = (
+            to_fixed(v._mpf_, H) for v in (q * beta, q * gamma, q * q, sqrt_(-V.b / V.a))
+        )
+    # M[r] 2^-H = m_r, each factor (1 - q^(2i+1) beta) / (1 - q^(2i+1) gamma) rounded
+    M = [one]
+    for _ in range(n_max):
+        den = one - QG
+        M.append((M[-1] * (one - QB) + (den >> 1)) // den)
+        QB, QG = (QB * Q2 + hh) >> H, (QG * Q2 + hh) >> H
     # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y)
-    D = [[1 << H], [0, A]]
+    D = [[one], [0, A]]
     for Ck in Cs[:-1]:
         Ck = to_fixed(Ck._mpf_, H)
         D.append([(A * u - Ck * v + hh) >> H for u, v in zip([0] + D[-1], D[-2] + [0, 0])])
-    # each sum of d d mu carries the scale 2^(top + RE + F) 2^-3H
-    scale, EG = 2 * alpha * (1 - q), top + RE + F - 3 * H
+    size = n_max + 1
     G = [[0] * size for _ in range(size)]
     for n in range(size):
         p = n % 2
-        # row[b] = sum_a d_(n,p+2a) mu_(p+a+b), contracted with d_(m,p+2b)
-        row = [sum(map(mul, D[n][p::2], mu[p + b:])) for b in range((n_max - p) // 2 + 1)]
+        # row[b] = sum_a d_(n,p+2a) m_(p+a+b), contracted with d_(m,p+2b)
+        row = [sum(map(mul, D[n][p::2], M[p + b:])) for b in range((n_max - p) // 2 + 1)]
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = scale * mpf((sum(map(mul, row, D[m][p::2])), EG))
+            G[n][m] = G[m][n] = mpf((sum(map(mul, row, D[m][p::2])), -3 * H))
     return G
-
-
-def _geometric_sum(r, n, P):
-    """sum_(i<n) (r 2^-P)^i, times 2^P, for an int r >= 0."""
-    one = 1 << P
-    if n * (P - math.log2(r or 1)) > P + 2:
-        # r^n < 2^-(P + 2), so it is dropped, and 1 - r > 1 / n cancels little
-        return (one << P) // (one - r)
-    # s(2k) = s(k) (1 + r^k) and s(k + 1) = s(k) + r^k, with no division by 1 - r
-    s, p = 0, one
-    for bit in bin(n)[2:]:
-        s, p = s + ((s * p) >> P), (p * p) >> P
-        if bit == "1":
-            s, p = s + p, (p * r) >> P
-    return s
 
 
 @dataclass(frozen=True)

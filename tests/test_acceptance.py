@@ -124,7 +124,7 @@ def test_criterion_04_orthogonality():
     worst = 0.0
     parity_exact = True
     for name, fam in named_families(ctx).items():
-        G = qp.orthogonality_matrix(fam, 10, 256)
+        G = qp.orthogonality_matrix(fam, 10)
         for i in range(11):
             for j in range(i + 1, 11):
                 if (i + j) % 2:
@@ -147,7 +147,7 @@ def test_criterion_05_norm_triple_equality():
     for q, name, mk in cases:
         ctx = qp.QContext(q)
         fam = mk(ctx)
-        G = qp.orthogonality_matrix(fam, 8, 256)
+        G = qp.orthogonality_matrix(fam, 8)
         triples = qp.norm_triple_report(fam, 8, G, pair_tol=pair_tol)
         for t in triples:
             all_ok = all_ok and t.ok

@@ -265,10 +265,11 @@ class TestCheck:
         assert "discrepancy" in out
 
     def test_norm_note_says_disagree(self, capsys):
-        # the grid terms fall by 0.986 per point, so 256 points leave
-        # favard and quadrature apart by far more than the tolerance
+        # the float Favard products and the 40-digit Gram agree to rounding,
+        # which an unattainable tolerance turns into a disagreement
         code, out, _ = run(
-            capsys, ["check", "norm", "--family", "hermite", "-p", "0.5", "-q", "0.9"])
+            capsys, ["check", "norm", "--family", "hermite", "-p", "0.5", "-q", "0.9",
+                     "--tol", "1e-30"])
         assert code == 1
         assert out.startswith("FAIL norm: favard vs quadrature")
         assert "favard and quadrature disagree, both values reported" in out
@@ -323,17 +324,24 @@ class TestCheck:
         assert "FAIL" in out
 
     def test_divergent_jackson_sum_fails(self, capsys):
-        # q beta = 0.9 (1 + 2 (1 - 0.81)) = 1.242: the grid sum diverges and
-        # its truncation at 700 points is not orthogonal.  That is a FAIL with
-        # exit 1, not an input error with exit 2, and the Gram still forms
+        # q beta = 0.9 (1 + 2 (1 - 0.81)) = 1.242: the grid sum diverges, so
+        # there is no Gram, and the four lines that read it FAIL with exit 1,
+        # not an input error with exit 2
         code, out, err = run(
             capsys,
             ["check", "all", "--family", "hermite", "-p", "2", "-q", "0.9",
              "--n-terms", "700"],
         )
         assert (code, err) == (1, "")
-        assert "FAIL orthogonality off-diagonal" in out
-        assert "PASS odd-parity entries exactly zero" in out
+        note = ("[the Jackson sum diverges: the weight ratio t_(j+1) / t_j tends to "
+                "q beta = 1.242 >= 1]")
+        lines = out.splitlines()
+        assert lines[1:5] == [
+            f"FAIL orthogonality off-diagonal (scaled): max residual inf (tol 1.0e-10) {note}",
+            f"FAIL odd-parity entries exactly zero: max residual inf (tol 1.0e-10) {note}",
+            f"FAIL norm: favard vs quadrature: max residual inf (tol 1.0e-08) {note}",
+            f"FAIL norm: closed form vs favard: max residual inf (tol 1.0e-08) {note}",
+        ]
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         nan = float("nan")
@@ -432,8 +440,8 @@ class TestCheck:
 
     def test_weight_below_float_range(self, capsys):
         # the power base 1 + p (1 - q^2) = 0.05 takes a float W* below the
-        # smallest double from grid index 257 on; the table the Gram
-        # integrates stays positive
+        # smallest double from grid index 257 on; the Gram reads the
+        # weight's moments, not its values
         code, out, err = run(
             capsys,
             ["check", "ortho", "--family", "hermite", "-p=-5", "-q", "0.9",
@@ -444,8 +452,8 @@ class TestCheck:
         assert residual < 1e-30
 
     def test_depth_below_float_range(self, capsys):
-        # q^700 = 1e-366 lies below the float range; the Gram drops the
-        # grid points whose weight rounds to 0 and sums the rest
+        # q^700 = 1e-366 lies below the float range; --n-terms is only
+        # echoed, and the Gram sums the whole grid
         code, out, err = run(
             capsys, ["check", "all", "--family", "chebyshev5", "-q", "0.3", "--n-terms", "700"])
         assert (code, err) == (0, "")

@@ -19,23 +19,35 @@ def tool():
 
 def test_cases(tool):
     assert tool.CASES == (
-        ("ultraspherical", (0.4, 0.7), 0.9, 700),
-        ("ultraspherical", (-0.3, 1.2), 0.9, 700),
-        ("hermite", (0.3,), 0.9, 700),
-        ("hermite", (-5.0,), 0.9, 700),
-        ("custom", (-1.0, 1.0, -1.5, 0.2), 0.9, 700),
-        ("hermite", (-5.25,), 0.9, 80),
-        ("chebyshev5", (), 0.3, 256),
-        ("chebyshev6", (), 0.5, 256),
-        ("hermite", (-5.0,), 0.99, 256),
-        ("hermite", (0.5,), 0.3, 256),
-        ("hermite", (0.0,), 0.3, 256),
-        ("hermite", (0.3,), 0.9, 8),
-        ("hermite", (0.3,), 0.9, 5000),
-        ("custom", (-1.0, 1.0, -6.0, 0.2), 0.5, 256),
-        ("ultraspherical", (0.4, 0.7), 0.999, 3000),
+        ("ultraspherical", (0.4, 0.7), 0.9),
+        ("ultraspherical", (-0.3, 1.2), 0.9),
+        ("hermite", (0.3,), 0.9),
+        ("hermite", (-5.0,), 0.9),
+        ("custom", (-1.0, 1.0, -1.5, 0.2), 0.9),
+        ("hermite", (-5.25,), 0.9),
+        ("chebyshev5", (), 0.3),
+        ("chebyshev6", (), 0.5),
+        ("hermite", (-5.0,), 0.99),
+        ("hermite", (0.5,), 0.3),
+        ("hermite", (0.0,), 0.3),
+        ("custom", (-1.0, 1.0, -6.0, 0.2), 0.5),
+        ("ultraspherical", (0.4, 0.7), 0.999),
+        ("hermite", (0.5,), 0.9),
+        ("ultraspherical", (0.4, 1.9), 0.99),
     )
-    assert (tool.N_MAX, tool.DPS, tool.REF_DPS) == (10, 40, 90)
+    assert (tool.N_MAX, tool.DPS, tool.REF_DPS, tool.REF_DEPTH) == (10, 40, 90, 10**12)
+
+
+def test_cases_converge(tool):
+    # a tree that takes a depth sums REF_DEPTH points, which only a
+    # convergent grid sum, q beta < 1, leaves with a negligible tail
+    import qsympoly as qp
+    from qsympoly.families import FAMILIES
+
+    for name, params, q in tool.CASES:
+        make = qp.make_custom if name == "custom" else FAMILIES[name][0]
+        V = make(*params, qp.QContext(q)).V
+        assert q * (1 + V.d * (q - 1) / V.b) < 1
 
 
 def test_measures(tool):
@@ -107,6 +119,24 @@ def test_run_replaces_a_tool_with_its_own_case_list(tool, tmp_path, monkeypatch)
     assert tool.run(str(tmp_path / "src"), 40) == [[]] * len(tool.CASES)
     assert [os.path.samefile(p, own) for p in paths] == [True, False]
     assert os.path.samefile(paths[1], tool.__file__)
+
+
+def test_run_replaces_a_tool_that_fails_on_the_case_list(tool, tmp_path, monkeypatch):
+    # an older tool reads a depth from every case and fails on this list
+    (tmp_path / "tools").mkdir()
+    own = tmp_path / "tools" / "gram_accuracy.py"
+    own.write_text("")
+    paths = []
+
+    def fake_run(argv, **kwargs):
+        paths.append(argv[1])
+        if os.path.samefile(argv[1], own):
+            return subprocess.CompletedProcess(argv, 1, stdout="")
+        return subprocess.CompletedProcess(argv, 0, stdout=_reply(tool.CASES, len(tool.CASES)))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run(str(tmp_path / "src"), 40) == [[]] * len(tool.CASES)
+    assert [os.path.samefile(p, own) for p in paths] == [True, False]
 
 
 def test_run_rejects_a_short_case_list(tool, tmp_path, monkeypatch):
