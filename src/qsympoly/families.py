@@ -418,12 +418,7 @@ def _assemble_gram(fam, n_max):
         QB, QG, Q2, A = (
             to_fixed(v._mpf_, H) for v in (q * beta, q * gamma, q * q, sqrt_(-V.b / V.a))
         )
-    # M[r] 2^-H = m_r, each factor (1 - q^(2i+1) beta) / (1 - q^(2i+1) gamma) rounded
-    M = [one]
-    for _ in range(n_max):
-        den = one - QG
-        M.append((M[-1] * (one - QB) + (den >> 1)) // den)
-        QB, QG = (QB * Q2 + hh) >> H, (QG * Q2 + hh) >> H
+    M = _moments(QB, QG, Q2, n_max, H)
     # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y)
     D = [[one], [0, A]]
     for Ck in Cs[:-1]:
@@ -438,6 +433,19 @@ def _assemble_gram(fam, n_max):
         for m in range(n, size, 2):
             G[n][m] = G[m][n] = mpf((sum(map(mul, row, D[m][p::2])), -3 * H))
     return G
+
+
+def _moments(QB, QG, Q2, n, H):
+    """[M_0 .. M_n], M_r 2^-H = m_r = prod_(i<r) (1 - QB_i 2^-H) / (1 - QG_i 2^-H), with
+    QB_i, QG_i the ints QB, QG (q beta, q gamma at 2^H) stepped i times by Q2 = q^2 2^H;
+    each step rounds to nearest, and every 1 - QG_i 2^-H must be positive."""
+    one, hh = 1 << H, 1 << (H - 1)
+    M = [one]
+    for _ in range(n):
+        den = one - QG
+        M.append((M[-1] * (one - QB) + (den >> 1)) // den)
+        QB, QG = (QB * Q2 + hh) >> H, (QG * Q2 + hh) >> H
+    return M
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,28 @@ class TestOrthogonalityMatrix:
                     scale = mpmath.sqrt(fav[n] * fav[m])
                     assert abs(G[n][m] - exact) <= mpmath.mpf("1e-33") * scale
 
+    @pytest.mark.parametrize("r", [0, 1, 2**40, 2**64 - 2**20, 2**64, 2**64 + 2**30, 3 * 2**63])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 700])
+    def test_geometric_sum(self, r, n):
+        # gamma = q^2 beta makes the weight geometric on the grid, t_(j+1) /
+        # t_j = x = q beta, so m_k = sum_j x^j q^(2jk) / sum_j x^j = (1 - x) /
+        # (1 - x q^(2k)) for k >= 1: the moment product telescopes, in the
+        # fixed point too, as its q gamma is its q beta stepped once.  At q =
+        # 1/2 and P = 64 bits, with x = r 2^-64 on both sides of 1 (for x >= 1
+        # the identity is formal), against the closed form at 4000 bits: each
+        # of the k divisions rounds once, and no factor exceeds 1 in size
+        from qsympoly.families import _moments
+
+        P, Q2 = 64, 2**62
+        M = _moments(r, (r * Q2 + 2**63) >> P, Q2, n, P)
+        assert len(M) == n + 1
+        with mpmath.workprec(4000):
+            x = mpmath.ldexp(r, -P)
+            for k, v in enumerate(M):
+                exact = 1 if k == 0 else (1 - x) / (1 - x / 4**k)
+                err = abs(mpmath.ldexp(v, -P) - exact)
+                assert err <= 4 * (k + 1) * max(exact, 1) * mpmath.ldexp(1, -P)
+
     def test_mutated_C_lifts_off_diagonal(self, monkeypatch):
         # a relative change of 1e-9 in C_4, which phi_5 .. phi_10 read,
         # must show in the off-diagonal
