@@ -391,11 +391,12 @@ def _check_lines_norm(args, tol, gram) -> list:
     flagged = [r for r in report if r.discrepancy_flagged]
     closed_ok = all(r.ok for r in report)
     # a flagged degree without a closed-form value was never compared
-    deviating = [r.n for r in flagged if r.closed_form is not None]
+    deviating = [r for r in flagged if r.closed_form is not None]
     unevaluable = [r.n for r in flagged if r.closed_form is None]
     notes = []
     if deviating:
-        notes.append(f"closed-form discrepancy flagged at n={deviating}")
+        ratios = ", ".join(f"{float(r.closed_form / r.favard):.6g} at n={r.n}" for r in deviating)
+        notes.append(f"closed-form discrepancy: closed form / Favard = {ratios}")
     if unevaluable:
         notes.append(f"closed form not evaluable at n={unevaluable}")
     if flagged:
@@ -421,7 +422,10 @@ def _check_lines_pearson(args, tol, gram) -> list:
     residuals = []
     for j in range(1, 21):
         x = fam.support * q**j
-        lhs = weight(q * x) / weight(x)
+        w = weight(x)
+        if w == 0:
+            raise QSymPolyError(f"weight W({x!r}) underflows to 0")
+        lhs = weight(q * x) / w
         rhs = pearson_ratio(fam.V, ctx, x)
         residuals.append(abs(lhs - rhs) / abs(rhs))
     worst = max_or_nan(residuals)

@@ -17,10 +17,11 @@ scope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import IllDefinedSeriesError, TruncationError
+from .errors import IllDefinedSeriesError, QSymPolyError, TruncationError
 
 __all__ = [
     "QContext",
@@ -55,6 +56,15 @@ def log_(v):
     import mpmath
 
     return mpmath.log(v)
+
+
+def expm1_(v):
+    """expm1() = exp() - 1 that follows the numeric type of its argument."""
+    if _is_plain(v):
+        return math.expm1(v)
+    import mpmath
+
+    return mpmath.expm1(v)
 
 
 def sqrt_(v):
@@ -129,24 +139,82 @@ def q_shifted_factorial(x, n: int, ctx: QContext, base=None):
     return prod
 
 
+# the head of (x; b)_inf runs at least to the first |b^j x| below this
+TAIL_SWITCH = 1e-3
+# the time of one term of the tail's log series, in factors of the product
+TAIL_TERM_COST = 4
+
+
 def q_shifted_factorial_inf(x, ctx: QContext, base=None):
     """Infinite product (x; base)_inf = prod_{j>=0} (1 - base**j x).
 
-    Converges for every finite real x since 0 < base < 1.  Truncated once
-    |base**j x| < ctx.eps_term; raises TruncationError if ctx.max_terms
-    factors did not reach that threshold.
+    The head multiplies the factors down to the first t = base**j x with
+    |t| < TAIL_SWITCH, and if |t| < ctx.eps_term the product is done.  So
+    every factor <= 0, and every exact zero, lies in the head.  The rest
+    is (t; base)_inf = exp(-S) with the log series
+
+        S = sum_(k>=1) t^k / (k (1 - base^k))
+
+    (Gasper and Rahman, *Basic Hypergeometric Series*, section 1.3),
+    summed until a term falls below eps_term relative to S, if that is
+    shorter than the factors left above eps_term (_tail_is_shorter);
+    otherwise the head multiplies those too.  Raises TruncationError if
+    ctx.max_terms factors did not end the head, and QSymPolyError if a
+    float product is subnormal, non-finite, or 0 with no zero factor.
     """
     b = ctx.q if base is None else base
+    eps = ctx.eps_term
     prod = 1 + x * 0
+    switch = TAIL_SWITCH
     for j in range(ctx.max_terms):
         t = b**j * x
-        if abs(t) < ctx.eps_term:
-            return prod
+        if abs(t) < switch:
+            if abs(t) < eps:
+                break
+            switch = eps
+            if _tail_is_shorter(t, b, eps):
+                prod = prod * exp_(-_log_tail_sum(t, log_(b), eps))
+                break
         prod = prod * (1 - t)
-    raise TruncationError(
-        f"(x; q)_inf with x={x!r} did not meet eps_term={ctx.eps_term} "
-        f"within max_terms={ctx.max_terms}"
-    )
+    else:
+        raise TruncationError(
+            f"(x; q)_inf with x={x!r} did not meet eps_term={ctx.eps_term} "
+            f"within max_terms={ctx.max_terms}"
+        )
+    if isinstance(prod, float) and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+        # 1 - t == 0 exactly iff t == 1
+        if not (prod == 0 and any(b**i * x == 1 for i in range(j))):
+            raise QSymPolyError(f"(x; q)_inf with x={x!r} leaves the float range: {prod!r}")
+    return prod
+
+
+def _tail_is_shorter(t, b, eps) -> bool:
+    """Whether the log series of (t; b)_inf, at TAIL_TERM_COST factors per
+    term and one more for its log and exp, costs fewer factors than the
+    product has left above eps."""
+    if _is_plain(eps):
+        terms = math.log(eps) / math.log(abs(t))
+    else:
+        import mpmath
+
+        # from the binary exponents: no float underflow at any precision
+        terms = (mpmath.mag(eps) - 0.5) / (mpmath.mag(t) - 0.5)
+    return abs(t) * float(b) ** (TAIL_TERM_COST * (terms + 1)) >= eps
+
+
+def _log_tail_sum(t, lb, eps):
+    """S = sum_(k>=1) t^k / (k (1 - b^k)) = -log (t; b)_inf for |t| < 1,
+    given lb = log b; 1 - b^k = -expm1(k lb) keeps its digits near b = 1."""
+    total = 0
+    tk = t
+    k = 1
+    while True:
+        term = tk / (-k * expm1_(k * lb))
+        total = total + term
+        if abs(term) < eps * abs(total):
+            return total
+        k += 1
+        tk = tk * t
 
 
 def q_binomial(n: int, m: int, ctx: QContext, base=None):

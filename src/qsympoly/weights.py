@@ -114,8 +114,9 @@ def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:
     at alpha q^j are a suffix of those at alpha, and pearson_ratio's
     denominator at alpha q^j is b (1 - q^(2j+2)) != 0 when alpha is the
     support endpoint, so every error comes from that one call.  Against
-    weight_star at 30 digits the float grid errs by at most 1.6e-14
-    relative (pointwise float weight_star: 2.3e-14).
+    weight_star at 30 digits at the same float inputs (four families, q
+    in {0.3, 0.5, 0.9}, n = 128) the float grid errs by at most 1.6e-14
+    relative, and pointwise float weight_star by 2.3e-14.
     """
     q = ctx.q
     x = alpha

@@ -264,6 +264,15 @@ class TestCheck:
         assert code == 0
         assert "discrepancy" in out
 
+    def test_norm_note_gives_closed_form_over_favard(self, capsys):
+        code, out, _ = run(capsys, ["check", "norm", "--family", "hermite", "-q", "0.9"])
+        assert code == 0
+        line = out.splitlines()[1]
+        assert line.startswith("PASS norm: closed form vs favard: max residual ")
+        assert line.endswith(
+            "[closed-form discrepancy: closed form / Favard = -1 at n=1, -1 at n=3, "
+            "-1 at n=5, -1 at n=7; favard and quadrature agree, both values reported]")
+
     def test_norm_note_says_disagree(self, capsys):
         # the float Favard products and the 40-digit Gram agree to rounding,
         # which an unattainable tolerance turns into a disagreement
@@ -451,6 +460,29 @@ class TestCheck:
         residual = float(out.splitlines()[0].split("max residual ")[1].split()[0])
         assert residual < 1e-30
 
+    @pytest.mark.parametrize("argv", [
+        # each product underflows, where it used to exceed max_terms
+        ["check", "pearson", "--family", "hermite", "-p", "0.3", "-q", "0.999"],
+        ["check", "boundary", "--family", "ultraspherical", "-q", "0.999"],
+    ])
+    def test_weight_product_below_float_range(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "leaves the float range" in err
+
+    def test_pearson_weight_underflow_is_typed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "weight_general", lambda V, ctx, x: 0.0)
+        code, out, err = run(capsys, ["check", "pearson", "--family", "hermite"])
+        assert (code, out) == (2, "")
+        assert "underflows to 0" in err
+
+    def test_pearson_near_one(self, capsys):
+        # each product takes about 1,720 factors in its head, where the
+        # whole product to 1e-17 took 9,775
+        code, out, _ = run(
+            capsys, ["check", "pearson", "--family", "hermite", "-p", "0.3", "-q", "0.998"])
+        assert code == 0 and out.startswith("PASS pearson ratio")
+
     def test_depth_below_float_range(self, capsys):
         # q^700 = 1e-366 lies below the float range; --n-terms is only
         # echoed, and the Gram sums the whole grid
@@ -517,6 +549,18 @@ class TestExport:
             for v in row.values():
                 if isinstance(v, float):
                     assert math.isfinite(v)
+
+    def test_weight_below_float_range_is_a_row_error(self, capsys):
+        # at q = 0.999 both products of W* underflow near x = 1, and their
+        # ratio would read 1.0; at 30 digits W*(0.99) = 0.1441
+        code, out, _ = run(capsys, ["export", "weight", "--family", "chebyshev6",
+                                    "-q", "0.999", "--grid", "0.96:0.99:4"])
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["weight_star"] is None for r in payload["rows"]] == [False, False, True, True]
+        assert abs(payload["rows"][0]["weight_star"] - 0.2613266160574583) < 1e-12
+        assert [e["row"] for e in payload["errors"]] == [2, 3]
+        assert all("leaves the float range" in e["error"] for e in payload["errors"])
 
     def test_chebyshev5_limit_weight_endpoints(self, capsys, tmp_path):
         # the fifth-kind limit weight x^2 / sqrt(1 - x^2) is singular at the

@@ -111,6 +111,18 @@ class TestNormSquares:
                 assert closed < 0 < fav
                 assert rel(-closed, fav) < 1e-10
 
+    def test_hermite_display_is_favard_times_sign(self):
+        # in exact arithmetic the display is (-1)^n times the Favard product
+        from fractions import Fraction
+
+        for q in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
+            ctx = qp.QContext(q)
+            for p in (Fraction(0), Fraction(3, 10), Fraction(1, 2)):
+                fam = qp.make_hermite(p, ctx)
+                for n in range(1, 9):
+                    ratio = qp.norm_square_hermite(n, p, ctx) / qp.favard_norm(n, fam.V, ctx)
+                    assert ratio == (-1) ** n
+
     def test_ultraspherical_matches_favard(self):
         for al, be, q in ((0.3, 0.45, 0.5), (0.4, 0.7, 0.3), (1.2, -0.3, 0.5)):
             ctx = qp.QContext(q)

@@ -119,6 +119,96 @@ class TestQShiftedFactorialInf:
         with pytest.raises(qp.TruncationError):
             qp.q_shifted_factorial_inf(0.9, ctx)
 
+    def test_max_terms_caps_the_head(self):
+        # the head runs from |x| = 1e6 down to about 1e-3, 20,700 factors at q = 0.999
+        with pytest.raises(qp.TruncationError):
+            qp.q_shifted_factorial_inf(1e6, qp.QContext(0.999))
+        # x = 0.3 ends its head after 5,701 factors, where the whole
+        # product to eps_term would need 37,922
+        assert 0 < qp.q_shifted_factorial_inf(0.3, qp.QContext(0.999, max_terms=5_800))
+
+    def test_type_follows_input(self):
+        import mpmath
+
+        assert type(qp.q_shifted_factorial_inf(0.5, qp.QContext(0.9))) is float
+        with mpmath.workdps(40):
+            v = qp.q_shifted_factorial_inf(mpmath.mpf("0.5"), qp.QContext(mpmath.mpf("0.9")))
+        assert isinstance(v, mpmath.mpf)
+
+    @pytest.mark.parametrize("x", [0.99, -2.0])
+    def test_float_range_is_typed(self, x):
+        # at q = 0.998, (0.99; q)_inf = 2.4e-346 underflows and (-2; q)_inf = 8.2e+311 overflows
+        with pytest.raises(qp.QSymPolyError, match="float range"):
+            qp.q_shifted_factorial_inf(x, qp.QContext(0.998))
+
+
+def _product_oracle(x, q, dps):
+    """(x; q)_inf to about dps digits: every factor, with t stepped by q,
+    down to the first |t| below 10^-dps (1 - q), where the rest changes
+    the product by less than 10^-dps relative.  Python ints in fixed
+    point at F bits, the product as m 2^e with m kept near 2^F, so that
+    tens of thousands of factors take well under a second."""
+    import mpmath
+
+    F = int(dps * 3.33) + 40
+    one = 1 << F
+    t = int(mpmath.ldexp(mpmath.mpf(x), F))
+    Q = int(mpmath.ldexp(mpmath.mpf(q), F))
+    stop = int(mpmath.ldexp(mpmath.mpf(10) ** -dps * (1 - mpmath.mpf(q)), F))
+    m, e = one, 0
+    while abs(t) >= stop:
+        m = m * (one - t) >> F
+        t = t * Q >> F
+        shift = abs(m).bit_length() - F - 1
+        if abs(shift) > 32:
+            m, e = m >> shift if shift > 0 else m << -shift, e + shift
+    with mpmath.workdps(dps):
+        return mpmath.ldexp(mpmath.mpf(m), e - F)
+
+
+FLOAT_XS = [k / 4 - 3 for k in range(16)]
+# q -> the largest error against the reference at FLOAT_XS of the former
+# product, which multiplied every factor down to |t| < 1e-17 (at q = 0.998
+# with max_terms raised)
+FLOAT_PARENT_ERRORS = {0.3: 1.597e-15, 0.5: 7.849e-16, 0.9: 3.032e-15, 0.99: 1.995e-14,
+                       0.998: 6.839e-14}
+
+
+@pytest.mark.parametrize("q", list(FLOAT_PARENT_ERRORS))
+def test_float_product_against_40_digits(q):
+    import sys
+
+    ctx = qp.QContext(q)
+    worst = 0.0
+    # at q = 0.998 the products at x <= -2 overflow
+    for x in FLOAT_XS:
+        ref = _product_oracle(x, q, 40)
+        if not sys.float_info.min <= abs(ref) <= sys.float_info.max:
+            with pytest.raises(qp.QSymPolyError):
+                qp.q_shifted_factorial_inf(x, ctx)
+            continue
+        worst = max(worst, float(abs(qp.q_shifted_factorial_inf(x, ctx) - ref) / abs(ref)))
+    assert worst <= FLOAT_PARENT_ERRORS[q]
+
+
+MP_XS = [k / 2 - 3 for k in range(8)]
+# q -> the parent's largest error of the 40-digit product against 70 digits
+MP40_PARENT_ERRORS = {0.3: 1.109e-40, 0.5: 4.807e-41, 0.9: 3.436e-40, 0.99: 2.147e-39}
+
+
+@pytest.mark.parametrize("q", list(MP40_PARENT_ERRORS))
+def test_mp40_product_against_70_digits(q):
+    import mpmath
+
+    worst = 0
+    with mpmath.workdps(40):
+        ctx = qp.QContext(mpmath.mpf(q))
+        for x in MP_XS:
+            v = qp.q_shifted_factorial_inf(mpmath.mpf(x), ctx)
+            ref = _product_oracle(x, q, 70)
+            worst = max(worst, abs(v - ref) / abs(ref))
+    assert worst <= MP40_PARENT_ERRORS[q]
+
 
 class TestQBinomial:
     def test_m_zero(self):
