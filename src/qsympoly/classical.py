@@ -11,10 +11,13 @@ quantifies how a q-quantity approaches its target.
 
 Limit verification is numeric by design: quantities are evaluated along
 q = 1 - eps for the fixed eps values LIMIT_EPS (1e-2, 1e-3, 1e-4) and
-Richardson-extrapolated to eps = 0.  The sweep stops there because the
-q-shifted factorials lose floating-point accuracy near q = 1: below
-eps = 1e-5 or so they need elevated precision (mpmath), which the
-duck-typed arithmetic supports but does not switch on automatically.
+Richardson-extrapolated to eps = 0.  The weight quantity is the ratio
+W*(x) / W*(x_ref) of two weight_star values, each one product of
+quotients of order one as q -> 1, whose head grows like 1/eps (about
+32,000 factors at eps = 1e-4).  Smaller eps would cost time in
+proportion and float digits in the q-differences of the other
+quantities; elevated precision (mpmath) is supported by the duck-typed
+arithmetic but not switched on automatically.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import TruncationError, ZeroDenominatorError
+from .errors import ZeroDenominatorError
 from .families import FamilyDescriptor
-from .qcore import QContext, exp_, log_, sigma_parity
+from .qcore import QContext, sigma_parity
 from .sympoly import CharVector, _polyval, eigenvalue, eval_explicit, recurrence_C
-from .weights import _power_base
+from .weights import weight_star
 
 __all__ = [
     "LimitReport",
@@ -45,8 +48,9 @@ WEIGHT_REF_POINT = 0.5
 # the sweep q = 1 - eps, largest eps first; the extrapolation to eps = 0
 # runs through all of its points, so it has order 2
 LIMIT_EPS = (1e-2, 1e-3, 1e-4)
-# the contexts of the sweep; infinite products converge like q^(2j), so the
-# factor budget must grow as 1/eps for the weight sweeps near q = 1
+# the contexts of the sweep; the head of the weight's product runs to
+# |q^(2j) t| < 1e-3, about 32,000 factors at eps = 1e-4, so the factor
+# budget grows as 1/eps
 _SWEEP_CTXS = tuple(QContext(1 - eps, max_terms=max(10_000, int(30 / eps))) for eps in LIMIT_EPS)
 # the context at which a subject gives its continuous limit vector
 _TARGET_CTX = QContext(0.5)
@@ -133,40 +137,6 @@ def continuous_weight(fam: FamilyDescriptor, x):
     return fam.limit_weight(x)
 
 
-def _weight_star_ratio(V: CharVector, ctx: QContext, x, ref):
-    """W*(x)/W*(ref) without forming either weight value.
-
-    Near q = 1 each infinite product under/overflows on its own (its log
-    grows like 1/(1-q)), and even the x-versus-ref ratio within one
-    product does.  The finite limit lives in the cross-cancellation, so
-    the two products are consumed together as quadruple factors
-
-        (1 - ct x^2 B^j)(1 - cb ref^2 B^j)
-        / ((1 - ct ref^2 B^j)(1 - cb x^2 B^j)),    B = q^2,
-
-    which tend to 1 both in j and as q -> 1 (ct and cb approach each
-    other), keeping every partial product O(1).
-    """
-    q = ctx.q
-    base = _power_base(V, q)
-    power = exp_(log_(base) * (log_(x * x) - log_(ref * ref)) / (2 * log_(q)))
-    q2 = q * q
-    ct = -V.a * q2 / V.b
-    cb = -(V.a + V.c * (q - 1)) / (V.b + V.d * (q - 1))
-    u, v = x * x, ref * ref
-    bound = max(abs(ct), abs(cb)) * max(abs(u), abs(v))
-    ratio = 1 + q * 0
-    for j in range(ctx.max_terms):
-        bj = q2**j
-        if bound * bj < ctx.eps_term:
-            return power * ratio
-        den = (1 - ct * v * bj) * (1 - cb * u * bj)
-        if den == 0:
-            raise ZeroDenominatorError("weight ratio: a product factor vanishes")
-        ratio = ratio * (1 - ct * u * bj) * (1 - cb * v * bj) / den
-    raise TruncationError("weight ratio product did not converge within max_terms")
-
-
 def _neville_at_zero(xs, ys):
     vals = list(ys)
     npts = len(vals)
@@ -246,7 +216,7 @@ def limit_convergence_report(
         elif quantity == "poly":
             values.append(eval_explicit(n, V, ctx, x))
         else:
-            values.append(_weight_star_ratio(V, ctx, x, WEIGHT_REF_POINT))
+            values.append(weight_star(V, ctx, x) / weight_star(V, ctx, WEIGHT_REF_POINT))
     raw_errors = tuple(abs(v - target) / scale for v in values)
     monotone = all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:]))
     extrap = _neville_at_zero(LIMIT_EPS, values)

@@ -322,9 +322,9 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     is normalized to unit mass: G[0][0] = 1 and G[n][n] = h_n / h_0.  It
     is fixed only up to a q-periodic factor (see the weights module), and
     every consumer reads ratios (the ortho and norm suites and
-    norm_triple_report); the absolute scale would need four 40-digit
-    infinite products, 2-3.5 ms at q = 0.9.  Opposite-parity entries are
-    exactly zero.
+    norm_triple_report); the absolute scale would need two 40-digit
+    products of quotients, about 2 ms at q = 0.9.  Opposite-parity
+    entries are exactly zero.
 
     With s_j = q^(2j), beta = 1 + d(q-1)/b, gamma = 1 + c(q-1)/a and g =
     gamma / beta, the Pearson relation gives t_(j+1) / t_j = q beta (1 -

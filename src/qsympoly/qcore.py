@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import IllDefinedSeriesError, QSymPolyError, TruncationError
+from .errors import IllDefinedSeriesError, QSymPolyError, TruncationError, ZeroDenominatorError
 
 __all__ = [
     "QContext",
@@ -139,82 +139,86 @@ def q_shifted_factorial(x, n: int, ctx: QContext, base=None):
     return prod
 
 
-# the head of (x; b)_inf runs at least to the first |b^j x| below this
+# the head of a product runs to the first j where every |b^j x| is below this
 TAIL_SWITCH = 1e-3
-# the time of one term of the tail's log series, in factors of the product
-TAIL_TERM_COST = 4
 
 
 def q_shifted_factorial_inf(x, ctx: QContext, base=None):
     """Infinite product (x; base)_inf = prod_{j>=0} (1 - base**j x).
 
-    The head multiplies the factors down to the first t = base**j x with
-    |t| < TAIL_SWITCH, and if |t| < ctx.eps_term the product is done.  So
-    every factor <= 0, and every exact zero, lies in the head.  The rest
-    is (t; base)_inf = exp(-S) with the log series
-
-        S = sum_(k>=1) t^k / (k (1 - base^k))
-
-    (Gasper and Rahman, *Basic Hypergeometric Series*, section 1.3),
-    summed until a term falls below eps_term relative to S, if that is
-    shorter than the factors left above eps_term (_tail_is_shorter);
-    otherwise the head multiplies those too.  Raises TruncationError if
-    ctx.max_terms factors did not end the head, and QSymPolyError if a
-    float product is subnormal, non-finite, or 0 with no zero factor.
+    This is _product_ratio over (0; base)_inf = 1, so each head factor is
+    divided by exactly 1.  Raises TruncationError if ctx.max_terms factors
+    did not end the head, and QSymPolyError if a float product is
+    subnormal, non-finite, or 0 with no zero factor.
     """
-    b = ctx.q if base is None else base
+    return _product_ratio(x, 0 * x, ctx, ctx.q if base is None else base)
+
+
+def _product_ratio(xn, xd, ctx: QContext, b):
+    """(xn; b)_inf / (xd; b)_inf as one product of quotients.
+
+    The head multiplies (1 - b^j xn) / (1 - b^j xd) down to the first j
+    where both |b^j xn| and |b^j xd| are below TAIL_SWITCH, so every
+    factor <= 0, and every exact zero, lies in the head.  The rest is
+    exp(S(b^j xd) - S(b^j xn)) with the log series (_log_tail_sum)
+
+        S(t) = -log (t; b)_inf = sum_(k>=1) t^k / (k (1 - b^k))
+
+    (Gasper and Rahman, *Basic Hypergeometric Series*, section 1.3).  Where
+    both factors are positive, every quotient lies on the same side of 1
+    (b^j xn / b^j xd = xn / xd), so the partial products move monotonically
+    toward the ratio: near b = 1, where each product alone leaves the float
+    range, a ratio of order one stays in it.  Raises TruncationError if
+    ctx.max_terms factors did not end the head, ZeroDenominatorError on an
+    exactly zero denominator factor, and QSymPolyError if a float ratio is
+    subnormal, non-finite, or 0 with no zero numerator factor.
+    """
     eps = ctx.eps_term
-    prod = 1 + x * 0
-    switch = TAIL_SWITCH
+    ratio = 1 + (xn + xd) * 0  # carries the numeric type of the arguments
     for j in range(ctx.max_terms):
-        t = b**j * x
-        if abs(t) < switch:
-            if abs(t) < eps:
-                break
-            switch = eps
-            if _tail_is_shorter(t, b, eps):
-                prod = prod * exp_(-_log_tail_sum(t, log_(b), eps))
-                break
-        prod = prod * (1 - t)
+        bj = b**j
+        tn, td = bj * xn, bj * xd
+        if abs(tn) < TAIL_SWITCH and abs(td) < TAIL_SWITCH:
+            ratio = ratio * exp_(_log_tail_sum(tn, td, log_(b), eps))
+            break
+        den = 1 - td
+        if den == 0:
+            raise ZeroDenominatorError("weight denominator product vanishes")
+        ratio = ratio * ((1 - tn) / den)
     else:
         raise TruncationError(
-            f"(x; q)_inf with x={x!r} did not meet eps_term={ctx.eps_term} "
+            f"(x; q)_inf / (y; q)_inf with x={xn!r}, y={xd!r} did not reach its tail "
             f"within max_terms={ctx.max_terms}"
         )
-    if isinstance(prod, float) and not sys.float_info.min <= abs(prod) <= sys.float_info.max:
+    if isinstance(ratio, float) and not sys.float_info.min <= abs(ratio) <= sys.float_info.max:
         # 1 - t == 0 exactly iff t == 1
-        if not (prod == 0 and any(b**i * x == 1 for i in range(j))):
-            raise QSymPolyError(f"(x; q)_inf with x={x!r} leaves the float range: {prod!r}")
-    return prod
+        if not (ratio == 0 and any(b**i * xn == 1 for i in range(j))):
+            raise QSymPolyError(
+                f"(x; q)_inf / (y; q)_inf with x={xn!r}, y={xd!r} leaves the float range: {ratio!r}"
+            )
+    return ratio
 
 
-def _tail_is_shorter(t, b, eps) -> bool:
-    """Whether the log series of (t; b)_inf, at TAIL_TERM_COST factors per
-    term and one more for its log and exp, costs fewer factors than the
-    product has left above eps."""
-    if _is_plain(eps):
-        terms = math.log(eps) / math.log(abs(t))
-    else:
-        import mpmath
+def _log_tail_sum(tn, td, lb, eps):
+    """S(td) - S(tn) = log ((tn; b)_inf / (td; b)_inf) for |tn|, |td| < 1,
+    with S(t) = sum_(k>=1) t^k / (k (1 - b^k)), given lb = log b.
 
-        # from the binary exponents: no float underflow at any precision
-        terms = (mpmath.mag(eps) - 0.5) / (mpmath.mag(t) - 0.5)
-    return abs(t) * float(b) ** (TAIL_TERM_COST * (terms + 1)) >= eps
-
-
-def _log_tail_sum(t, lb, eps):
-    """S = sum_(k>=1) t^k / (k (1 - b^k)) = -log (t; b)_inf for |t| < 1,
-    given lb = log b; 1 - b^k = -expm1(k lb) keeps its digits near b = 1."""
+    1 - b^k = -expm1(k lb) keeps its digits near b = 1, and both series
+    share it.  The sum is the log of a ratio, so an absolute error eps in
+    it is a relative error eps in the ratio: it stops at the first k whose
+    two terms together are at most eps, which t = 0 and an underflowed
+    t^k reach too.
+    """
     total = 0
-    tk = t
+    tnk, tdk = tn, td
     k = 1
     while True:
-        term = tk / (-k * expm1_(k * lb))
-        total = total + term
-        if abs(term) < eps * abs(total):
+        scale = -k * expm1_(k * lb)
+        total = total + (tdk - tnk) / scale
+        if abs(tnk) + abs(tdk) <= eps * scale:
             return total
         k += 1
-        tk = tk * t
+        tnk, tdk = tnk * tn, tdk * td
 
 
 def q_binomial(n: int, m: int, ctx: QContext, base=None):

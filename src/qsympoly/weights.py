@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidBaseError, ZeroDenominatorError
-from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
+from .qcore import QContext, _product_ratio, exp_, isfinite_, log_, max_or_nan
 from .sympoly import CharVector, _resonant
 
 __all__ = [
@@ -55,55 +55,42 @@ def _power_base(V: CharVector, q):
     return base
 
 
-def _weight_factors(V: CharVector, ctx: QContext, x, base):
-    """(power * top, bot) at x != 0: the real power base^(log x^2 / (2 log q))
-    times the numerator product, and the denominator product."""
-    q = ctx.q
-    # exp(0 * ...) is exactly 1, so base == 1 skips the logarithms
-    power = 1 if base == 1 else exp_(log_(base) * log_(x * x) / (2 * log_(q)))
-    top = q_shifted_factorial_inf(-V.a * q * q * x * x / V.b, ctx, base=q * q)
-    bden = V.b + V.d * (q - 1)
-    bot = q_shifted_factorial_inf(
-        -(V.a + V.c * (q - 1)) * x * x / bden, ctx, base=q * q
-    )
-    if bot == 0:
-        raise ZeroDenominatorError("weight denominator product vanishes")
-    return power * top, bot
-
-
 def weight_general(V: CharVector, ctx: QContext, x):
-    """The raw Pearson solution W(x), for a, b nonzero and x != 0:
-
-        (1 + d(q-1)/b)^(log x^2 / (2 log q))
-            * (-a q^2 x^2 / b; q^2)_inf
-            / (x^2 (-(a + c(q-1)) x^2 / (b + d(q-1)); q^2)_inf).
-
-    The real power is evaluated in log space; a nonpositive base raises
-    InvalidBaseError rather than continuing into complex values.
-    """
-    if V.a == 0 or V.b == 0:
-        raise ValueError("the closed-form weight needs a != 0 and b != 0")
+    """The raw Pearson solution W(x) = W*(x) / x^2, for a, b nonzero and
+    x != 0 (see weight_star)."""
     if x == 0:
         raise ValueError("W has a 1/x^2 singularity at x = 0; use weight_star")
-    power_top, bot = _weight_factors(V, ctx, x, _power_base(V, ctx.q))
-    return power_top / (x * x * bot)
+    return weight_star(V, ctx, x) / (x * x)
 
 
 def weight_star(V: CharVector, ctx: QContext, x):
-    """W*(x) = x^2 W(x) with the x^2 cancelled analytically.
+    """W*(x) = x^2 W(x) with the x^2 cancelled analytically:
 
+        (1 + d(q-1)/b)^(log x^2 / (2 log q))
+            * (-a q^2 x^2 / b; q^2)_inf / (-(a + c(q-1)) x^2 / (b + d(q-1)); q^2)_inf.
+
+    The real power is evaluated in log space; a nonpositive base raises
+    InvalidBaseError rather than continuing into complex values.  The two
+    products are one product of quotients (qcore._product_ratio), which
+    stays in the float range near q = 1, where each product alone leaves
+    it, whenever W* itself does.
     Finite for all x in the support; at x = 0 the continuous extension is
     returned in the type of x (1 when d = 0, else 0 or +inf depending on
     whether the power base lies below or above 1).
     """
     if V.a == 0 or V.b == 0:
         raise ValueError("the closed-form weight needs a != 0 and b != 0")
-    base = _power_base(V, ctx.q)
+    q = ctx.q
+    base = _power_base(V, q)
     if x == 0:
         # x * 0 + v is v in the type of x
         return x * 0 + (1.0 if base == 1 else 0.0 if base < 1 else float("inf"))
-    power_top, bot = _weight_factors(V, ctx, x, base)
-    return power_top / bot
+    x2 = x * x
+    # exp(0 * ...) is exactly 1, so base == 1 skips the logarithms
+    power = 1 if base == 1 else exp_(log_(base) * log_(x2) / (2 * log_(q)))
+    top = -V.a * q * q * x2 / V.b
+    bot = -(V.a + V.c * (q - 1)) * x2 / (V.b + V.d * (q - 1))
+    return power * _product_ratio(top, bot, ctx, q * q)
 
 
 def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:

@@ -3,6 +3,7 @@ sampling, and independently coded closed-form oracles."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import random
 from pathlib import Path
@@ -156,3 +157,21 @@ def oracle_hermite_star_mp40(p, q, xs):
             base ** (mpmath.log(x * x) / (2 * mpmath.log(q))) * mpmath.qp(q * q * a * x * x, q * q)
             for x in xs
         ]
+
+
+# the last point q = 1 - eps of the q -> 1 limit sweep, and a factor budget
+# for the head of W*'s product there, about 32,000 factors
+Q_NEAR_ONE = 1 - 1e-4
+NEAR_ONE_MAX_TERMS = 300_000
+
+
+@functools.cache
+def mp40_chebyshev6_near_one(x):
+    """W*(x) of chebyshev6 at q = Q_NEAR_ONE (promoted exactly), with the
+    family built and the weight formed at 40 digits, where no product
+    leaves the range of an mpf; about 1 s a point."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        ctx = qp.QContext(mpmath.mpf(Q_NEAR_ONE), max_terms=NEAR_ONE_MAX_TERMS)
+        return qp.weight_star(qp.make_chebyshev6(ctx).V, ctx, mpmath.mpf(x))

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 import qsympoly as qp
-from conftest import rel
+from conftest import Q_NEAR_ONE, mp40_chebyshev6_near_one, rel
 
 CTX = qp.QContext(0.5)
 
@@ -176,6 +176,14 @@ class TestLimitReports:
         )
         assert rep.monotone
         assert rep.raw_errors[-1] < 1e-3
+
+    def test_weight_sweep_near_one_against_40_digits(self):
+        # the eps = 1e-4 point, W*(0.8) / W*(0.5) from two float products
+        # of quotients, each with a head of about 30,000 factors
+        rep = qp.limit_convergence_report("weight", qp.make_chebyshev6, 0, x=0.8)
+        assert 1 - rep.eps_values[-1] == Q_NEAR_ONE
+        want = mp40_chebyshev6_near_one(0.8) / mp40_chebyshev6_near_one(0.5)
+        assert rel(rep.values[-1], want) <= 1e-10
 
     def test_weight_invalid_power_base(self):
         # 1 + p (1 - q^2) < 0 at q = 0.99: the same error as weight_star's

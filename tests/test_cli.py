@@ -460,15 +460,20 @@ class TestCheck:
         residual = float(out.splitlines()[0].split("max residual ")[1].split()[0])
         assert residual < 1e-30
 
-    @pytest.mark.parametrize("argv", [
-        # each product underflows, where it used to exceed max_terms
-        ["check", "pearson", "--family", "hermite", "-p", "0.3", "-q", "0.999"],
-        ["check", "boundary", "--family", "ultraspherical", "-q", "0.999"],
-    ])
-    def test_weight_product_below_float_range(self, capsys, argv):
-        code, out, err = run(capsys, argv)
+    def test_weight_product_below_float_range(self, capsys):
+        # W* itself lies below the float range: 4.2e-354 at 30 digits
+        code, out, err = run(
+            capsys, ["check", "pearson", "--family", "hermite", "-p", "0.3", "-q", "0.999"])
         assert (code, out) == (2, "")
         assert "leaves the float range" in err
+
+    def test_boundary_near_one(self, capsys):
+        # each of W*'s two products underflows at alpha = 1, but their
+        # ratio W*(1) = 0.0400 is one product of quotients of order one
+        code, out, err = run(capsys, ["check", "boundary", "--family", "ultraspherical",
+                                      "-q", "0.999"])
+        assert (code, err) == (0, "")
+        assert out.startswith("PASS boundary")
 
     def test_pearson_weight_underflow_is_typed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "weight_general", lambda V, ctx, x: 0.0)
@@ -550,17 +555,18 @@ class TestExport:
                 if isinstance(v, float):
                     assert math.isfinite(v)
 
-    def test_weight_below_float_range_is_a_row_error(self, capsys):
-        # at q = 0.999 both products of W* underflow near x = 1, and their
-        # ratio would read 1.0; at 30 digits W*(0.99) = 0.1441
+    def test_weight_near_one_has_no_row_errors(self, capsys):
+        # at q = 0.999 both products of W* underflow near x = 1, but not
+        # their ratio; the references are W* at 30 digits
         code, out, _ = run(capsys, ["export", "weight", "--family", "chebyshev6",
                                     "-q", "0.999", "--grid", "0.96:0.99:4"])
         assert code == 0
         payload = json.loads(out)
-        assert [r["weight_star"] is None for r in payload["rows"]] == [False, False, True, True]
-        assert abs(payload["rows"][0]["weight_star"] - 0.2613266160574583) < 1e-12
-        assert [e["row"] for e in payload["errors"]] == [2, 3]
-        assert all("leaves the float range" in e["error"] for e in payload["errors"])
+        assert payload["errors"] == []
+        want = {0.96: 0.2613266160574583, 0.98: 0.1955104468380339, 0.99: 0.1441240387212571}
+        got = {round(r["x"], 2): r["weight_star"] for r in payload["rows"]}
+        for x, w in want.items():
+            assert abs(got[x] - w) <= 1e-11 * w
 
     def test_chebyshev5_limit_weight_endpoints(self, capsys, tmp_path):
         # the fifth-kind limit weight x^2 / sqrt(1 - x^2) is singular at the

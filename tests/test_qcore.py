@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import oracle_qpoch, rel
+from qsympoly import qcore
 
 CTX = qp.QContext(0.5)
 
@@ -95,7 +96,20 @@ class TestQShiftedFactorial:
 
 class TestQShiftedFactorialInf:
     def test_zero(self):
-        assert qp.q_shifted_factorial_inf(0.0, CTX) == 1
+        import mpmath
+
+        # every t is 0 from the start, and the log series must still end
+        v = qp.q_shifted_factorial_inf(0.0, CTX)
+        assert v == 1 and type(v) is float
+        with mpmath.workdps(40):
+            v = qp.q_shifted_factorial_inf(mpmath.mpf(0), qp.QContext(mpmath.mpf("0.5")))
+        assert v == 1 and isinstance(v, mpmath.mpf)
+
+    @pytest.mark.parametrize("xd", [1.0, 2.0])
+    def test_zero_denominator_factor(self, xd):
+        # 1 - b^j xd = 0 exactly at j = 0 resp. j = 1
+        with pytest.raises(qp.ZeroDenominatorError, match="denominator product vanishes"):
+            qcore._product_ratio(0.5, xd, CTX, 0.5)
 
     def test_euler_like_value(self):
         # oracle: fixed-length partial product, long enough for 1e-17 factors

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsympoly as qp
-from conftest import oracle_hermite_star_mp40, oracle_qpoch_inf, rel
+from conftest import (
+    NEAR_ONE_MAX_TERMS,
+    Q_NEAR_ONE,
+    mp40_chebyshev6_near_one,
+    oracle_hermite_star_mp40,
+    oracle_qpoch_inf,
+    rel,
+)
 from qsympoly import weights
 
 CTX = qp.QContext(0.5)
@@ -190,6 +197,25 @@ def float_grid_errors(q):
                     for (x, _), r in zip(grid, refs)),
             )
     return errors
+
+
+class TestWeightStarNearOne:
+    """Each of W*'s two products leaves the float range near q = 1; their
+    ratio, one product of quotients, does not."""
+
+    def test_chebyshev6_endpoint(self):
+        # both products underflow at x = 1; W*(1) at 30 digits
+        ctx = qp.QContext(0.999)
+        w = qp.weight_star(qp.make_chebyshev6(ctx).V, ctx, 1.0)
+        assert rel(w, 0.03999863857618418) <= 1e-11
+
+    @pytest.mark.parametrize("x", [0.5, 0.8])
+    def test_float_against_40_digits(self, x):
+        # measured 4.1e-13 and 1.0e-12 over heads of 28,000 and 32,000
+        # factors, with the rounding of the float V
+        ctx = qp.QContext(Q_NEAR_ONE, max_terms=NEAR_ONE_MAX_TERMS)
+        w = qp.weight_star(qp.make_chebyshev6(ctx).V, ctx, x)
+        assert rel(w, mp40_chebyshev6_near_one(x)) <= 5e-12
 
 
 class TestWeightStarGrid:
