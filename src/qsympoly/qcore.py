@@ -143,43 +143,38 @@ def q_shifted_factorial(x, n: int, ctx: QContext, base=None):
 TAIL_SWITCH = 1e-3
 
 
-def q_shifted_factorial_inf(x, ctx: QContext, base=None):
-    """Infinite product (x; base)_inf = prod_{j>=0} (1 - base**j x).
+def q_shifted_factorial_inf(x, ctx: QContext, base=None, over=0):
+    """Infinite product (x; base)_inf = prod_{j>=0} (1 - base**j x), or with
+    ``over`` the ratio (x; base)_inf / (over; base)_inf as one product of
+    quotients (1 - base^j x) / (1 - base^j over).  ``base`` defaults to ctx.q.
 
-    This is _product_ratio over (0; base)_inf = 1, so each head factor is
-    divided by exactly 1.  Raises TruncationError if ctx.max_terms factors
-    did not end the head, and QSymPolyError if a float product is
-    subnormal, non-finite, or 0 with no zero factor.
-    """
-    return _product_ratio(x, 0 * x, ctx, ctx.q if base is None else base)
+    The head multiplies the quotients down to the first j where both
+    |base^j x| and |base^j over| are below TAIL_SWITCH, so every factor
+    <= 0, and every exact zero, lies in the head.  If those two together
+    are at most ctx.eps_term the product is done; otherwise the rest is
+    exp(S(base^j over) - S(base^j x)) with the log series (_log_tail_sum)
 
-
-def _product_ratio(xn, xd, ctx: QContext, b):
-    """(xn; b)_inf / (xd; b)_inf as one product of quotients.
-
-    The head multiplies (1 - b^j xn) / (1 - b^j xd) down to the first j
-    where both |b^j xn| and |b^j xd| are below TAIL_SWITCH, so every
-    factor <= 0, and every exact zero, lies in the head.  The rest is
-    exp(S(b^j xd) - S(b^j xn)) with the log series (_log_tail_sum)
-
-        S(t) = -log (t; b)_inf = sum_(k>=1) t^k / (k (1 - b^k))
+        S(t) = -log (t; base)_inf = sum_(k>=1) t^k / (k (1 - base^k))
 
     (Gasper and Rahman, *Basic Hypergeometric Series*, section 1.3).  Where
     both factors are positive, every quotient lies on the same side of 1
-    (b^j xn / b^j xd = xn / xd), so the partial products move monotonically
-    toward the ratio: near b = 1, where each product alone leaves the float
-    range, a ratio of order one stays in it.  Raises TruncationError if
-    ctx.max_terms factors did not end the head, ZeroDenominatorError on an
-    exactly zero denominator factor, and QSymPolyError if a float ratio is
-    subnormal, non-finite, or 0 with no zero numerator factor.
+    (base^j x / base^j over = x / over), so the partial products move
+    monotonically toward the ratio: near base = 1, where each product alone
+    leaves the float range, a ratio of order one stays in it.  Raises
+    TruncationError if ctx.max_terms factors did not end the head,
+    ZeroDenominatorError on an exactly zero denominator factor, and
+    QSymPolyError if a float result is subnormal, non-finite, or 0 with no
+    zero numerator factor.
     """
+    b = ctx.q if base is None else base
     eps = ctx.eps_term
-    ratio = 1 + (xn + xd) * 0  # carries the numeric type of the arguments
+    ratio = 1 + (x + over) * 0  # carries the numeric type of the arguments
     for j in range(ctx.max_terms):
         bj = b**j
-        tn, td = bj * xn, bj * xd
+        tn, td = bj * x, bj * over
         if abs(tn) < TAIL_SWITCH and abs(td) < TAIL_SWITCH:
-            ratio = ratio * exp_(_log_tail_sum(tn, td, log_(b), eps))
+            if abs(tn) + abs(td) > eps:
+                ratio = ratio * exp_(_log_tail_sum(tn, td, log_(b), eps))
             break
         den = 1 - td
         if den == 0:
@@ -187,14 +182,14 @@ def _product_ratio(xn, xd, ctx: QContext, b):
         ratio = ratio * ((1 - tn) / den)
     else:
         raise TruncationError(
-            f"(x; q)_inf / (y; q)_inf with x={xn!r}, y={xd!r} did not reach its tail "
+            f"(x; q)_inf / (y; q)_inf with x={x!r}, y={over!r} did not reach its tail "
             f"within max_terms={ctx.max_terms}"
         )
     if isinstance(ratio, float) and not sys.float_info.min <= abs(ratio) <= sys.float_info.max:
         # 1 - t == 0 exactly iff t == 1
-        if not (ratio == 0 and any(b**i * xn == 1 for i in range(j))):
+        if not (ratio == 0 and any(b**i * x == 1 for i in range(j))):
             raise QSymPolyError(
-                f"(x; q)_inf / (y; q)_inf with x={xn!r}, y={xd!r} leaves the float range: {ratio!r}"
+                f"(x; q)_inf / (y; q)_inf with x={x!r}, y={over!r} leaves the float range: {ratio!r}"
             )
     return ratio
 

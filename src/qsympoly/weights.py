@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidBaseError, ZeroDenominatorError
-from .qcore import QContext, _product_ratio, exp_, isfinite_, log_, max_or_nan
+from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
 from .sympoly import CharVector, _resonant
 
 __all__ = [
@@ -71,9 +71,9 @@ def weight_star(V: CharVector, ctx: QContext, x):
 
     The real power is evaluated in log space; a nonpositive base raises
     InvalidBaseError rather than continuing into complex values.  The two
-    products are one product of quotients (qcore._product_ratio), which
-    stays in the float range near q = 1, where each product alone leaves
-    it, whenever W* itself does.
+    products are one product of quotients (q_shifted_factorial_inf with
+    ``over``), which stays in the float range near q = 1, where each
+    product alone leaves it, whenever W* itself does.
     Finite for all x in the support; at x = 0 the continuous extension is
     returned in the type of x (1 when d = 0, else 0 or +inf depending on
     whether the power base lies below or above 1).
@@ -90,7 +90,7 @@ def weight_star(V: CharVector, ctx: QContext, x):
     power = 1 if base == 1 else exp_(log_(base) * log_(x2) / (2 * log_(q)))
     top = -V.a * q * q * x2 / V.b
     bot = -(V.a + V.c * (q - 1)) * x2 / (V.b + V.d * (q - 1))
-    return power * _product_ratio(top, bot, ctx, q * q)
+    return power * q_shifted_factorial_inf(top, ctx, base=q * q, over=bot)
 
 
 def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:

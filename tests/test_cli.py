@@ -475,6 +475,15 @@ class TestCheck:
         assert (code, err) == (0, "")
         assert out.startswith("PASS boundary")
 
+    def test_check_all_near_one(self, capsys):
+        # every suite now reaches its verdict; only the ode suite fails,
+        # from float q-derivatives near q = 1, against its unchanged tol
+        code, out, err = run(capsys, ["check", "all", "--family", "ultraspherical",
+                                      "-q", "0.999"])
+        assert (code, err) == (1, "")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL ode residual")
+
     def test_pearson_weight_underflow_is_typed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "weight_general", lambda V, ctx, x: 0.0)
         code, out, err = run(capsys, ["check", "pearson", "--family", "hermite"])

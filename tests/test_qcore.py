@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import oracle_qpoch, rel
-from qsympoly import qcore
 
 CTX = qp.QContext(0.5)
 
@@ -109,7 +108,7 @@ class TestQShiftedFactorialInf:
     def test_zero_denominator_factor(self, xd):
         # 1 - b^j xd = 0 exactly at j = 0 resp. j = 1
         with pytest.raises(qp.ZeroDenominatorError, match="denominator product vanishes"):
-            qcore._product_ratio(0.5, xd, CTX, 0.5)
+            qp.q_shifted_factorial_inf(0.5, CTX, base=0.5, over=xd)
 
     def test_euler_like_value(self):
         # oracle: fixed-length partial product, long enough for 1e-17 factors
