@@ -371,8 +371,9 @@ def _check_lines_ode(args, tol, gram) -> list:
 def _check_lines_ortho(args, tol, G) -> list:
     size = args.n_max + 1
     parity_ok = all(G[i][j] == 0 for i in range(size) for j in range(i + 1, size, 2))
+    root = [abs(G[i][i]) ** 0.5 for i in range(size)]
     worst = max_or_nan(
-        abs(G[i][j]) / (abs(G[i][i] * G[j][j]) ** 0.5)
+        abs(G[i][j]) / (root[i] * root[j])
         for i in range(size)
         for j in range(i + 2, size, 2)
     )

@@ -19,12 +19,13 @@ and reports both values; it never silently corrects the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
 from typing import Callable
 
-from .errors import AdmissibilityError, DivergenceError, ZeroDenominatorError
+from .errors import AdmissibilityError, DivergenceError, QSymPolyError, ZeroDenominatorError
 from .qcore import (
     QContext,
     exp_,
@@ -33,7 +34,7 @@ from .qcore import (
     q_shifted_factorial_inf,
     sqrt_,
 )
-from .sympoly import CharVector, _C_terms
+from .sympoly import CharVector, _C_exact, _C_terms
 from .weights import _power_base, pearson_ratio, weight_star
 
 __all__ = [
@@ -318,42 +319,18 @@ def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
 def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     """Gram matrix G[n][m] = sum_j t_j phi_n(x_j) phi_m(x_j) / sum_j t_j
     over the whole Jackson grid x_j = alpha q^j, j >= 0, with t_j = q^j
-    W*(x_j), for n, m = 0 .. n_max, as a tuple of row tuples.  The weight
-    is normalized to unit mass: G[0][0] = 1 and G[n][n] = h_n / h_0.  It
-    is fixed only up to a q-periodic factor (see the weights module), and
-    every consumer reads ratios (the ortho and norm suites and
-    norm_triple_report); the absolute scale would need two 40-digit
-    products of quotients, about 2 ms at q = 0.9.  Opposite-parity
-    entries are exactly zero.
-
-    With s_j = q^(2j), beta = 1 + d(q-1)/b, gamma = 1 + c(q-1)/a and g =
-    gamma / beta, the Pearson relation gives t_(j+1) / t_j = q beta (1 -
-    g s_j) / (1 - q^2 s_j): every t_j is positive iff g < 1, and the sum
-    converges iff q beta < 1.  By the q-binomial theorem (Gasper and
-    Rahman, Basic Hypergeometric Series, section 1.3) the moments are then
-    exact: m_r = sum_j t_j s_j^r / sum_j t_j = prod_(i<r) (1 - q^(2i+1)
-    beta) / (1 - q^(2i+1) gamma), each factor in (0, 1).  With phi_n(alpha
-    y) = sum_i d_(n,i) y^i, G_nm = sum_(i,k) d_(n,i) d_(m,k) m_((i+k)/2),
-    as G = D M D^T.  Errors come in this order: the family's violation,
-    InvalidBaseError (beta <= 0), a Pearson pole at alpha, a vanishing
-    norm ratio C_1 ... C_k (C_1 = alpha^2 (1 - q beta) / (1 - q gamma)),
-    and for g >= 1 a zero factor 1 - g q^(2i) (ZeroDenominatorError) or
-    the first non-positive weight (AdmissibilityError; index 0 when an odd
-    number of those factors is negative, else 1); then DivergenceError
-    for q beta >= 1.
-
-    Ulp-level rounding of the C_k is amplified by h_0 / h_n, around 1e10
-    at n = 10, so the inputs are promoted exactly to mpmath, the C_k formed
-    at prec + 60 bits and the rest at max(GRAM_DPS, mp.dps) digits, prec
-    bits.  M and D are ints scaled by 2^H, so the contraction is exact.
-    The rounding is in q beta, q gamma, q^2 and alpha, and in the steps of
-    m_r and d_(n,i).  Each factor of m_r has its numerator and denominator
-    at least 1 - q beta, so m_r errs by about r^2 2^-H / (1 - q beta).  As
-    sum_i |d_(n,i)| <= psi_n = alpha psi_(n-1) + |C_(n-1)| psi_(n-2), which
-    bounds |phi_n| on [-alpha, alpha], the contraction cancels from at most
-    psi_n psi_m to sqrt(G_nn G_mm).  So H is prec plus GRAM_EXTRA_BITS plus
-    the bits of the largest (n_max + 1)^2 (1 + psi_n)^2 / ((1 - q beta)
-    C_1 ... C_n).  The entries come back in the type of q.
+    W*(x_j), for n, m = 0 .. n_max, as row tuples in the type of q, each
+    entry rounded once.  The weight has unit mass, as every consumer reads
+    ratios: G[0][0] = 1 and G[n][n] = h_n / h_0.  Opposite-parity entries
+    are exactly zero.  By the q-binomial theorem the moments are exact,
+    m_r = prod_(i<r) (1 - q^(2i+1) beta) / (1 - q^(2i+1) gamma), and G = D
+    M D^T in ints at 2^H, with D the coefficients of phi_n(alpha y) from
+    C_k within 2^-(H+2), each rounded once.  README "Numeric policy" gives
+    the derivation, the guard bits H and the order of the errors: the
+    family's violation, ResonanceError, a Pearson pole at alpha, a
+    vanishing norm ratio, InvalidBaseError, a zero or negative weight
+    factor on the grid, DivergenceError.  A float diagonal entry outside the
+    normal range raises QSymPolyError.
     """
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
@@ -362,9 +339,14 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     import mpmath
 
     with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
-        G = _assemble_gram(fam, n_max)
-    out = mpmath.mpf if isinstance(fam.ctx.q, mpmath.mpf) else float
-    return tuple(tuple(out(v) for v in row) for row in G)
+        S, H = _assemble_gram(fam, n_max)
+    if isinstance(fam.ctx.q, mpmath.mpf):
+        return tuple(tuple(mpmath.mpf((v, -3 * H)) for v in row) for row in S)
+    for n, row in enumerate(S):  # G_nn = S_nn 2^-3H, a normal float below 2^1023
+        if not -1021 <= abs(row[n]).bit_length() - 3 * H <= 1023:
+            raise QSymPolyError(f"the Gram entry G_{n},{n} leaves the float range")
+    scale = 1 << 3 * H  # int / int rounds correctly
+    return tuple(tuple(v / scale for v in row) for row in S)
 
 
 def _assemble_gram(fam, n_max):
@@ -376,23 +358,22 @@ def _assemble_gram(fam, n_max):
     ictx = QContext(q)
     V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
     alpha = sqrt_(-V.b / V.a)
-    # C_1 .. C_n_max at prec + 60, as the closed form cancels; phi_n_max needs all but the last
-    with mpmath.workprec(mpmath.mp.prec + 60):
-        C_terms = _C_terms(V, ictx)
-        Cs = [C_terms(k)[0] for k in range(1, n_max + 1)]
+    # C_1 .. C_n_max to 2^-32 relative, exact where one vanishes
+    Cs = _C_exact(V, q, n_max, 0)
     # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
 
-    # guard bits: the largest (1 + psi_n)^2 / (C_1 ... C_n) over n <= n_max
-    # (n = 0 gives 4), where psi_n bounds |phi_n| on [-alpha, alpha]
-    psi_prev, psi, norm_ratio, worst = mpf(1), alpha, mpf(1), mpf(4)
-    for k, Ck in enumerate(Cs, 1):
-        norm_ratio = norm_ratio * Ck
-        if norm_ratio == 0:
+    # guard bits: the largest log2 of (1 + psi_n)^2 / |C_1 ... C_n| over n <= n_max (n = 0
+    # gives 2), where psi_n bounds |phi_n| on [-alpha, alpha], rounded up at 2^-32
+    A32 = psi = to_fixed(alpha._mpf_, 32) + 1
+    psi_prev, ratio_bits, worst = 1 << 32, 0.0, 2.0
+    for k, (num, den) in enumerate(Cs, 1):
+        if num == 0:
             raise AdmissibilityError(f"the norm ratio C_1 ... C_{k} vanishes")
-        worst = max(worst, (1 + psi) ** 2 / abs(norm_ratio))
-        psi_prev, psi = psi, alpha * psi + abs(Ck) * psi_prev
+        ratio_bits += math.log2(den) - math.log2(abs(num))
+        worst = max(worst, 2 * math.log2((1 << 32) + psi) - 64 + ratio_bits)
+        psi_prev, psi = psi, (A32 * psi - (-abs(num) << 32) // den * psi_prev >> 32) + 1
     beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
     # the factor 1 - g q^(2i) of t_(i+1) / t_i is negative while gamma q^(2i) > beta;
     # past them the weights keep the sign of W* near 0, so an odd count makes t_0
@@ -412,7 +393,8 @@ def _assemble_gram(fam, n_max):
             f"q beta = {float(q * beta):.6g} >= 1"
         )
 
-    H = mpmath.mp.prec + GRAM_EXTRA_BITS + mpmath.mag((n_max + 1) ** 2 * worst / (1 - q * beta))
+    H = (mpmath.mp.prec + GRAM_EXTRA_BITS + math.ceil(worst + 2 * math.log2(n_max + 1))
+         + mpmath.mag(1 / (1 - q * beta)))
     one, hh = 1 << H, 1 << (H - 1)
     with mpmath.workprec(H + 8):
         beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
@@ -420,10 +402,11 @@ def _assemble_gram(fam, n_max):
             to_fixed(v._mpf_, H) for v in (q * beta, q * gamma, q * q, sqrt_(-V.b / V.a))
         )
     M = _moments(QB, QG, Q2, n_max, H)
-    # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y)
+    # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y); phi_n_max
+    # needs all C_k but the last, each within 2^-(H+2) and rounded once to 2^-H
     D = [[one], [0, A]]
-    for Ck in Cs[:-1]:
-        Ck = to_fixed(Ck._mpf_, H)
+    for num, den in _C_exact(V, q, n_max, H + 2)[:-1]:
+        Ck = ((num << H + 1) + den) // (2 * den)
         D.append([(A * u - Ck * v + hh) >> H for u, v in zip([0] + D[-1], D[-2] + [0, 0])])
     size = n_max + 1
     G = [[0] * size for _ in range(size)]
@@ -432,8 +415,8 @@ def _assemble_gram(fam, n_max):
         # row[b] = sum_a d_(n,p+2a) m_(p+a+b), contracted with d_(m,p+2b)
         row = [sum(map(mul, D[n][p::2], M[p + b:])) for b in range((n_max - p) // 2 + 1)]
         for m in range(n, size, 2):
-            G[n][m] = G[m][n] = mpf((sum(map(mul, row, D[m][p::2])), -3 * H))
-    return G
+            G[n][m] = G[m][n] = sum(map(mul, row, D[m][p::2]))
+    return G, H
 
 
 def _moments(QB, QG, Q2, n, H):

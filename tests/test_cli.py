@@ -241,6 +241,16 @@ class TestCheck:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_ortho_at_large_n_max(self, capsys):
+        # the product G_ii G_jj underflows from n_max = 34; each root does not
+        argv = ["check", "ortho", "--family", "chebyshev6", "-q", "0.5", "--n-max"]
+        code, out, err = run(capsys, argv + ["40"])
+        assert (code, err) == (0, "") and "FAIL" not in out
+        # G_46,46 is subnormal in float arithmetic
+        code, out, err = run(capsys, argv + ["64"])
+        assert (code, out) == (2, "")
+        assert err == "precondition failure: the Gram entry G_46,46 leaves the float range\n"
+
     def test_ode_pass(self, capsys):
         code, out, _ = run(
             capsys, ["check", "ode", "--family", "chebyshev5", "-q", "0.5", "--n-max", "6"]

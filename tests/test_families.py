@@ -1,3 +1,5 @@
+import sys
+
 import mpmath
 import pytest
 
@@ -289,13 +291,15 @@ class TestOrthogonalityMatrix:
         # must show in the off-diagonal
         from qsympoly import families
 
-        real = families._C_terms
+        real = families._C_exact
 
-        def mutated(V, ctx):
-            terms = real(V, ctx)
-            return lambda n: (terms(n)[0] * (1 + mpmath.mpf("1e-9")),) if n == 4 else terms(n)
+        def mutated(V, q, n_max, bits=None):
+            Cs = real(V, q, n_max, bits)
+            num, den = Cs[3]
+            Cs[3] = num * (10**9 + 1), den * 10**9
+            return Cs
 
-        monkeypatch.setattr(families, "_C_terms", mutated)
+        monkeypatch.setattr(families, "_C_exact", mutated)
         for q in (0.5, 0.9):
             for fam in named_families(qp.QContext(q)).values():
                 G = qp.orthogonality_matrix(fam, 10)
@@ -377,21 +381,59 @@ class TestOrthogonalityMatrix:
         qp.weight_grid_report(fam.V, fam.support, CTX, 0)
         assert calls == ["weight_star", "q_shifted_factorial_inf"]
 
-    def test_forms_the_C_factors_once(self, monkeypatch):
-        # one set of n-independent factors, read for each of C_1 .. C_n_max
-        from qsympoly import families
+    @staticmethod
+    def off_diagonal(G):
+        roots = [abs(G[i][i]) ** 0.5 for i in range(len(G))]
+        return max(abs(G[i][j]) / (roots[i] * roots[j])
+                   for i in range(len(G)) for j in range(i + 2, len(G), 2))
 
-        made, read = [], []
-        real = families._C_terms
+    def test_no_noise_floor_at_n_max_limit(self):
+        # C_k formed at prec + 60 bits left a floor of about 2^-2(prec+60) G_jj
+        # under every G_nn: chebyshev6 at q = 1/2 read an off-diagonal of 1.000
+        # and G_30,30 = 1.151e-125 against the Favard product 7.919e-136
+        from qsympoly.cli import N_MAX_LIMIT
 
-        def counted(V, ctx):
-            made.append(ctx.q)
-            terms = real(V, ctx)
-            return lambda n: read.append(n) or terms(n)
+        with mpmath.workdps(40):
+            fam = qp.make_chebyshev6(qp.QContext(mpmath.mpf("0.5")))
+            G = qp.orthogonality_matrix(fam, N_MAX_LIMIT)
+            assert self.off_diagonal(G) <= 1e-40
+        with mpmath.workdps(80):
+            ctx = qp.QContext(fam.ctx.q)
+            fav = [qp.favard_norm(n, fam.V, ctx) for n in range(N_MAX_LIMIT + 1)]
+        assert float(fav[30]) == pytest.approx(7.919e-136, rel=1e-3)
+        assert max(abs(G[n][n] / fav[n] - 1) for n in range(N_MAX_LIMIT + 1)) <= 1e-35
 
-        monkeypatch.setattr(families, "_C_terms", counted)
-        qp.orthogonality_matrix(qp.make_hermite(0.3, CTX), 10)
-        assert (len(made), read) == (1, list(range(1, 11)))
+    def test_float_at_n_max_limit(self):
+        # every entry is the exact contraction rounded once to a float
+        from qsympoly.cli import N_MAX_LIMIT
+
+        fam = qp.make_hermite(0.3, qp.QContext(0.9))
+        G = qp.orthogonality_matrix(fam, N_MAX_LIMIT)
+        assert all(type(v) is float for row in G for v in row)
+        assert self.off_diagonal(G) <= 1e-40
+        with mpmath.workdps(40):
+            ctx = qp.QContext(mpmath.mpf(fam.ctx.q))
+            V = qp.CharVector(*map(mpmath.mpf, fam.V.as_tuple()))
+            fav = [qp.favard_norm(n, V, ctx) for n in range(N_MAX_LIMIT + 1)]
+            assert max(abs(G[n][n] / fav[n] - 1) for n in range(N_MAX_LIMIT + 1)) <= 2**-52
+
+    def test_diagonal_below_float_range(self):
+        # chebyshev6 at q = 1/2: G_45,45 = 2.3e-306 is the last normal diagonal;
+        # off-diagonal entries may underflow to 0.0
+        fam = qp.make_chebyshev6(CTX)
+        G = qp.orthogonality_matrix(fam, 45)
+        assert G[45][45] >= sys.float_info.min and self.off_diagonal(G) <= 1e-10
+        with pytest.raises(qp.QSymPolyError, match=r"^the Gram entry G_46,46 leaves the float range$"):
+            qp.orthogonality_matrix(fam, 46)
+        with mpmath.workdps(20):
+            ctx = qp.QContext(mpmath.mpf(0.5))
+            assert qp.orthogonality_matrix(qp.make_chebyshev6(ctx), 64)[64][64] > 0
+
+    def test_exact_resonance(self):
+        # custom(-1, 1, 2, d) at q = 1/2: the C_1 denominator is exactly zero,
+        # and nothing before it in the error order fires
+        with pytest.raises(qp.ResonanceError, match="^C_1 denominator vanishes$"):
+            qp.orthogonality_matrix(qp.make_custom(-1.0, 1.0, 2.0, 0.2, CTX), 4)
 
     def test_near_q_one(self):
         # the weight products would need more than 40,000 factors at 40

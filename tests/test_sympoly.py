@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import (
+    named_families,
     oracle_C_even_hermite,
     oracle_C_even_ultraspherical,
     oracle_C_odd_hermite,
@@ -296,6 +297,87 @@ class TestSharedCFactors:
         cases += [(V, half) for V in self.registry(half)]
         cases.append((TestResonanceGuard.vector(Fraction(2)), half))
         assert self.assert_bit_identical(cases) >= 1
+
+
+class TestExactC:
+    """The Gram's integer C_n: num / den equals _C_terms over Fraction exactly."""
+
+    @staticmethod
+    def assert_exact(V, q, n_max):
+        import mpmath
+
+        from qsympoly.sympoly import _C_exact, _C_terms
+
+        def fraction(x):
+            sign, man, exp, _ = x._mpf_
+            return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+        mV, mq = qp.CharVector(*(mpmath.mpf(v) for v in V.as_tuple())), mpmath.mpf(q)
+        exact = _C_terms(qp.CharVector(*map(fraction, mV.as_tuple())),
+                         qp.QContext(fraction(mq)))
+        pairs = _C_exact(mV, mq, n_max)
+        assert len(pairs) == n_max and all(den > 0 for _, den in pairs)
+        for n, (num, den) in enumerate(pairs, 1):
+            assert Fraction(num, den) == exact(n)[0], (V, q, n)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_registry_to_n_max_limit(self, q):
+        from qsympoly.cli import N_MAX_LIMIT
+
+        for V in TestSharedCFactors.registry(qp.QContext(q)):
+            self.assert_exact(V, q, N_MAX_LIMIT)
+
+    def test_mpf_30_digits(self):
+        # mantissas of 100 bits, exponents spread over the four entries
+        import mpmath
+
+        r = rng(23)
+        with mpmath.workdps(30):
+            f = mpmath.mpf
+            for _ in range(20):
+                q = f(r.uniform(0.05, 0.95)) / 3 + f(1) / 3
+                V = qp.CharVector(*(f(r.uniform(-3, 3)) / 7 * 2 ** r.randint(-40, 40)
+                                    for _ in range(4)))
+                self.assert_exact(V, q, 12)
+
+    @pytest.mark.parametrize("bits", [0, 60, 700])
+    def test_fixed_point_within_its_bound(self, bits):
+        # each C_n within 2^-bits and 2^-32 |C_n| of the exact value
+        import mpmath
+
+        from qsympoly.sympoly import _C_exact
+
+        r = rng(29)
+        cases = [(fam.V, q) for q in (0.3, 0.9, 0.99)
+                 for fam in named_families(qp.QContext(q)).values()]
+        cases += [(qp.CharVector(*(r.uniform(-3, 3) for _ in range(4))), r.uniform(0.05, 0.95))
+                  for _ in range(20)]
+        checked = 0
+        for V, q in cases:
+            mV, mq = qp.CharVector(*map(mpmath.mpf, V.as_tuple())), mpmath.mpf(q)
+            try:
+                exact = _C_exact(mV, mq, 40)
+            except qp.ResonanceError:
+                continue
+            for (n1, d1), (n2, d2) in zip(exact, _C_exact(mV, mq, 40, bits)):
+                err = abs(Fraction(n1, d1) - Fraction(n2, d2))
+                assert err <= Fraction(1, 2**bits) and err <= abs(Fraction(n2, d2)) / 2**32
+                checked += 1
+        assert checked >= 40 * 30
+
+    def test_only_an_exact_zero_is_resonant(self):
+        import mpmath
+
+        from qsympoly.sympoly import _C_exact
+
+        # custom(-1, 1, 2, d) at q = 1/2: the C_1 and C_2 denominators are exactly zero
+        V = qp.CharVector(*(mpmath.mpf(v) for v in (-1, 1, 2, 0.2)))
+        assert _C_exact(V, mpmath.mpf(0.5), 0) == []
+        with pytest.raises(qp.ResonanceError, match="^C_1 denominator vanishes$"):
+            _C_exact(V, mpmath.mpf(0.5), 2)
+        # 2^-100 off it, where a float guard would call it vanishing
+        with mpmath.workprec(128):
+            self.assert_exact(qp.CharVector(-1, 1, 2 + mpmath.ldexp(1, -100), 0.2), 0.5, 4)
 
 
 class TestBuildMonic:
