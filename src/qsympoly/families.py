@@ -10,11 +10,12 @@ and FAMILIES maps the command-line names to the factories.
 
 Alongside the characteristic vectors this module carries the closed-form
 norm squares exactly as tabulated, the Favard product of recurrence
-coefficients (the ground truth for relative norms), Gram matrices by
-Jackson integration, and the three-way norm comparison used by the
-verification suites.  Where a tabulated norm expression disagrees with
-the Favard product beyond tolerance, the comparison flags the discrepancy
-and reports both values; it never silently corrects the closed form.
+coefficients (the ground truth for relative norms), Gram matrices over
+the whole Jackson grid from the weight's exact moments, and the
+three-way norm comparison used by the verification suites.  Where a
+tabulated norm expression disagrees with the Favard product beyond
+tolerance, the comparison flags the discrepancy and reports both values;
+it never silently corrects the closed form.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     are exactly zero.  By the q-binomial theorem the moments are exact,
     m_r = prod_(i<r) (1 - q^(2i+1) beta) / (1 - q^(2i+1) gamma), and G = D
     M D^T in ints at 2^H, with D the coefficients of phi_n(alpha y) from
-    C_k within 2^-(H+2), each rounded once.  README "Numeric policy" gives
+    the exact C_k, each rounded once.  README "Numeric policy" gives
     the derivation, the guard bits H and the order of the errors: the
     family's violation, ResonanceError, a Pearson pole at alpha, a
     vanishing norm ratio, InvalidBaseError, a zero or negative weight
@@ -358,8 +359,8 @@ def _assemble_gram(fam, n_max):
     ictx = QContext(q)
     V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
     alpha = sqrt_(-V.b / V.a)
-    # C_1 .. C_n_max to 2^-32 relative, exact where one vanishes
-    Cs = _C_exact(V, q, n_max, 0)
+    # C_1 .. C_n_max exactly, each as an int pair (num, den)
+    Cs = _C_exact(V, q, n_max)
     # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
     # resonance test at alpha covers the orbit
     pearson_ratio(V, ictx, alpha)
@@ -403,9 +404,9 @@ def _assemble_gram(fam, n_max):
         )
     M = _moments(QB, QG, Q2, n_max, H)
     # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y); phi_n_max
-    # needs all C_k but the last, each within 2^-(H+2) and rounded once to 2^-H
+    # needs all C_k but the last, each rounded once to nearest at 2^-H
     D = [[one], [0, A]]
-    for num, den in _C_exact(V, q, n_max, H + 2)[:-1]:
+    for num, den in Cs[:-1]:
         Ck = ((num << H + 1) + den) // (2 * den)
         D.append([(A * u - Ck * v + hh) >> H for u, v in zip([0] + D[-1], D[-2] + [0, 0])])
     size = n_max + 1

@@ -214,14 +214,12 @@ def _C_terms(V: CharVector, ctx: QContext):
     return terms
 
 
-def _C_exact(V: CharVector, q, n_max: int, bits=None) -> list:
-    """[(num, den)] for n = 1 .. n_max, ints with den > 0 and num / den = C_n,
-    for mpf q = Q 2^-e and V: _C_terms's closed form in the same grouping,
-    each term an int at one power of two, with q^n = X 2^-W, X stepped by a
-    factor Q and rounded.  At W = e n_max, the default, X and C_n are exact,
-    and only an exact zero den is resonant.  For given bits, W grows from
-    bits + 64 until each C_n errs by at most 2^-bits and 2^-32 |C_n|: X errs
-    by at most n / 2, so C_n by n 2^(3W-1) (TN den + TD |num|) / den^2."""
+def _C_exact(V: CharVector, q, n_max: int) -> list:
+    """[(num, den)] for n = 1 .. n_max, ints with den > 0 and num / den = C_n
+    exactly, for mpf q = Q 2^-e and V: _C_terms's closed form in the same
+    grouping, each term an int at one power of two.  Step n is scaled by
+    2^(4 e n), so q^n = Q^n 2^-(e n) is the int Q^n and the ints are about
+    4 e n bits wide.  Only an exact zero den is resonant."""
     (Q, e), *vs = [(-m if sign else m, -x) for sign, m, x, _ in
                    (v._mpf_ for v in (q, *V.as_tuple()))]
     f = max(x for _, x in vs)
@@ -233,26 +231,14 @@ def _C_exact(V: CharVector, q, n_max: int, bits=None) -> list:
     u1 = (-b * E * ae * E, (dq - b * E) * ae * E)
     u2 = a * (b * (Q * Q + E * E) * E + dq1 * Q * Q) + b * c * (Q - E) * E * E
     t3s = (-(aqq * b * E), -(aqq * (b * E + dq1)))
-    TN = 3 * Q * (max(map(abs, u1)) + abs(u2) + max(map(abs, t3s)))
-    TD = 8 * (abs(den1) + abs(den2) + abs(den3))
-    W = e * n_max if bits is None else min(bits + 64, e * n_max)
-    while True:
-        exact, out, X, short = W >= e * n_max, [], 1 << W, 0
-        for n in range(1, n_max + 1):
-            X = (X * Q + (E >> 1)) >> e
-            X2 = X * X
-            terms = (den1 << 4 * W, X2 * X2 * den2, X2 * den3 << 2 * W)
-            den = _checked_den(*terms, n) if exact else sum(terms)
-            num = Q * X * (X2 * u1[n % 2] + (X * u2 << W) + (t3s[(n - 1) % 2] << 2 * W)) << W
-            num, den = (-num, -den) if den < 0 else (num, den)
-            if not exact:  # the bits wanted, less the bits of accuracy
-                need = max(bits, den.bit_length() - num.bit_length() + 34) if num else e * n_max
-                acc = 2 * den.bit_length() - 1 - 3 * W - (n * (TN * den + TD * abs(num))).bit_length()
-                short = max(short, need - acc)
-            out.append((num, den))
-        if exact or short <= 0:
-            return out
-        W = min(W + short + 8, e * n_max)
+    out, X = [], 1
+    for n in range(1, n_max + 1):
+        W, X = e * n, X * Q
+        X2 = X * X
+        den = _checked_den(den1 << 4 * W, X2 * X2 * den2, X2 * den3 << 2 * W, n)
+        num = Q * X * (X2 * u1[n % 2] + (X * u2 << W) + (t3s[(n - 1) % 2] << 2 * W)) << W
+        out.append((-num, -den) if den < 0 else (num, den))
+    return out
 
 
 def recurrence_C(n: int, V: CharVector, ctx: QContext):

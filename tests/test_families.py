@@ -286,6 +286,22 @@ class TestOrthogonalityMatrix:
                 err = abs(mpmath.ldexp(v, -P) - exact)
                 assert err <= 4 * (k + 1) * max(exact, 1) * mpmath.ldexp(1, -P)
 
+    def test_one_C_exact_call_per_gram(self, monkeypatch):
+        # the guard bits, the norm-ratio test and D all read one exact pass
+        from qsympoly import families
+
+        real, calls = families._C_exact, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(families, "_C_exact", spy)
+        fam = qp.make_hermite(0.3, qp.QContext(0.9))
+        qp.orthogonality_matrix(fam, 10)
+        [(V, q, n_max)] = calls
+        assert (V.as_tuple(), q, n_max) == (fam.V.as_tuple(), 0.9, 10)
+
     def test_mutated_C_lifts_off_diagonal(self, monkeypatch):
         # a relative change of 1e-9 in C_4, which phi_5 .. phi_10 read,
         # must show in the off-diagonal
@@ -293,8 +309,8 @@ class TestOrthogonalityMatrix:
 
         real = families._C_exact
 
-        def mutated(V, q, n_max, bits=None):
-            Cs = real(V, q, n_max, bits)
+        def mutated(V, q, n_max):
+            Cs = real(V, q, n_max)
             num, den = Cs[3]
             Cs[3] = num * (10**9 + 1), den * 10**9
             return Cs

@@ -35,12 +35,11 @@ def test_cases(tool):
         ("hermite", (0.5,), 0.9),
         ("ultraspherical", (0.4, 1.9), 0.99),
     )
-    assert (tool.N_MAX, tool.DPS, tool.REF_DPS, tool.REF_DEPTH) == (10, 40, 90, 10**12)
+    assert (tool.N_MAX, tool.DPS, tool.REF_DPS) == (10, 40, 90)
 
 
 def test_cases_converge(tool):
-    # a tree that takes a depth sums REF_DEPTH points, which only a
-    # convergent grid sum, q beta < 1, leaves with a negligible tail
+    # the Gram sums the whole grid, which converges only for q beta < 1
     import qsympoly as qp
     from qsympoly.families import FAMILIES
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import qsympoly as qp
 from conftest import (
-    named_families,
     oracle_C_even_hermite,
     oracle_C_even_ultraspherical,
     oracle_C_odd_hermite,
@@ -340,30 +339,18 @@ class TestExactC:
                                     for _ in range(4)))
                 self.assert_exact(V, q, 12)
 
-    @pytest.mark.parametrize("bits", [0, 60, 700])
-    def test_fixed_point_within_its_bound(self, bits):
-        # each C_n within 2^-bits and 2^-32 |C_n| of the exact value
+    def test_100_digits_to_n_max_limit(self):
+        # q = 0.9 read at 100 digits, as the command line reads it under
+        # QSYMPOLY_PRECISION=100: the widest ints the Gram can ask for
         import mpmath
 
-        from qsympoly.sympoly import _C_exact
+        from qsympoly.cli import N_MAX_LIMIT
 
-        r = rng(29)
-        cases = [(fam.V, q) for q in (0.3, 0.9, 0.99)
-                 for fam in named_families(qp.QContext(q)).values()]
-        cases += [(qp.CharVector(*(r.uniform(-3, 3) for _ in range(4))), r.uniform(0.05, 0.95))
-                  for _ in range(20)]
-        checked = 0
-        for V, q in cases:
-            mV, mq = qp.CharVector(*map(mpmath.mpf, V.as_tuple())), mpmath.mpf(q)
-            try:
-                exact = _C_exact(mV, mq, 40)
-            except qp.ResonanceError:
-                continue
-            for (n1, d1), (n2, d2) in zip(exact, _C_exact(mV, mq, 40, bits)):
-                err = abs(Fraction(n1, d1) - Fraction(n2, d2))
-                assert err <= Fraction(1, 2**bits) and err <= abs(Fraction(n2, d2)) / 2**32
-                checked += 1
-        assert checked >= 40 * 30
+        with mpmath.workdps(100):
+            q = mpmath.mpf("0.9")
+            assert -q._mpf_[2] > 300
+            V = qp.make_hermite(mpmath.mpf("0.3"), qp.QContext(q)).V
+            self.assert_exact(V, q, N_MAX_LIMIT)
 
     def test_only_an_exact_zero_is_resonant(self):
         import mpmath

@@ -8,18 +8,15 @@ float arithmetic, as the command line builds it, and its vector and base
 are promoted exactly to mpmath; ``orthogonality_matrix`` then assembles
 the Gram matrix for n, m = 0 .. N_MAX at 40 digits in each tree, and at
 90 digits in the parent tree as the reference.  Every matrix is divided
-by its G_00, as a tree may scale the weight as it likes.  A tree whose
-``orthogonality_matrix`` still takes a grid depth sums REF_DEPTH points.
-Every case has q beta < 1, the limit of the grid's weight ratio
-t_(j+1) / t_j (q beta = q (1 + d (q - 1) / b)), so that depth leaves a
-tail far below 90 digits; a divergent case at that depth would build
-integers of about 10^11 bits.  For each tree the tool prints the
-deviation max |G_nm - R_nm| / sqrt(R_nn R_mm) over the equal-parity
-entries, and the off-diagonal residual max |G_nm| / sqrt(G_nn G_mm) over
-n != m.  A case whose two 40-digit matrices are equal entry for entry is
-marked ``identical``, one whose change deviates more than twice as far
-as the parent ``WORSE``, any other ``ok``.  The exit code is 1 if any
-case is WORSE, else 0.
+by its G_00, as a tree may scale the weight as it likes.  Every case
+has q beta < 1, the limit of the grid's weight ratio t_(j+1) / t_j
+(q beta = q (1 + d (q - 1) / b)), so that its grid sum converges.  For
+each tree the tool prints the deviation max |G_nm - R_nm| / sqrt(R_nn
+R_mm) over the equal-parity entries, and the off-diagonal residual
+max |G_nm| / sqrt(G_nn G_mm) over n != m.  A case whose two 40-digit
+matrices are equal entry for entry is marked ``identical``, one whose
+change deviates more than twice as far as the parent ``WORSE``, any
+other ``ok``.  The exit code is 1 if any case is WORSE, else 0.
 Each tree runs in its own ``python`` subprocess, through the
 ``tools/gram_accuracy.py`` of its own checkout when there is one, so that
 each drives its own ``orthogonality_matrix`` across a change of its
@@ -58,7 +55,6 @@ CASES = (
 )
 N_MAX = 10
 DPS, REF_DPS = 40, 90
-REF_DEPTH = 10**12
 
 
 def label(case) -> str:
@@ -68,28 +64,20 @@ def label(case) -> str:
 
 def grams(cases, dps: int) -> list:
     """The Gram matrix of every case at ``dps`` digits, each entry as the
-    exact pair (mantissa, exponent), from the qsympoly on sys.path.
-
-    The contexts allow 10**6 terms, so that no case hits a depth cap at
-    90 digits that it passes at 40."""
-    import inspect
-
+    exact pair (mantissa, exponent), from the qsympoly on sys.path."""
     import mpmath
     import qsympoly as qp
     from qsympoly.families import FAMILIES
 
-    depth = ()
-    if len(inspect.signature(qp.orthogonality_matrix).parameters) == 3:
-        depth = (REF_DEPTH,)
     out = []
     for name, params, q in cases:
         ctx = qp.QContext(q)
         make = qp.make_custom if name == "custom" else FAMILIES[name][0]
         V = make(*params, ctx).V
         with mpmath.workdps(dps):
-            mctx = qp.QContext(mpmath.mpf(q), max_terms=10**6)
+            mctx = qp.QContext(mpmath.mpf(q))
             fam = qp.make_custom(*(mpmath.mpf(v) for v in V.as_tuple()), mctx)
-            G = qp.orthogonality_matrix(fam, N_MAX, *depth)
+            G = qp.orthogonality_matrix(fam, N_MAX)
         out.append([[_pair(v._mpf_) for v in row] for row in G])
     return out
 
