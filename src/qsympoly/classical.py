@@ -11,11 +11,12 @@ quantifies how a q-quantity approaches its target.
 
 Limit verification is numeric by design: quantities are evaluated along
 q = 1 - eps for the fixed eps values LIMIT_EPS (1e-2, 1e-3, 1e-4) and
-Richardson-extrapolated to eps = 0.  The weight quantity is the ratio
-W*(x) / W*(x_ref) of two weight_star values, each one product of
-quotients of order one as q -> 1, whose head grows like 1/eps (about
-32,000 factors at eps = 1e-4).  Smaller eps would cost time in
-proportion and float digits in the q-differences of the other
+Richardson-extrapolated to eps = 0; the targets are read at the first
+sweep point, as a family's q -> 1 data do not depend on q.  The weight
+quantity is the ratio W*(x) / W*(x_ref) of two weight_star values, each
+one product of quotients of order one as q -> 1, whose head grows like
+1/eps (about 32,000 factors at eps = 1e-4).  Smaller eps would cost time
+in proportion and float digits in the q-differences of the other
 quantities; elevated precision (mpmath) is supported by the duck-typed
 arithmetic but not switched on automatically.
 """
@@ -52,8 +53,6 @@ LIMIT_EPS = (1e-2, 1e-3, 1e-4)
 # |q^(2j) t| < 1e-3, about 32,000 factors at eps = 1e-4, so the factor
 # budget grows as 1/eps
 _SWEEP_CTXS = tuple(QContext(1 - eps, max_terms=max(10_000, int(30 / eps))) for eps in LIMIT_EPS)
-# the context at which a subject gives its continuous limit vector
-_TARGET_CTX = QContext(0.5)
 
 
 def continuous_poly_coeffs(n: int, V: CharVector) -> tuple:
@@ -161,6 +160,33 @@ class LimitReport:
     extrapolated_error: float
 
 
+def _scaled(target):
+    return target, abs(target)
+
+
+def _poly_target(n, fam, x):
+    # the largest monomial term |c_k x^k| scales the error near a zero
+    coeffs = continuous_poly_coeffs(n, fam.limit_V)
+    target = _polyval(coeffs, x)
+    return target, max(abs(target), max(abs(ck) * abs(x) ** k for k, ck in enumerate(coeffs)))
+
+
+# quantity -> (its value, of (n, V, ctx, x), and its continuous target with
+# the scale of its errors, of (n, fam, x))
+_QUANTITIES = {
+    "C": (lambda n, V, ctx, x: recurrence_C(n, V, ctx),
+          lambda n, fam, x: _scaled(continuous_C_limit(n, fam.limit_V))),
+    "lambda": (lambda n, V, ctx, x: eigenvalue(n, V, ctx),
+               lambda n, fam, x: _scaled(continuous_lambda_limit(n, fam.limit_V))),
+    "poly": (eval_explicit, _poly_target),
+    "weight": (
+        lambda n, V, ctx, x: weight_star(V, ctx, x) / weight_star(V, ctx, WEIGHT_REF_POINT),
+        lambda n, fam, x: _scaled(
+            continuous_weight(fam, x) / continuous_weight(fam, WEIGHT_REF_POINT)),
+    ),
+}
+
+
 def limit_convergence_report(
     quantity: str, subject: Callable, n: int, x: float | None = None
 ) -> LimitReport:
@@ -169,11 +195,12 @@ def limit_convergence_report(
 
     ``quantity`` is one of "C", "lambda", "poly", "weight".  ``subject``
     maps a QContext to a FamilyDescriptor, such as a family's ``rebuild``;
-    the family is rebuilt at every sweep point, so its characteristic
-    vector tracks q, and its ``limit_V`` gives the continuous targets.
-    "poly" and "weight" need the evaluation point x; "weight" compares
-    the ratio W*(x)/W*(x_ref) with the continuous ratio at x_ref = 0.5,
-    since the raw weights only converge up to normalization.
+    the family is built at every sweep point, so its characteristic
+    vector tracks q, and the continuous targets read its q-independent
+    ``limit_V`` and ``limit_weight`` at the first sweep point.  "poly" and
+    "weight" need the evaluation point x; "weight" compares the ratio
+    W*(x)/W*(x_ref) with the continuous ratio at x_ref = 0.5, since the
+    raw weights only converge up to normalization.
 
     Raw errors are relative to the target magnitude; the polynomial
     quantity additionally floors the denominator with the magnitude of
@@ -181,42 +208,16 @@ def limit_convergence_report(
     target.  Where the target is exactly 0 (the hermite C_1 limit at
     p = 1/2, for one), the errors are absolute.
     """
-    if quantity not in ("C", "lambda", "poly", "weight"):
+    if quantity not in _QUANTITIES:
         raise ValueError(f"unknown limit quantity {quantity!r}")
     if quantity in ("poly", "weight") and x is None:
         raise ValueError(f"quantity {quantity!r} needs an evaluation point x")
-
-    fam0 = subject(_TARGET_CTX)
-    v_cont = fam0.limit_V
-
-    # continuous target
-    if quantity == "C":
-        target = continuous_C_limit(n, v_cont)
-        scale = abs(target)
-    elif quantity == "lambda":
-        target = continuous_lambda_limit(n, v_cont)
-        scale = abs(target)
-    elif quantity == "poly":
-        coeffs = continuous_poly_coeffs(n, v_cont)
-        target = _polyval(coeffs, x)
-        scale = max(abs(target), max(abs(ck) * abs(x) ** k for k, ck in enumerate(coeffs)))
-    else:
-        target = continuous_weight(fam0, x) / continuous_weight(fam0, WEIGHT_REF_POINT)
-        scale = abs(target)
-
+    value, target_and_scale = _QUANTITIES[quantity]
+    fams = [subject(ctx) for ctx in _SWEEP_CTXS]
+    target, scale = target_and_scale(n, fams[0], x)
     if scale == 0:
         scale = 1
-    values = []
-    for ctx in _SWEEP_CTXS:
-        V = subject(ctx).V
-        if quantity == "C":
-            values.append(recurrence_C(n, V, ctx))
-        elif quantity == "lambda":
-            values.append(eigenvalue(n, V, ctx))
-        elif quantity == "poly":
-            values.append(eval_explicit(n, V, ctx, x))
-        else:
-            values.append(weight_star(V, ctx, x) / weight_star(V, ctx, WEIGHT_REF_POINT))
+    values = [value(n, fam.V, ctx, x) for ctx, fam in zip(_SWEEP_CTXS, fams)]
     raw_errors = tuple(abs(v - target) / scale for v in values)
     monotone = all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:]))
     extrap = _neville_at_zero(LIMIT_EPS, values)

@@ -183,12 +183,9 @@ def _build_config(args, precision) -> None:
         raise CLIError("n_terms must be at least 1")
     fam = _make_family(args, ctx, real)
 
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None and not (0 <= n_max <= N_MAX_LIMIT):
-        raise CLIError(f"--n-max must lie in [0, {N_MAX_LIMIT}]")
-    n = getattr(args, "n", None)
-    if n is not None and not (0 <= n <= N_MAX_LIMIT):
-        raise CLIError(f"-n must lie in [0, {N_MAX_LIMIT}]")
+    for flag, n in (("--n-max", getattr(args, "n_max", None)), ("-n", getattr(args, "n", None))):
+        if n is not None and not (0 <= n <= N_MAX_LIMIT):
+            raise CLIError(f"{flag} must lie in [0, {N_MAX_LIMIT}]")
     # NaN fails every comparison, so a check against a NaN bound would pass
     if args.tol is not None and not (isfinite_(args.tol) and args.tol >= 0):
         raise CLIError(f"--tol must be finite and nonnegative, got {args.tol!r}")
@@ -240,9 +237,7 @@ def _emit(args, columns, rows, errors, stream):
             v = r.get(c)
             if v is None:
                 clean[c] = None
-            elif isinstance(v, str):
-                clean[c] = v
-            elif isinstance(v, int):
+            elif isinstance(v, (str, int)):
                 clean[c] = v
             elif isinstance(v, float):
                 clean[c] = v if isfinite_(v) else None

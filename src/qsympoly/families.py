@@ -464,11 +464,11 @@ def norm_triple_report(
     A tabulated norm that deviates from the Favard product by more than
     CLOSED_FORM_FLAG_TOL relative is flagged and reported, not failed.
     ``gram`` is an orthogonality_matrix of this family of size at least
-    n_max + 1, whose leading block gives the quadrature ratios.
+    n_max + 1, whose diagonal G_nn = h_n / h_0 (unit mass, G_00 = 1) gives
+    the quadrature ratios.
     """
     if len(gram) <= n_max:
         raise ValueError(f"Gram matrix of size {len(gram)} has no entry at n = {n_max}")
-    mass = gram[0][0]
     out = []
     fav = 1
     C_terms = _C_terms(fam.V, fam.ctx)
@@ -476,7 +476,7 @@ def norm_triple_report(
         if n:
             # favard_norm(n), carried over from n - 1 in the same order
             fav = fav * C_terms(n)[0]
-        quad = gram[n][n] / mass
+        quad = gram[n][n]
         pair_rel = abs(fav - quad) / max(abs(fav), abs(quad))
         closed = closed_rel = None
         flagged = False

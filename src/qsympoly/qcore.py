@@ -40,48 +40,24 @@ def _is_plain(v) -> bool:
     return isinstance(v, (int, float))
 
 
-def exp_(v):
-    """exp() that follows the numeric type of its argument."""
-    if _is_plain(v):
-        return math.exp(v)
-    import mpmath
+def _typed(name: str) -> Callable:
+    """The function ``name`` of math for an int or float argument, and of
+    mpmath for any other, so that its result follows the argument's type."""
+    plain = getattr(math, name)
 
-    return mpmath.exp(v)
+    def typed(v):
+        if _is_plain(v):
+            return plain(v)
+        import mpmath
 
+        return getattr(mpmath, name)(v)
 
-def log_(v):
-    """log() that follows the numeric type of its argument."""
-    if _is_plain(v):
-        return math.log(v)
-    import mpmath
-
-    return mpmath.log(v)
-
-
-def expm1_(v):
-    """expm1() = exp() - 1 that follows the numeric type of its argument."""
-    if _is_plain(v):
-        return math.expm1(v)
-    import mpmath
-
-    return mpmath.expm1(v)
+    typed.__name__ = typed.__qualname__ = f"{name}_"
+    typed.__doc__ = f"{name}() that follows the numeric type of its argument."
+    return typed
 
 
-def sqrt_(v):
-    """sqrt() that follows the numeric type of its argument."""
-    if _is_plain(v):
-        return math.sqrt(v)
-    import mpmath
-
-    return mpmath.sqrt(v)
-
-
-def isfinite_(v) -> bool:
-    if _is_plain(v):
-        return math.isfinite(v)
-    import mpmath
-
-    return bool(mpmath.isfinite(v))
+exp_, log_, expm1_, sqrt_, isfinite_ = map(_typed, ("exp", "log", "expm1", "sqrt", "isfinite"))
 
 
 @dataclass(frozen=True)

@@ -144,18 +144,11 @@ class SymPolynomial:
 
     def magnitude(self, x):
         """Sum of |c_k| |x|**k, the natural scale of an evaluation at x."""
-        ax = abs(x)
-        t = ax * ax
-        acc = abs(self.coeffs[self.degree])
-        for k in range(self.degree - 2, self.parity - 1, -2):
-            acc = acc * t + abs(self.coeffs[k])
-        return acc * ax**self.parity
+        return SymPolynomial(self.degree, tuple(map(abs, self.coeffs)))(abs(x))
 
 
 def eigenvalue(n: int, V: CharVector, ctx: QContext):
     """Eigenvalue lambda_n = -[n]_q (c - [1-n]_q a)."""
-    if V.a == 0 and V.c == 0:
-        raise ValueError("eigenvalue undefined when a = c = 0")
     return -q_number(n, ctx) * (V.c - q_number(1 - n, ctx) * V.a)
 
 

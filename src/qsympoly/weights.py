@@ -128,7 +128,9 @@ def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> Wei
     """Positivity of W* on the geometric grid alpha q^j, j = 0 .. n_terms.
 
     W* reads x only through x^2, so it is even bit for bit and the
-    mirrored points -alpha q^j need no evaluation of their own.
+    mirrored points -alpha q^j need no evaluation of their own.  No
+    command calls it; it stays only because ``bench/tracer.py``
+    ``BOUNDARIES`` names it (ROADMAP items 4 and 7 delete both together).
     """
     positive = True
     vmin, vmax = None, None

@@ -428,8 +428,9 @@ class TestCheck:
         code, _, _ = run(
             capsys, ["check", "limit", "--family", "ultraspherical", "-q", "0.5"])
         assert code == 0
-        # the reference context and one per eps, for 3 quantities x 10 degrees
-        assert len(calls) == len(set(calls)) == len(LIMIT_EPS) + 1
+        # one per eps, for 3 quantities x 10 degrees; the targets read the
+        # family at the first eps
+        assert len(calls) == len(set(calls)) == len(LIMIT_EPS)
 
     def test_check_all_assembles_one_gram(self, capsys, monkeypatch):
         from qsympoly import families
@@ -493,6 +494,19 @@ class TestCheck:
         assert (code, err) == (1, "")
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 1 and failed[0].startswith("FAIL ode residual")
+
+    def test_ode_at_n_max_limit(self, capsys, monkeypatch):
+        # a known defect, pinned so that its fix shows as a deliberate change:
+        # at degree 64 the float ladder's rounding fails the unchanged tol,
+        # and 40 digits pass
+        argv = ["check", "ode", "--family", "hermite", "-p", "0.3", "-q", "0.9",
+                "--n-max", str(cli.N_MAX_LIMIT)]
+        monkeypatch.delenv("QSYMPOLY_PRECISION", raising=False)
+        assert run(capsys, argv) == (
+            1, "FAIL ode residual (scaled): max residual 4.696e-07 (tol 1.0e-10)\n", "")
+        monkeypatch.setenv("QSYMPOLY_PRECISION", "40")
+        assert run(capsys, argv) == (
+            0, "PASS ode residual (scaled): max residual 5.411e-32 (tol 1.0e-10)\n", "")
 
     def test_pearson_weight_underflow_is_typed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "weight_general", lambda V, ctx, x: 0.0)

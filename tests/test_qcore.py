@@ -37,6 +37,25 @@ class TestQContext:
             assert isinstance(ctx.eps_term, mpmath.mpf) and ctx.eps_term == want
 
 
+@pytest.mark.parametrize("name", ["exp", "log", "expm1", "sqrt", "isfinite"])
+@pytest.mark.parametrize("kind", ["int", "float", "mpf30"])
+def test_typed_helper_follows_its_argument(name, kind):
+    # math for an int or float, mpmath at the working precision otherwise
+    import mpmath
+
+    from qsympoly import qcore
+
+    with mpmath.workdps(30):
+        v = {"int": 3, "float": 0.7, "mpf30": mpmath.mpf("0.7")}[kind]
+        got = getattr(qcore, f"{name}_")(v)
+        want = getattr(mpmath if kind == "mpf30" else math, name)(v)
+    if name == "isfinite":
+        assert type(got) is bool
+    else:
+        assert type(got) is (mpmath.mpf if kind == "mpf30" else float)
+    assert got == want
+
+
 class TestQNumber:
     def test_zero(self):
         assert qp.q_number(0, CTX) == 0
