@@ -63,7 +63,6 @@ from .qcore import (
     basic_hypergeometric,
     q_binomial,
     q_derivative,
-    q_derivative_inv,
     q_number,
     q_shifted_factorial,
     q_shifted_factorial_inf,
@@ -80,11 +79,9 @@ from .sympoly import (
     eval_explicit,
     eval_explicit_monic,
     eval_hypergeometric,
-    explicit_leading_coeff,
     hypergeometric_parameters,
     monic_factor,
     monic_ladder,
-    ode_residual,
     ode_residual_terms,
     recurrence_C,
     recurrence_C_even,

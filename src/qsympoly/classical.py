@@ -33,17 +33,6 @@ from .qcore import QContext, sigma_parity
 from .sympoly import CharVector, _polyval, eigenvalue, eval_explicit, recurrence_C
 from .weights import weight_star
 
-__all__ = [
-    "LimitReport",
-    "continuous_poly_coeffs",
-    "continuous_poly",
-    "continuous_C_limit",
-    "continuous_lambda_limit",
-    "continuous_ode_residual",
-    "continuous_weight",
-    "limit_convergence_report",
-]
-
 # reference abscissa for weight-ratio comparisons; inside every family's support
 WEIGHT_REF_POINT = 0.5
 # the sweep q = 1 - eps, largest eps first; the extrapolation to eps = 0

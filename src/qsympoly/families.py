@@ -38,24 +38,6 @@ from .qcore import (
 from .sympoly import CharVector, _C_exact, _C_terms
 from .weights import _power_base, pearson_ratio, weight_star
 
-__all__ = [
-    "FamilyDescriptor",
-    "FAMILIES",
-    "make_ultraspherical",
-    "make_chebyshev5",
-    "make_chebyshev6",
-    "make_hermite",
-    "make_custom",
-    "norm_square_ultraspherical",
-    "norm_square_hermite",
-    "favard_norm",
-    "ReductionReport",
-    "hermite_p0_reduction_check",
-    "orthogonality_matrix",
-    "NormTriple",
-    "norm_triple_report",
-]
-
 # least working precision of the Gram assembly, in decimal digits
 GRAM_DPS = 40
 # relative deviation of a tabulated norm from the Favard product above

@@ -17,15 +17,6 @@ from typing import Callable, NamedTuple
 from .errors import DivergenceError, TruncationError
 from .qcore import QContext, isfinite_
 
-__all__ = [
-    "JacksonConfig",
-    "QIntegralResult",
-    "q_integral_zero_to",
-    "q_integral",
-    "q_integral_symmetric",
-    "q_integral_real_line",
-]
-
 
 class QIntegralResult(NamedTuple):
     value: float

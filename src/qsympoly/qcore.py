@@ -23,18 +23,6 @@ from typing import Callable
 
 from .errors import IllDefinedSeriesError, QSymPolyError, TruncationError, ZeroDenominatorError
 
-__all__ = [
-    "QContext",
-    "q_number",
-    "q_shifted_factorial",
-    "q_shifted_factorial_inf",
-    "q_binomial",
-    "basic_hypergeometric",
-    "q_derivative",
-    "q_derivative_inv",
-    "sigma_parity",
-]
-
 
 def _is_plain(v) -> bool:
     return isinstance(v, (int, float))
@@ -246,14 +234,6 @@ def q_derivative(f: Callable, x, ctx: QContext, derivative_at_zero=None):
         return derivative_at_zero
     q = ctx.q
     return (f(q * x) - f(x)) / ((q - 1) * x)
-
-
-def q_derivative_inv(f: Callable, x, ctx: QContext):
-    """Inverse-base q-difference operator, D_{1/q} f(x) = (f(x/q) - f(x)) / ((1/q - 1) x)."""
-    if x == 0:
-        raise ValueError("inverse-base q-derivative is undefined at x = 0")
-    q = ctx.q
-    return (f(x / q) - f(x)) / ((1 / q - 1) * x)
 
 
 def max_or_nan(values):

@@ -36,29 +36,6 @@ from .qcore import (
     sigma_parity,
 )
 
-__all__ = [
-    "CharVector",
-    "SymPolynomial",
-    "OrthogonalityClassification",
-    "eigenvalue",
-    "delta",
-    "recurrence_C",
-    "recurrence_C_even",
-    "recurrence_C_odd",
-    "monic_ladder",
-    "build_monic",
-    "eval_explicit",
-    "explicit_leading_coeff",
-    "eval_explicit_monic",
-    "hypergeometric_parameters",
-    "eval_hypergeometric",
-    "monic_factor",
-    "ode_residual",
-    "ode_residual_terms",
-    "ode_terms",
-    "classify_orthogonality",
-]
-
 # |denominator| below this multiple of its largest additive term counts as
 # vanishing in float arithmetic; _resonance_guard scales it to other types
 RESONANCE_GUARD = 1e-13
@@ -349,11 +326,6 @@ def eval_explicit(n: int, V: CharVector, ctx: QContext, x):
     return _explicit_sum(n, _explicit_coeffs(n, V, ctx), x)
 
 
-def explicit_leading_coeff(n: int, V: CharVector, ctx: QContext):
-    """Leading coefficient (the full k = 0 ratio product) of eval_explicit."""
-    return _explicit_coeffs(n, V, ctx)[0]
-
-
 def eval_explicit_monic(n: int, V: CharVector, ctx: QContext, x):
     """eval_explicit normalized by its own leading coefficient.
 
@@ -459,12 +431,6 @@ def ode_terms(poly: SymPolynomial, V: CharVector, ctx: QContext):
 def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
     """ode_terms at x for phi_n built by the recurrence."""
     return ode_terms(build_monic(n, V, ctx), V, ctx)(x)
-
-
-def ode_residual(n: int, V: CharVector, ctx: QContext, x):
-    """Residual of the q-difference equation at x; zero up to rounding."""
-    t1, t2, t3 = ode_residual_terms(n, V, ctx, x)
-    return t1 + t2 + t3
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,6 @@ from .errors import InvalidBaseError, ZeroDenominatorError
 from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
 from .sympoly import CharVector, _resonant
 
-__all__ = [
-    "WeightGridReport",
-    "BoundaryReport",
-    "pearson_ratio",
-    "weight_general",
-    "weight_star",
-    "weight_grid_report",
-    "boundary_vanishing_check",
-]
-
 # interior grid points alpha q^j, j = 1 .. BOUNDARY_GRID, of the boundary check
 BOUNDARY_GRID = 128
 
@@ -130,7 +120,7 @@ def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> Wei
     W* reads x only through x^2, so it is even bit for bit and the
     mirrored points -alpha q^j need no evaluation of their own.  No
     command calls it; it stays only because ``bench/tracer.py``
-    ``BOUNDARIES`` names it (ROADMAP items 4 and 7 delete both together).
+    ``BOUNDARIES`` names it (ROADMAP item 18's benchmark half deletes both).
     """
     positive = True
     vmin, vmax = None, None

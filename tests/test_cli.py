@@ -257,6 +257,21 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("tol,code,status", [([], 0, "PASS"), (["--tol", "1e-16"], 1, "FAIL")])
+    def test_output_file_matches_verdict(self, capsys, tmp_path, tol, code, status):
+        path = tmp_path / "ode.json"
+        got, out, _ = run(capsys, ["check", "ode", "--family", "chebyshev5", "-q", "0.5",
+                                   "--n-max", "6", "-o", str(path)] + tol)
+        payload = json.loads(path.read_text())
+        assert payload["meta"]["command"] == "check"
+        assert payload["errors"] == []
+        (row,) = payload["rows"]
+        assert row["check"] == "ode residual (scaled)"
+        assert row["passed"] is (status == "PASS")
+        assert got == code
+        assert out == (f"{status} {row['check']}: max residual {row['residual']:.3e} "
+                       f"(tol {row['tolerance']:.1e})\n")
+
     def test_boundary_pass_with_default_q(self, capsys):
         code, out, _ = run(
             capsys,
@@ -655,6 +670,33 @@ class TestExport:
         assert cli.main(argv + ["-o", str(p2)]) == 0
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+
+NO_SUPPORT = "--custom=0,-1,1.5,0.45"
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["table", "--custom=1,2,3"], {}, "--custom expects four comma-separated numbers a,b,c,d"),
+    (["table", "--custom=1,2,x,4"], {},
+     "could not parse --custom: could not convert string to float: 'x'"),
+    (["eval", "-n", "2", "--grid=0:1"], {}, "malformed grid spec '0:1'; expected LO:HI:COUNT"),
+    (["eval", "-n", "2", "--grid=0:1:1"], {}, "grid COUNT must be at least 2"),
+    (["table"], {"QSYMPOLY_PRECISION": "0"}, "QSYMPOLY_PRECISION must be positive"),
+    (["table", "-q", "abc"], {}, "could not parse q: could not convert string to float: 'abc'"),
+    (["eval", "-n", "2", "-x", "abc"], {},
+     "could not parse -x value: could not convert string to float: 'abc'"),
+    (["check", "pearson", NO_SUPPORT], {},
+     "pearson check needs a family with a support endpoint"),
+    (["check", "ortho", NO_SUPPORT], {}, "orthogonality needs a family with a support endpoint"),
+    (["export", "weight", NO_SUPPORT], {}, "weight export needs a family with a support endpoint"),
+], ids=["custom-count", "custom-parse", "grid-spec", "grid-count", "precision", "q-parse",
+        "x-parse", "pearson-support", "ortho-support", "export-support"])
+def test_input_error_exits_two(capsys, monkeypatch, argv, env, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_cli_import_does_not_load_numpy():

@@ -328,21 +328,6 @@ class TestQDerivative:
                 assert rel(got, want) < 1e-13
 
 
-class TestQDerivativeInv:
-    def test_constant(self):
-        assert qp.q_derivative_inv(lambda t: 4.2, 0.7, CTX) == 0
-
-    def test_identity(self):
-        assert qp.q_derivative_inv(lambda t: t, 0.31, CTX) == pytest.approx(1.0, rel=1e-14)
-
-    def test_square(self):
-        assert qp.q_derivative_inv(lambda t: t * t, 1.0, CTX) == pytest.approx(3.0, rel=1e-14)
-
-    def test_at_zero(self):
-        with pytest.raises(ValueError):
-            qp.q_derivative_inv(lambda t: t, 0.0, CTX)
-
-
 class TestSigmaParity:
     @pytest.mark.parametrize("n,expect", [(4, 0), (7, 1), (-1, 1), (0, 0), (-2, 0)])
     def test_values(self, n, expect):
