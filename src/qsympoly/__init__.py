@@ -19,7 +19,6 @@ from .classical import (
     continuous_C_limit,
     continuous_lambda_limit,
     continuous_ode_residual,
-    continuous_poly,
     continuous_poly_coeffs,
     continuous_weight,
     limit_convergence_report,

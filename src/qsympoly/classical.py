@@ -71,11 +71,6 @@ def continuous_poly_coeffs(n: int, V: CharVector) -> tuple:
     return tuple(coeffs)
 
 
-def continuous_poly(n: int, V: CharVector, x):
-    """Value of the continuous symmetric polynomial of degree n at x."""
-    return _polyval(continuous_poly_coeffs(n, V), x)
-
-
 def continuous_C_limit(n: int, V: CharVector):
     """q -> 1 limit of the recurrence coefficient:
 

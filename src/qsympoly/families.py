@@ -262,15 +262,14 @@ def favard_norm(n: int, V: CharVector, ctx: QContext):
 class ReductionReport:
     """Outcome of the p = 0 reduction to discrete q-Hermite I."""
 
-    ok_recurrence: bool
     max_recurrence_deviation: float
     max_weight_product_deviation: float
 
 
 def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
     """At p = 0 the recurrence collapses to C_n = q^(n-1)(1-q^n)/(1-q^2)
-    (the rescaled discrete q-Hermite I recurrence); verified here for
-    n = 1 .. n_max to 1e-13 relative.
+    (the rescaled discrete q-Hermite I recurrence); the largest relative
+    deviation over n = 1 .. n_max is reported.
 
     The weight is compared on the grid alpha q^j, j = 1 .. 20, with the
     product form (q^2 (1-q^2) x^2; q^2)_inf, the discrete q-Hermite I
@@ -292,11 +291,7 @@ def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
         u = (1 - q * q) * x * x
         prod = q_shifted_factorial_inf(q * q * u, ctx, base=q * q)
         dev_prod = max(dev_prod, abs(w - prod) / abs(prod))
-    return ReductionReport(
-        ok_recurrence=dev_c <= 1e-13,
-        max_recurrence_deviation=dev_c,
-        max_weight_product_deviation=dev_prod,
-    )
+    return ReductionReport(max_recurrence_deviation=dev_c, max_weight_product_deviation=dev_prod)
 
 
 def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
@@ -417,31 +412,29 @@ def _moments(QB, QG, Q2, n, H):
 
 @dataclass(frozen=True)
 class NormTriple:
-    """Three-way norm comparison at one degree.
+    """Three-way norm measurement at one degree.
 
-    ``closed_form`` is None when the tabulated expression could not be
-    evaluated (the note says why).  ``discrepancy_flagged`` marks the case
-    where Favard and quadrature agree with each other but the tabulated
-    form deviates beyond the flag threshold; per policy that is reported,
-    not failed.
+    ``closed_form`` is None when the family has no tabulated expression
+    or when its expression could not be evaluated; the latter is flagged.
+    ``discrepancy_flagged`` also marks the case where the tabulated form
+    deviates from the Favard product beyond the flag threshold; per
+    policy that is reported, not failed.
     """
 
     n: int
     closed_form: float | None
-    closed_form_note: str | None
     favard: float
     quadrature: float
     favard_vs_quadrature: float
     closed_vs_favard: float | None
     discrepancy_flagged: bool
-    ok: bool
 
 
-def norm_triple_report(
-    fam: FamilyDescriptor, n_max: int, gram: tuple, pair_tol: float = 1e-8
-) -> tuple:
-    """Compare closed-form norms, Favard products and quadrature ratios
-    for n = 0 .. n_max.
+def norm_triple_report(fam: FamilyDescriptor, n_max: int, gram: tuple) -> tuple:
+    """Measure closed-form norms, Favard products and quadrature ratios
+    for n = 0 .. n_max.  The report takes no tolerance: it gives the
+    relative deviations, and the caller decides (``check norm`` compares
+    them with its tolerance).
 
     A tabulated norm that deviates from the Favard product by more than
     CLOSED_FORM_FLAG_TOL relative is flagged and reported, not failed.
@@ -462,22 +455,13 @@ def norm_triple_report(
         pair_rel = abs(fav - quad) / max(abs(fav), abs(quad))
         closed = closed_rel = None
         flagged = False
-        note = "no closed form for this family"
         if fam.closed_norm is not None:
             try:
-                closed, note = fam.closed_norm(n), None
-            except ZeroDenominatorError as exc:
-                flagged, note = True, f"closed form not evaluable: {exc}"
+                closed = fam.closed_norm(n)
+            except ZeroDenominatorError:
+                flagged = True
         if closed is not None:
             closed_rel = abs(closed - fav) / max(abs(closed), abs(fav))
-            if closed_rel > CLOSED_FORM_FLAG_TOL:
-                flagged = True
-                note = (
-                    f"closed form deviates from Favard product by {float(closed_rel):.3e}; "
-                    "both values reported"
-                )
-        ok = pair_rel <= pair_tol and (
-            flagged or closed is None or closed_rel <= pair_tol
-        )
-        out.append(NormTriple(n, closed, note, fav, quad, pair_rel, closed_rel, flagged, ok))
+            flagged = closed_rel > CLOSED_FORM_FLAG_TOL
+        out.append(NormTriple(n, closed, fav, quad, pair_rel, closed_rel, flagged))
     return tuple(out)

@@ -138,23 +138,22 @@ def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> Wei
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    ok: bool
     boundary_value: float
     interior_max: float
     ratio: float
-    tolerance: float
 
 
-def boundary_vanishing_check(V: CharVector, alpha, ctx: QContext, tol) -> BoundaryReport:
-    """Check that A(x) W(x) = (a x^2 + b) W*(x) vanishes at the endpoint alpha.
+def boundary_vanishing_check(V: CharVector, alpha, ctx: QContext) -> BoundaryReport:
+    """Measure how far A(x) W(x) = (a x^2 + b) W*(x) vanishes at the endpoint alpha.
 
     The endpoint value is compared against the maximum of |(a x^2 + b) W*|
-    over the interior grid alpha q^j, j = 1 .. BOUNDARY_GRID; report-only,
-    the boolean is |boundary| <= tol * interior_max.  A NaN interior value
-    becomes the maximum, so the ratio is NaN and the check fails.
+    over the interior grid alpha q^j, j = 1 .. BOUNDARY_GRID, as the ratio
+    |boundary| / interior_max; the report takes no tolerance, and
+    ``check boundary`` compares the ratio with its own.  A NaN interior
+    value becomes the maximum, so the ratio is NaN and fails any tolerance.
     """
     grid = _weight_star_grid(V, ctx, alpha, BOUNDARY_GRID)
     boundary = (V.a * alpha * alpha + V.b) * grid[0][1]
     interior = max_or_nan(abs((V.a * x * x + V.b) * w) for x, w in grid[1:])
     ratio = abs(boundary) / interior if interior != 0 else float("inf")
-    return BoundaryReport(ratio <= tol, boundary, interior, ratio, tol)
+    return BoundaryReport(boundary, interior, ratio)

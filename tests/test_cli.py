@@ -230,6 +230,18 @@ class TestTable:
             qp.favard_norm(n, V, ctx) for n in range(13)
         ]
 
+    def test_unevaluable_closed_form_is_a_row_error(self, capsys):
+        # the default family sits on the removable singularity of the
+        # tabulated norm: each row reports it and the table still exits 0
+        code, out, err = run(capsys, ["table", "--n-max", "2"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [r["closed_form_norm"] for r in payload["rows"]] == [None] * 3
+        assert payload["errors"] == [
+            {"n": n, "error": "closed-form norm: prefactor denominator vanishes in a closed-form norm"}
+            for n in range(3)
+        ]
+
 
 class TestCheck:
     def test_ortho_pass(self, capsys):
@@ -279,6 +291,36 @@ class TestCheck:
              "--beta", "0.7"],
         )
         assert code == 0
+
+    @pytest.mark.parametrize("tol,code,status,shown", [
+        ([], 0, "PASS", "1.0e-12"), (["--tol", "0"], 1, "FAIL", "0.0e+00"),
+    ], ids=["PASS", "FAIL"])
+    def test_boundary_verdict(self, capsys, tol, code, status, shown):
+        # the suite compares the measured ratio with its tolerance
+        got, out, _ = run(capsys, ["check", "boundary", "--family", "hermite", "-p", "0.3",
+                                   "-q", "0.5"] + tol)
+        assert got == code
+        assert out == (f"{status} boundary A(alpha) W(alpha) = 0: max residual 7.997e-28 "
+                       f"(tol {shown})\n")
+
+    @pytest.mark.parametrize("tol,code,status,shown,agree", [
+        ([], 0, "PASS", "1.0e-08", "agree"), (["--tol", "0"], 1, "FAIL", "0.0e+00", "disagree"),
+    ], ids=["PASS", "FAIL"])
+    def test_norm_verdict(self, capsys, tmp_path, tol, code, status, shown, agree):
+        # both lines compare their measured deviations with the tolerance;
+        # the odd degrees' flagged closed forms are reported, never failed
+        path = tmp_path / "norm.json"
+        got, out, _ = run(capsys, ["check", "norm", "--family", "hermite", "-p", "0.3",
+                                   "-q", "0.5", "-o", str(path)] + tol)
+        assert got == code
+        assert out.splitlines() == [
+            f"{status} norm: favard vs quadrature: max residual 1.099e-15 (tol {shown})",
+            f"{status} norm: closed form vs favard: max residual 1.015e-15 (tol {shown}) "
+            "[closed-form discrepancy: closed form / Favard = -1 at n=1, -1 at n=3, "
+            f"-1 at n=5, -1 at n=7; favard and quadrature {agree}, both values reported]",
+        ]
+        rows = json.loads(path.read_text())["rows"]
+        assert [row["passed"] for row in rows] == [status == "PASS"] * 2
 
     def test_norm_flags_but_passes(self, capsys):
         code, out, _ = run(

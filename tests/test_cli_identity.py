@@ -11,9 +11,9 @@ def tool():
     return load_tool("cli_identity")
 
 
-def test_matrix_has_242_distinct_runs(tool):
+def test_matrix_has_251_distinct_runs(tool):
     runs = tool.matrix()
-    assert len(runs) == len(set(runs)) == 242
+    assert len(runs) == len(set(runs)) == 251
 
 
 def test_first_difference(tool):

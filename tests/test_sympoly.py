@@ -682,3 +682,30 @@ def test_exact_fraction_oracle(abcd, q, x, n):
         assume(False)
     assert type(phi) is Fraction
     assert residuals == dict.fromkeys(residuals, 0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: qp.weight_star(qp.CharVector(0, -1, 1.5, 0.45), CTX, 0.3),
+     ValueError, "the closed-form weight needs a != 0 and b != 0"),
+    (lambda: qp.weight_star(qp.CharVector(-1, 0, 1.5, 0.45), CTX, 0.3),
+     ValueError, "the closed-form weight needs a != 0 and b != 0"),
+    (lambda: qp.SymPolynomial(2, (0, 1)),
+     ValueError, "coefficient count must be degree + 1"),
+    (lambda: qp.monic_ladder(-1, ULTRA.V, CTX),
+     ValueError, "degree must be nonnegative"),
+    (lambda: qp.eval_explicit_monic(2, qp.CharVector(1.0, 1.0, -2.0, 0.0), CTX, 0.3),
+     qp.ZeroDenominatorError, "leading coefficient of the explicit form vanishes"),
+    (lambda: qp.monic_factor(2, qp.CharVector(1.0, 1.0, -2.0, 0.3), CTX),
+     qp.ZeroDenominatorError, "factorial ratio in the monic prefactor vanishes"),
+    (lambda: qp.continuous_C_limit(2, qp.CharVector(1.0, 1.0, -1.0, 0.0)),
+     qp.ZeroDenominatorError, "limit recurrence denominator vanishes"),
+    (lambda: qp.q_integral_real_line(lambda t: 1e250 if abs(t) > 1 else 1.0,
+                                     qp.JacksonConfig(CTX, 50)),
+     qp.DivergenceError, "bilateral Jackson term at n=-50 exceeds 1e200; integral diverges"),
+], ids=["weight_star-a0", "weight_star-b0", "sympolynomial-count", "monic_ladder-degree",
+        "explicit-leading", "monic_factor", "continuous_C_limit", "real_line-divergence"])
+def test_rejected_input_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -288,17 +288,15 @@ def test_mp40_weight_star_against_qp_oracle():
 
 class TestBoundary:
     def test_ultraspherical_endpoint(self):
-        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX, 1e-12)
-        assert rep.ok
+        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX)
         assert rep.ratio <= 1e-12
 
     def test_hermite_endpoint(self):
-        rep = qp.boundary_vanishing_check(HERM.V, HERM.support, CTX, 1e-12)
-        assert rep.ok
+        rep = qp.boundary_vanishing_check(HERM.V, HERM.support, CTX)
+        assert rep.ratio <= 1e-12
 
     def test_perturbed_support_fails(self):
-        rep = qp.boundary_vanishing_check(ULTRA.V, 0.9, CTX, 1e-12)
-        assert not rep.ok
+        rep = qp.boundary_vanishing_check(ULTRA.V, 0.9, CTX)
         assert rep.ratio > 1e-3
 
     def test_one_weight_star_call(self, monkeypatch):
@@ -314,7 +312,7 @@ class TestBoundary:
         monkeypatch.setattr(weights, "weight_star", counted)
         for fam in (ULTRA, HERM):
             calls.clear()
-            qp.boundary_vanishing_check(fam.V, fam.support, CTX, 1e-12)
+            qp.boundary_vanishing_check(fam.V, fam.support, CTX)
             assert calls == [(fam.V, CTX, fam.support)]
 
     def test_nan_interior_fails(self, monkeypatch):
@@ -328,6 +326,6 @@ class TestBoundary:
             return grid
 
         monkeypatch.setattr(weights, "_weight_star_grid", with_nan)
-        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX, 1e-12)
-        assert not rep.ok
+        rep = qp.boundary_vanishing_check(ULTRA.V, ULTRA.support, CTX)
+        assert not rep.ratio <= 1e-12
         assert math.isnan(rep.interior_max) and math.isnan(rep.ratio)
