@@ -7,7 +7,8 @@ symmetric polynomials solving
 
 with closed-form limits for the recurrence coefficient and eigenvalue.
 This module provides those targets, and limit_convergence_report, which
-quantifies how a q-quantity approaches its target.
+quantifies how a q-quantity approaches its target, for a range of degrees
+in one pass per sweep point.
 
 Limit verification is numeric by design: quantities are evaluated along
 q = 1 - eps for the fixed eps values LIMIT_EPS (1e-2, 1e-3, 1e-4) and
@@ -30,7 +31,14 @@ from typing import Callable
 from .errors import ZeroDenominatorError
 from .families import FamilyDescriptor
 from .qcore import QContext, sigma_parity
-from .sympoly import CharVector, _polyval, eigenvalue, eval_explicit, recurrence_C
+from .sympoly import (
+    CharVector,
+    _C_terms,
+    _explicit_coeffs_by_degree,
+    _explicit_sum,
+    _polyval,
+    eigenvalue,
+)
 from .weights import weight_star
 
 # reference abscissa for weight-ratio comparisons; inside every family's support
@@ -155,29 +163,66 @@ def _poly_target(n, fam, x):
     return target, max(abs(target), max(abs(ck) * abs(x) ** k for k, ck in enumerate(coeffs)))
 
 
-# quantity -> (its value, of (n, V, ctx, x), and its continuous target with
-# the scale of its errors, of (n, fam, x))
+def _C_values(V, ctx, n_max, x):
+    terms = _C_terms(V, ctx)
+    return lambda n: terms(n)[0]
+
+
+def _poly_values(V, ctx, n_max, x):
+    coeffs = _explicit_coeffs_by_degree(V, ctx, n_max)
+    return lambda n: _explicit_sum(n, coeffs(n), x)
+
+
+# quantity -> (its values at one sweep context, of (V, ctx, n_max, x), which
+# forms the n-independent part once and returns n -> value, and its
+# continuous target with the scale of its errors, of (n, fam, x))
 _QUANTITIES = {
-    "C": (lambda n, V, ctx, x: recurrence_C(n, V, ctx),
-          lambda n, fam, x: _scaled(continuous_C_limit(n, fam.limit_V))),
-    "lambda": (lambda n, V, ctx, x: eigenvalue(n, V, ctx),
+    "C": (_C_values, lambda n, fam, x: _scaled(continuous_C_limit(n, fam.limit_V))),
+    "lambda": (lambda V, ctx, n_max, x: lambda n: eigenvalue(n, V, ctx),
                lambda n, fam, x: _scaled(continuous_lambda_limit(n, fam.limit_V))),
-    "poly": (eval_explicit, _poly_target),
+    "poly": (_poly_values, _poly_target),
     "weight": (
-        lambda n, V, ctx, x: weight_star(V, ctx, x) / weight_star(V, ctx, WEIGHT_REF_POINT),
+        lambda V, ctx, n_max, x: lambda n: (
+            weight_star(V, ctx, x) / weight_star(V, ctx, WEIGHT_REF_POINT)),
         lambda n, fam, x: _scaled(
             continuous_weight(fam, x) / continuous_weight(fam, WEIGHT_REF_POINT)),
     ),
 }
 
 
-def limit_convergence_report(
-    quantity: str, subject: Callable, n: int, x: float | None = None
-) -> LimitReport:
-    """Evaluate a q-quantity along q = 1 - eps, eps in LIMIT_EPS, and
-    compare with its continuous target.
+def _report(quantity, n, x, values, target, scale) -> LimitReport:
+    raw_errors = tuple(abs(v - target) / scale for v in values)
+    extrap = _neville_at_zero(LIMIT_EPS, values)
+    return LimitReport(
+        quantity=quantity,
+        n=n,
+        x=x,
+        eps_values=LIMIT_EPS,
+        values=tuple(values),
+        target=target,
+        raw_errors=raw_errors,
+        monotone=all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:])),
+        extrapolated_value=extrap,
+        extrapolated_error=abs(extrap - target) / scale,
+    )
 
-    ``quantity`` is one of "C", "lambda", "poly", "weight".  ``subject``
+
+def limit_convergence_report(
+    quantity: str, subject: Callable, degrees, x: float | None = None
+) -> list:
+    """Evaluate a q-quantity of each degree in ``degrees`` along q = 1 - eps,
+    eps in LIMIT_EPS, and compare with its continuous target.
+
+    Returns one entry per degree, in order: its LimitReport, or the
+    ZeroDenominatorError that the degree raised (the even hermite
+    polynomials at p = 1/2, for one, have no finite limit); every other
+    error propagates.  The degrees share one pass per sweep context: the
+    family, and the n-independent part of the quantity (C_n's closure, the
+    explicit form's Gaussian binomials and ratio factors), are formed once
+    per context for all degrees, with the same bits as degree by degree.
+
+    ``quantity`` is one of "C", "lambda", "poly", "weight"; "weight" does
+    not depend on n, and is asked for at ``degrees=(0,)``.  ``subject``
     maps a QContext to a FamilyDescriptor, such as a family's ``rebuild``;
     the family is built at every sweep point, so its characteristic
     vector tracks q, and the continuous targets read its q-independent
@@ -196,24 +241,18 @@ def limit_convergence_report(
         raise ValueError(f"unknown limit quantity {quantity!r}")
     if quantity in ("poly", "weight") and x is None:
         raise ValueError(f"quantity {quantity!r} needs an evaluation point x")
-    value, target_and_scale = _QUANTITIES[quantity]
+    values_at, target_and_scale = _QUANTITIES[quantity]
+    degrees = tuple(degrees)
     fams = [subject(ctx) for ctx in _SWEEP_CTXS]
-    target, scale = target_and_scale(n, fams[0], x)
-    if scale == 0:
-        scale = 1
-    values = [value(n, fam.V, ctx, x) for ctx, fam in zip(_SWEEP_CTXS, fams)]
-    raw_errors = tuple(abs(v - target) / scale for v in values)
-    monotone = all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:]))
-    extrap = _neville_at_zero(LIMIT_EPS, values)
-    return LimitReport(
-        quantity=quantity,
-        n=n,
-        x=x,
-        eps_values=LIMIT_EPS,
-        values=tuple(values),
-        target=target,
-        raw_errors=raw_errors,
-        monotone=monotone,
-        extrapolated_value=extrap,
-        extrapolated_error=abs(extrap - target) / scale,
-    )
+    n_max = max(degrees, default=0)
+    sweep = [values_at(fam.V, ctx, n_max, x) for ctx, fam in zip(_SWEEP_CTXS, fams)]
+    entries = []
+    for n in degrees:
+        try:
+            target, scale = target_and_scale(n, fams[0], x)
+            values = [value(n) for value in sweep]
+        except ZeroDenominatorError as exc:
+            entries.append(exc)
+            continue
+        entries.append(_report(quantity, n, x, values, target, scale or 1))
+    return entries

@@ -431,21 +431,25 @@ def _check_lines_pearson(args, tol, gram) -> list:
 
 
 def _check_lines_limit(args, tol, gram) -> list:
+    if args.n_max < 1:
+        raise CLIError("the limit suite needs --n-max >= 1")
     # every report rebuilds the family at the same contexts: build each once
     subject = functools.cache(args.fam.rebuild)
+    degrees = range(1, min(args.n_max, 10) + 1)
     lines = []
     for qty in ("C", "lambda", "poly"):
         reports = []
         unevaluable = []
-        for n in range(1, min(args.n_max, 10) + 1):
-            try:
-                reports.append(limit_convergence_report(
-                    qty, subject, n, x=0.3 if qty == "poly" else None
-                ))
-            except ZeroDenominatorError:
+        entries = limit_convergence_report(
+            qty, subject, degrees, x=0.3 if qty == "poly" else None
+        )
+        for n, rep in zip(degrees, entries):
+            if isinstance(rep, ZeroDenominatorError):
                 # e.g. the even hermite polynomials at p = 1/2, whose
                 # explicit form has no finite q -> 1 limit
                 unevaluable.append(n)
+            else:
+                reports.append(rep)
         worst = max_or_nan(rep.raw_errors[-1] for rep in reports)
         mono = all(rep.monotone for rep in reports)
         name = f"classical limit of {qty} (raw error at eps=1e-4)"

@@ -306,6 +306,48 @@ def _explicit_coeffs(n: int, V: CharVector, ctx: QContext) -> list:
             for k in range(M + 1)]
 
 
+def _explicit_coeffs_by_degree(V: CharVector, ctx: QContext, n_max: int):
+    """n -> _explicit_coeffs(n, V, ctx) for 0 <= n <= n_max, bit for bit,
+    with the n-independent values formed once: the powers q^i and q-numbers
+    [i], each ratio's numerator and denominator by its index, and the prefix
+    (q^2; q^2)_i, whose quotients are the Gaussian binomials.  Each value
+    keeps the operand order of the single-degree form."""
+    q = ctx.q
+    a, b, c, d = V.as_tuple()
+    half = n_max // 2
+    pw = [q**i for i in range(max(2 * n_max, half * (half - 1)) + 1)]
+    qn = [(p - 1) / (q - 1) for p in pw[:2 * n_max]]
+    # both ratio indices are odd: 2j + s + n - 1 and 2j + e + 2
+    nums = {i: a * qn[i] + c * pw[i] for i in range(1, 2 * n_max, 2)}
+    dens = {}
+    for i in range(1, n_max + 1, 2):
+        t1, t2 = b * qn[i], d * pw[i]
+        den = t1 + t2
+        dens[i] = None if _resonant(den, t1, t2) else den
+    b2 = q * q
+    fac = [1 + b2 * 0]  # q_shifted_factorial's product, in its order
+    for j in range(half):
+        fac.append(fac[-1] * (1 - b2**j * b2))
+
+    def coeffs(n: int) -> list:
+        M = n // 2
+        s = sigma_parity(n)
+        e = 1 if s else -1
+        prods = [1]
+        for j in range(M):
+            i_den = 2 * j + e + 2
+            den = dens[i_den]
+            if den is None:
+                raise ZeroDenominatorError(
+                    f"explicit-form denominator b[{i_den}] + d q^{i_den} vanishes"
+                )
+            prods.append(prods[-1] * nums[2 * j + s + n - 1] / den)
+        return [pw[k * (k - 1)] * (fac[M] / (fac[k] * fac[M - k])) * prods[M - k]
+                for k in range(M + 1)]
+
+    return coeffs
+
+
 def _explicit_sum(n: int, coeffs: list, x):
     # sum_k coeffs[k] x^(n-2k), the powers built upward from x^(n mod 2)
     t = x * x

@@ -207,10 +207,9 @@ def test_criterion_07_classical_limits():
     min_seen_decay = math.inf
     for name, mk in family_builders().items():
         for qty in ("C", "lambda", "poly"):
-            for n in range(1, 11):
-                rep = qp.limit_convergence_report(
-                    qty, mk, n, x=0.3 if qty == "poly" else None
-                )
+            for n, rep in enumerate(qp.limit_convergence_report(
+                qty, mk, range(1, 11), x=0.3 if qty == "poly" else None
+            ), start=1):
                 prev, last = rep.raw_errors[-2], rep.raw_errors[-1]
                 worst_raw[qty] = max(worst_raw[qty], last)
                 worst_extrap = max(worst_extrap, rep.extrapolated_error)
@@ -250,8 +249,7 @@ def test_criterion_07_companion_hermite_limit_rate():
     extrapolation lands orders of magnitude below the raw tolerance."""
     for p in (0.0, 0.3):
         mk = lambda ctx, p=p: qp.make_hermite(p, ctx)
-        for n in range(1, 11):
-            rep = qp.limit_convergence_report("C", mk, n)
+        for rep in qp.limit_convergence_report("C", mk, range(1, 11)):
             assert rep.monotone
             # first-order decay: consecutive errors shrink by about the
             # 10x spacing of the eps grid
@@ -262,8 +260,7 @@ def test_criterion_07_companion_hermite_limit_rate():
     # at p = 0 the constant is (3n-4)/2 exactly (even and odd collapse to
     # the same expression q^(n-1)(1-q^n)/(1-q^2))
     mk0 = lambda ctx: qp.make_hermite(0.0, ctx)
-    for n in (4, 8, 10):
-        rep = qp.limit_convergence_report("C", mk0, n)
+    for n, rep in zip((4, 8, 10), qp.limit_convergence_report("C", mk0, (4, 8, 10))):
         eps = rep.eps_values[-1]
         predicted = (3 * n - 4) / 2 * eps
         assert abs(rep.raw_errors[-1] - predicted) <= 0.05 * predicted

@@ -1,9 +1,16 @@
 """tools/check_ab.py times two trees and exits 1 on any differing output.
-This checks the verdict it prints, and that it draws only command-line
-operations from the benchmark workloads."""
+This checks the verdict it prints, that it draws only command-line
+operations from the benchmark workloads, and its timing of one check
+suite (--suite)."""
+
+from pathlib import Path
 
 import pytest
 from conftest import load_tool
+
+from qsympoly import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +40,33 @@ def test_operations_are_command_lines(tool, tmp_path):
     assert len(ops) == 12
     assert all(op.argv for op in ops)
     assert {op.kind for op in ops} <= {"table", "export-poly", "export-weight"}
+
+
+def test_compare_flags_differing_outputs(tool):
+    same = tool.compare([lambda: (0.002, "lines"), lambda: (0.001, "lines")])
+    assert same == (0.002, 0.001, True)
+    differ = tool.compare([lambda: (0.002, "lines"), lambda: (0.001, "other lines")])
+    assert differ[2] is False
+
+
+def test_suite_run(tool, tmp_path):
+    [check] = tool.operations("check-sweep", 1011, 1, str(tmp_path))
+    seconds, output = tool.suite_run(cli, check, "limit")()
+    assert seconds > 0
+    assert output.count("classical limit of") == 3
+    # the suite's lines, not the command's stdout
+    assert "PASS" not in output
+    # an operation that does not run the suite is skipped
+    [export] = tool.operations("evaluate", 1011, 1, str(tmp_path))
+    assert tool.suite_run(cli, export, "limit") is None
+
+
+def test_suite_option(tool, capsys):
+    code = tool.main([SRC, SRC, "--workload", "check-sweep", "--ops", "2", "--suite", "limit"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "operations 2"
+    assert out[-1] == "outputs: all equal"
+    with pytest.raises(SystemExit) as exc:
+        tool.main([SRC, SRC, "--workload", "check-sweep", "--ops", "2", "--suite", "gram"])
+    assert exc.value.code == 2

@@ -489,6 +489,32 @@ class TestCheck:
         # family at the first eps
         assert len(calls) == len(set(calls)) == len(LIMIT_EPS)
 
+    def test_limit_forms_each_sweep_context_once(self, capsys):
+        # one report call per quantity, one C_n closure per sweep context,
+        # and the explicit form's binomials from one (q^2; q^2)_i prefix:
+        # no per-degree recurrence_C, eval_explicit or q_binomial call
+        from qsympoly import classical, qcore, sympoly
+
+        names = {f.__code__: f.__name__ for f in (
+            sympoly._C_terms, qcore.q_binomial, sympoly.recurrence_C,
+            sympoly.eval_explicit, classical.limit_convergence_report)}
+        calls = dict.fromkeys(names.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = cli.main(["check", "limit"])
+        finally:
+            sys.setprofile(previous)
+        capsys.readouterr()
+        assert code == 0
+        assert calls == {"_C_terms": 3, "q_binomial": 0, "recurrence_C": 0,
+                         "eval_explicit": 0, "limit_convergence_report": 3}
+
     def test_check_all_assembles_one_gram(self, capsys, monkeypatch):
         from qsympoly import families
 
@@ -731,8 +757,12 @@ NO_SUPPORT = "--custom=0,-1,1.5,0.45"
      "pearson check needs a family with a support endpoint"),
     (["check", "ortho", NO_SUPPORT], {}, "orthogonality needs a family with a support endpoint"),
     (["export", "weight", NO_SUPPORT], {}, "weight export needs a family with a support endpoint"),
+    # no degree to compare: the three limit lines used to PASS at 0.000e+00
+    (["check", "limit", "--n-max", "0"], {}, "the limit suite needs --n-max >= 1"),
+    (["check", "all", "--n-max", "0"], {}, "the limit suite needs --n-max >= 1"),
 ], ids=["custom-count", "custom-parse", "grid-spec", "grid-count", "precision", "q-parse",
-        "x-parse", "pearson-support", "ortho-support", "export-support"])
+        "x-parse", "pearson-support", "ortho-support", "export-support", "limit-n-max-0",
+        "all-n-max-0"])
 def test_input_error_exits_two(capsys, monkeypatch, argv, env, message):
     for key, value in env.items():
         monkeypatch.setenv(key, value)

@@ -466,6 +466,61 @@ class TestExplicitForm:
                     assert rel_scaled(ve, vh, scale) < 1e-10
 
 
+class TestExplicitCoeffsByDegree:
+    """The degree-batched explicit coefficients, bit for bit _explicit_coeffs's,
+    errors included."""
+
+    @staticmethod
+    def outcome(f, n):
+        # a Fraction by its exact terms: the repr of a long one exceeds
+        # the int-to-str digit limit
+        try:
+            return [(v.numerator, v.denominator) if isinstance(v, Fraction) else repr(v)
+                    for v in f(n)]
+        except qp.ZeroDenominatorError as exc:
+            return repr(exc)
+
+    def assert_bit_identical(self, real, full=False):
+        from qsympoly.sympoly import _explicit_coeffs, _explicit_coeffs_by_degree
+
+        r = rng(31)
+        zeros = 0
+        for q in ("0.3", "0.99", "0.999", "0.9999"):
+            ctx = qp.QContext(real(q))
+            # the old form's q-binomials cost seconds over the whole registry
+            # at 30 digits and in Fraction, so those run chebyshev6 alone
+            registry = TestSharedCFactors.registry(ctx)
+            vectors = registry if full else registry[3:4]
+            vectors += [qp.CharVector(*(real(repr(r.uniform(-3, 3))) for _ in range(4)))
+                        for _ in range(3 if full else 0)]
+            # b [i] + d q^i = 0 at i = 1 and at i = 3
+            vectors += [qp.CharVector(real(1), real(-1), real(1),
+                                      qp.q_number(i, ctx) / ctx.q**i) for i in (1, 3)]
+            for V in vectors:
+                batched = _explicit_coeffs_by_degree(V, ctx, 40)
+                for n in range(41):
+                    want = self.outcome(lambda n: _explicit_coeffs(n, V, ctx), n)
+                    zeros += isinstance(want, str)
+                    assert self.outcome(batched, n) == want, (V, q, n)
+        return zeros
+
+    # per q, the i = 1 vanishing stops the 20 even n >= 2, and i = 3 the
+    # 38 n >= 3
+    ZEROS = 4 * (20 + 38)
+
+    def test_float(self):
+        assert self.assert_bit_identical(float, full=True) == self.ZEROS
+
+    def test_mpf_30_digits(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            assert self.assert_bit_identical(mpmath.mpf) == self.ZEROS
+
+    def test_fraction(self):
+        assert self.assert_bit_identical(Fraction) == self.ZEROS
+
+
 class TestHypergeometricForm:
     def test_x_zero(self):
         assert qp.eval_hypergeometric(4, ULTRA.V, CTX, 0.0) == 1.0

@@ -2,6 +2,7 @@
 in one process.
 
     python tools/check_ab.py PARENT_SRC CHANGE_SRC --workload W --ops N [--seed S]
+                             [--suite NAME]
 
 Each SRC is a directory that contains the ``qsympoly`` package (a
 checkout's ``src``).  Both packages are imported into this process, under
@@ -17,12 +18,19 @@ time ratio change/parent, and whether every output matched: the exit
 code, stdout and the file an export writes.  It exits 1 if any output
 differs, else 0.  The process runs in float arithmetic (QSYMPOLY_PRECISION
 is removed from its environment).
+
+With ``--suite NAME`` (a ``check`` suite such as ``limit``) only that
+suite is timed: each operation is parsed and configured once per tree, the
+Gram that the ortho and norm suites read is assembled outside the timing,
+and the output compared is the suite's list of lines.  Operations that do
+not run the suite are skipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -77,13 +85,43 @@ def run_once(cli, op) -> tuple:
     return seconds, (code, out.getvalue(), written)
 
 
-def compare(parent, change, op) -> tuple:
-    """(best parent seconds, best change seconds, outputs all equal)."""
+def suite_run(cli, op, name):
+    """A no-argument run of the check suite ``name`` on op's parsed and
+    configured arguments, returning (seconds, output), where output is the
+    repr of the suite's lines or of the error it raised; None when op does
+    not run that suite."""
+    args = cli._build_parser().parse_args(list(op.argv))
+    if args.command != "check" or args.suite not in ("all", name):
+        return None
+    cli._build_config(args, None)
+    suite, default_tol = cli.CHECK_SUITES[name]
+    tol = args.tol if args.tol is not None else default_tol
+    gram = None
+    if name in cli.GRAM_LINES:
+        try:
+            gram = cli.orthogonality_matrix(args.fam, args.n_max)
+        except cli.DivergenceError:
+            return None  # `check` prints FAIL lines in place of the suite's
+
+    def run() -> tuple:
+        t0 = perf_counter()
+        try:
+            lines = suite(args, tol, gram)
+        except (cli.QSymPolyError, ValueError) as exc:  # exit 2 in `check`
+            lines = exc
+        return perf_counter() - t0, repr(lines)
+
+    return run
+
+
+def compare(runs) -> tuple:
+    """(best parent seconds, best change seconds, outputs all equal) of the
+    (parent, change) pair of runs, each called REPEATS times."""
     best = [float("inf"), float("inf")]
     outputs = set()
     for _ in range(REPEATS):
-        for side, cli in enumerate((parent, change)):
-            seconds, output = run_once(cli, op)
+        for side, run in enumerate(runs):
+            seconds, output = run()
             best[side] = min(best[side], seconds)
             outputs.add(output)
     return best[0], best[1], len(outputs) == 1
@@ -112,6 +150,7 @@ def main(argv=None) -> int:
                     choices=("check-deep", "check-sweep", "evaluate"))
     ap.add_argument("--ops", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1011)
+    ap.add_argument("--suite", help="time only this check suite")
     args = ap.parse_args(argv)
     if args.ops < 1:
         ap.error("--ops must be at least 1")
@@ -121,13 +160,23 @@ def main(argv=None) -> int:
     os.environ.pop("QSYMPOLY_PRECISION", None)
     parent = load_cli(args.parent_src, "tree_parent")
     change = load_cli(args.change_src, "tree_change")
+    if args.suite is not None and args.suite not in change.CHECK_SUITES:
+        ap.error(f"--suite must be one of {', '.join(change.CHECK_SUITES)}")
     with tempfile.TemporaryDirectory() as tmpdir:
         rows = []
         for op in operations(args.workload, args.seed, args.ops, tmpdir):
-            row = compare(parent, change, op)
+            if args.suite is None:
+                runs = [functools.partial(run_once, cli, op) for cli in (parent, change)]
+            else:
+                runs = [suite_run(cli, op, args.suite) for cli in (parent, change)]
+                if None in runs:
+                    continue
+            row = compare(runs)
             if not row[2]:
                 print(f"DIFF {' '.join(op.argv)}")
             rows.append(row)
+    if not rows:
+        ap.error(f"no operation of {args.workload} runs the {args.suite} suite")
     lines, code = verdict(rows)
     print("\n".join(lines))
     return code
