@@ -25,12 +25,11 @@ arithmetic but not switched on automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ZeroDenominatorError
 from .families import FamilyDescriptor
-from .qcore import QContext, sigma_parity
+from .qcore import QContext, Record, sigma_parity
 from .sympoly import (
     CharVector,
     _C_terms,
@@ -138,18 +137,9 @@ def _neville_at_zero(xs, ys):
     return vals[0]
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    quantity: str
-    n: int
-    x: float | None
-    eps_values: tuple
-    values: tuple
-    target: float
-    raw_errors: tuple
-    monotone: bool
-    extrapolated_value: float
-    extrapolated_error: float
+class LimitReport(Record):
+    __slots__ = ("quantity", "n", "x", "eps_values", "values", "target", "raw_errors",
+                 "monotone", "extrapolated_value", "extrapolated_error")
 
 
 def _scaled(target):
@@ -193,17 +183,11 @@ _QUANTITIES = {
 def _report(quantity, n, x, values, target, scale) -> LimitReport:
     raw_errors = tuple(abs(v - target) / scale for v in values)
     extrap = _neville_at_zero(LIMIT_EPS, values)
+    # positional: Record binds keywords in Python, and this runs per degree
     return LimitReport(
-        quantity=quantity,
-        n=n,
-        x=x,
-        eps_values=LIMIT_EPS,
-        values=tuple(values),
-        target=target,
-        raw_errors=raw_errors,
-        monotone=all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:])),
-        extrapolated_value=extrap,
-        extrapolated_error=abs(extrap - target) / scale,
+        quantity, n, x, LIMIT_EPS, tuple(values), target, raw_errors,
+        all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:])),
+        extrap, abs(extrap - target) / scale,
     )
 
 

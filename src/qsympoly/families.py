@@ -21,7 +21,6 @@ it never silently corrects the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 from typing import Callable
@@ -29,6 +28,7 @@ from typing import Callable
 from .errors import AdmissibilityError, DivergenceError, QSymPolyError, ZeroDenominatorError
 from .qcore import (
     QContext,
+    Record,
     exp_,
     q_number,
     q_shifted_factorial,
@@ -48,8 +48,7 @@ CLOSED_FORM_FLAG_TOL = 1e-6
 GRAM_EXTRA_BITS = 16
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyDescriptor:
+class FamilyDescriptor(Record):
     """A family instance and everything that varies by family.
 
     ``name`` is a label only.  The ``make_*`` factory fills in the rest:
@@ -58,19 +57,19 @@ class FamilyDescriptor:
     is the q -> 1 characteristic vector, in which the chebyshev beta takes
     its limit -1/2 resp. 1/2; ``limit_weight`` maps x to the q -> 1
     weight; ``violation`` says why the parameters are not admissible.
-    None marks what a family lacks.
+    None marks what a family lacks.  Descriptors compare by identity.
     """
 
-    name: str
-    params: dict
-    V: CharVector
-    support: float | None
-    ctx: QContext
-    limit_V: CharVector
-    rebuild: Callable
-    closed_norm: Callable | None = None
-    limit_weight: Callable | None = None
-    violation: str | None = None
+    __slots__ = ("name", "params", "V", "support", "ctx", "limit_V", "rebuild",
+                 "closed_norm", "limit_weight", "violation")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, name: str, params: dict, V: CharVector, support: float | None,
+                 ctx: QContext, limit_V: CharVector, rebuild: Callable,
+                 closed_norm: Callable | None = None, limit_weight: Callable | None = None,
+                 violation: str | None = None) -> None:
+        super().__init__(name, params, V, support, ctx, limit_V, rebuild, closed_norm,
+                         limit_weight, violation)
 
 
 def _ultraspherical(name, alpha, beta, beta1, ctx, rebuild) -> FamilyDescriptor:
@@ -258,12 +257,10 @@ def favard_norm(n: int, V: CharVector, ctx: QContext):
     return prod
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     """Outcome of the p = 0 reduction to discrete q-Hermite I."""
 
-    max_recurrence_deviation: float
-    max_weight_product_deviation: float
+    __slots__ = ("max_recurrence_deviation", "max_weight_product_deviation")
 
 
 def hermite_p0_reduction_check(n_max: int, ctx: QContext) -> ReductionReport:
@@ -410,8 +407,7 @@ def _moments(QB, QG, Q2, n, H):
     return M
 
 
-@dataclass(frozen=True)
-class NormTriple:
+class NormTriple(Record):
     """Three-way norm measurement at one degree.
 
     ``closed_form`` is None when the family has no tabulated expression
@@ -421,13 +417,8 @@ class NormTriple:
     policy that is reported, not failed.
     """
 
-    n: int
-    closed_form: float | None
-    favard: float
-    quadrature: float
-    favard_vs_quadrature: float
-    closed_vs_favard: float | None
-    discrepancy_flagged: bool
+    __slots__ = ("n", "closed_form", "favard", "quadrature", "favard_vs_quadrature",
+                 "closed_vs_favard", "discrepancy_flagged")
 
 
 def norm_triple_report(fam: FamilyDescriptor, n_max: int, gram: tuple) -> tuple:

@@ -11,11 +11,10 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DivergenceError, TruncationError
-from .qcore import QContext, isfinite_
+from .qcore import QContext, Record, isfinite_
 
 
 class QIntegralResult(NamedTuple):
@@ -23,14 +22,13 @@ class QIntegralResult(NamedTuple):
     tail_estimate: float
 
 
-@dataclass(frozen=True)
-class JacksonConfig:
+class JacksonConfig(Record):
     """Grid depth for Jackson sums."""
 
-    ctx: QContext
-    n_terms: int = 256
+    __slots__ = ("ctx", "n_terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ctx: QContext, n_terms: int = 256) -> None:
+        super().__init__(ctx, n_terms)
         if self.n_terms < 1:
             raise ValueError("n_terms must be at least 1")
         if float(self.ctx.q) ** self.n_terms == 0.0:

@@ -7,7 +7,7 @@ typed: with ``float`` inputs the computations run in IEEE double
 precision (15 to 17 significant digits); feeding ``mpmath.mpf`` values
 through the same entry points runs them at whatever precision mpmath is
 configured for.  All values are immutable and safe to share between
-threads.
+threads: the value types are slotted :class:`Record` classes.
 
 Only real arguments with 0 < q < 1 are supported.  The q -> 1 limits live
 in :mod:`qsympoly.classical`; complex bases and arguments are out of
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import IllDefinedSeriesError, QSymPolyError, TruncationError, ZeroDenominatorError
@@ -48,8 +47,63 @@ def _typed(name: str) -> Callable:
 exp_, log_, expm1_, sqrt_, isfinite_ = map(_typed, ("exp", "log", "expm1", "sqrt", "isfinite"))
 
 
-@dataclass(frozen=True)
-class QContext:
+class Record:
+    """Base of the immutable value types.  A subclass names its fields in
+    ``__slots__``, in constructor order, and its values are equal, hashed,
+    printed and pickled by their fields.  Record.__init__ takes every
+    field, by position or keyword; a subclass with defaults or checks has
+    its own __init__, which hands every field to Record.__init__, since
+    assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the slots' own setters, which __setattr__ does not reach
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt from the fields, not by __init__, which may derive one of
+        # them from the state of the process (QContext.eps_term)
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls, values):
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record
+
+
+class QContext(Record):
     """Base q together with the truncation policy of the library.
 
     q must lie strictly inside (0, 1).  ``max_terms`` caps the length of
@@ -59,22 +113,20 @@ class QContext:
     precision in force when the context is built.
     """
 
-    q: float
-    max_terms: int = 10_000
-    eps_term: float = field(init=False)
+    __slots__ = ("q", "max_terms", "eps_term")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.q < 1):
-            raise ValueError(f"base q must satisfy 0 < q < 1, got {self.q!r}")
-        if self.max_terms < 1:
+    def __init__(self, q: float, max_terms: int = 10_000) -> None:
+        if not (0 < q < 1):
+            raise ValueError(f"base q must satisfy 0 < q < 1, got {q!r}")
+        if max_terms < 1:
             raise ValueError("max_terms must be at least 1")
         eps = 1e-17
-        if not _is_plain(self.q):
+        if not _is_plain(q):
             import mpmath
 
-            if isinstance(self.q, mpmath.mpf):
+            if isinstance(q, mpmath.mpf):
                 eps = mpmath.ldexp(1, -(mpmath.mp.prec + 4))
-        object.__setattr__(self, "eps_term", eps)
+        super().__init__(q, max_terms, eps)
 
 
 def q_number(z, ctx: QContext):

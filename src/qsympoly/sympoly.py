@@ -22,12 +22,12 @@ ResonanceError, never regularized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QSymPolyError, ResonanceError, ZeroDenominatorError
 from .qcore import (
     QContext,
+    Record,
     basic_hypergeometric,
     isfinite_,
     q_binomial,
@@ -61,16 +61,13 @@ def _resonant(den, t1, t2, t3=0) -> bool:
     return scale == 0 or abs(den) <= _resonance_guard(den) * scale
 
 
-@dataclass(frozen=True)
-class CharVector:
+class CharVector(Record):
     """The four free parameters (a, b, c, d) of one symmetric family."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        super().__init__(a, b, c, d)
         if not all(isfinite_(v) for v in self.as_tuple()):
             raise ValueError(
                 f"characteristic vector entries must be finite, got {self.as_tuple()}"
@@ -87,8 +84,7 @@ def _a_eff(V: CharVector, q):
     return V.a + V.c * (q - 1)
 
 
-@dataclass(frozen=True)
-class SymPolynomial:
+class SymPolynomial(Record):
     """A monic symmetric polynomial, stored by monomial coefficients.
 
     Coefficients at indices of parity opposite to the degree are exactly
@@ -96,14 +92,14 @@ class SymPolynomial:
     prefactor; phi(-x) == (-1)**degree phi(x) then holds bit for bit.
     """
 
-    degree: int
-    coeffs: tuple
+    __slots__ = ("degree", "coeffs")
 
     @property
     def parity(self) -> int:
         return self.degree % 2
 
-    def __post_init__(self) -> None:
+    def __init__(self, degree: int, coeffs: tuple) -> None:
+        super().__init__(degree, coeffs)
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count must be degree + 1")
         for k, ck in enumerate(self.coeffs):
@@ -475,15 +471,11 @@ def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
     return ode_terms(build_monic(n, V, ctx), V, ctx)(x)
 
 
-@dataclass(frozen=True)
-class OrthogonalityClassification:
-    """Sign pattern of C_1 .. C_nmax and the induced orthogonality class."""
+class OrthogonalityClassification(Record):
+    """Sign pattern of C_1 .. C_nmax and the induced orthogonality class
+    ``kind``: "positive-definite", "quasi-definite" or "weak"."""
 
-    kind: str  # "positive-definite", "quasi-definite" or "weak"
-    coefficients: tuple
-    negative_indices: tuple
-    zero_indices: tuple
-    resonant_indices: tuple
+    __slots__ = ("kind", "coefficients", "negative_indices", "zero_indices", "resonant_indices")
 
 
 def classify_orthogonality(

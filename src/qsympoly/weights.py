@@ -15,10 +15,8 @@ any such factor is constant and drops out of normalized quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidBaseError, ZeroDenominatorError
-from .qcore import QContext, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
+from .qcore import QContext, Record, exp_, isfinite_, log_, max_or_nan, q_shifted_factorial_inf
 from .sympoly import CharVector, _resonant
 
 # interior grid points alpha q^j, j = 1 .. BOUNDARY_GRID, of the boundary check
@@ -106,12 +104,8 @@ def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:
     return grid
 
 
-@dataclass(frozen=True)
-class WeightGridReport:
-    positive: bool
-    min_value: float
-    max_value: float
-    first_bad_index: int | None
+class WeightGridReport(Record):
+    __slots__ = ("positive", "min_value", "max_value", "first_bad_index")
 
 
 def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> WeightGridReport:
@@ -136,11 +130,8 @@ def weight_grid_report(V: CharVector, alpha, ctx: QContext, n_terms: int) -> Wei
     return WeightGridReport(positive, vmin, vmax, bad)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    boundary_value: float
-    interior_max: float
-    ratio: float
+class BoundaryReport(Record):
+    __slots__ = ("boundary_value", "interior_max", "ratio")
 
 
 def boundary_vanishing_check(V: CharVector, alpha, ctx: QContext) -> BoundaryReport:

@@ -1,7 +1,7 @@
 """tools/check_ab.py times two trees and exits 1 on any differing output.
 This checks the verdict it prints, that it draws only command-line
-operations from the benchmark workloads, and its timing of one check
-suite (--suite)."""
+operations from the benchmark workloads, its timing of one check suite
+(--suite) and of cold imports (--startup)."""
 
 from pathlib import Path
 
@@ -70,3 +70,25 @@ def test_suite_option(tool, capsys):
     with pytest.raises(SystemExit) as exc:
         tool.main([SRC, SRC, "--workload", "check-sweep", "--ops", "2", "--suite", "gram"])
     assert exc.value.code == 2
+
+
+def test_startup_option(tool, capsys):
+    code = tool.main([SRC, SRC, "--startup", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "operations 2"
+    assert out[-1] == "outputs: all equal"
+    for argv in ([SRC, SRC, "--startup", "0"], [SRC, SRC]):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(argv)
+        assert exc.value.code == 2
+
+
+def test_startup_spawn_imports_an_uncached_copy(tool, tmp_path):
+    # the spawn copies only the tree's sources, so it finds no bytecode
+    # cache, and writes none
+    seconds, output = tool.startup_spawn(SRC, str(tmp_path))
+    assert seconds > 0 and output == ("", "")
+    [copy] = tmp_path.iterdir()
+    files = sorted(p.name for p in (copy / "qsympoly").iterdir())
+    assert files == sorted(p.name for p in (Path(SRC) / "qsympoly").glob("*.py"))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ class TestQContext:
             qp.QContext(0.5, max_terms=0)
 
     def test_init_fields(self):
-        import dataclasses
+        import inspect
 
-        fields = tuple(f.name for f in dataclasses.fields(qp.QContext) if f.init)
+        fields = tuple(inspect.signature(qp.QContext).parameters)
         assert fields == ("q", "max_terms")
 
     def test_eps_term_follows_q(self):
@@ -35,6 +37,108 @@ class TestQContext:
                 ctx = qp.QContext(mpmath.mpf("0.5"))
                 want = mpmath.ldexp(1, -(mpmath.mp.prec + 4))
             assert isinstance(ctx.eps_term, mpmath.mpf) and ctx.eps_term == want
+
+
+
+# one instance of each value type, built twice, with its fields in
+# constructor order
+RECORDS = {
+    "CharVector": (lambda: qp.CharVector(-1, 1, -2.25, 0.75), ("a", "b", "c", "d")),
+    "QContext": (lambda: qp.QContext(0.5), ("q", "max_terms", "eps_term")),
+    "SymPolynomial": (lambda: qp.SymPolynomial(2, (-0.5, 0, 1)), ("degree", "coeffs")),
+    "JacksonConfig": (lambda: qp.JacksonConfig(CTX, 64), ("ctx", "n_terms")),
+    "OrthogonalityClassification": (
+        lambda: qp.OrthogonalityClassification("weak", (0.5, 0.0), (), (2,), ()),
+        ("kind", "coefficients", "negative_indices", "zero_indices", "resonant_indices")),
+    "WeightGridReport": (lambda: qp.WeightGridReport(False, 0.25, 0.75, 3),
+                         ("positive", "min_value", "max_value", "first_bad_index")),
+    "BoundaryReport": (lambda: qp.BoundaryReport(1e-18, 0.5, 2e-18),
+                       ("boundary_value", "interior_max", "ratio")),
+    "ReductionReport": (lambda: qp.ReductionReport(1e-16, 2e-16),
+                        ("max_recurrence_deviation", "max_weight_product_deviation")),
+    "NormTriple": (lambda: qp.NormTriple(3, None, 0.125, 0.125, 1e-16, None, True),
+                   ("n", "closed_form", "favard", "quadrature", "favard_vs_quadrature",
+                    "closed_vs_favard", "discrepancy_flagged")),
+    "LimitReport": (
+        lambda: qp.LimitReport("C", 3, None, (1e-2, 1e-3), (0.5, 0.51), 0.5, (0.0, 0.02),
+                               False, 0.5, 0.0),
+        ("quantity", "n", "x", "eps_values", "values", "target", "raw_errors", "monotone",
+         "extrapolated_value", "extrapolated_error")),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    """The value types are immutable and equal, hashed, printed, pickled
+    and copied by their fields."""
+
+    def test_value_equality(self, name):
+        make, _ = RECORDS[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != object()
+
+    def test_repr(self, name):
+        make, fields = RECORDS[name]
+        a = make()
+        values = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
+        assert repr(a) == f"{name}({values})"
+
+    def test_immutable(self, name):
+        make, fields = RECORDS[name]
+        a = make()
+        with pytest.raises(AttributeError):
+            setattr(a, fields[0], getattr(a, fields[0]))
+        with pytest.raises(AttributeError):
+            delattr(a, fields[0])
+        with pytest.raises(AttributeError):
+            a.unknown = 1
+
+    def test_pickle_and_copy(self, name):
+        make, _ = RECORDS[name]
+        a = make()
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+            assert type(b) is type(a) and b == a and repr(b) == repr(a)
+
+
+@pytest.mark.parametrize("name", [
+    "OrthogonalityClassification", "WeightGridReport", "BoundaryReport", "ReductionReport",
+    "NormTriple", "LimitReport"])
+def test_report_fields_by_position_or_keyword(name):
+    make, fields = RECORDS[name]
+    a = make()
+    cls, values = type(a), [getattr(a, f) for f in fields]
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == a
+    for args, kwargs in (
+        (values[:-1], {}),  # a field missing
+        (values + [0], {}),  # one too many
+        (values[:-1], {"unknown": 0}),
+        (values, {fields[0]: values[0]}),  # a field twice
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_pickled_context_keeps_eps_term():
+    # eps_term follows the precision in force when the context was built,
+    # not when it is unpickled
+    import mpmath
+
+    with mpmath.workdps(40):
+        ctx = qp.QContext(mpmath.mpf("0.5"))
+    assert pickle.loads(pickle.dumps(ctx)).eps_term == ctx.eps_term < 1e-40
+
+
+def test_family_descriptor_identity_equality():
+    fam = qp.make_hermite(0.3, CTX)
+    twin = qp.make_hermite(0.3, CTX)
+    assert fam == fam and fam != twin and hash(fam) == object.__hash__(fam)
+    dup = copy.copy(fam)
+    assert dup is not fam and dup != fam and repr(dup) == repr(fam)
+    with pytest.raises(AttributeError):
+        fam.name = "other"
+    with pytest.raises(AttributeError):
+        del fam.V
 
 
 @pytest.mark.parametrize("name", ["exp", "log", "expm1", "sqrt", "isfinite"])

@@ -3,6 +3,7 @@ in one process.
 
     python tools/check_ab.py PARENT_SRC CHANGE_SRC --workload W --ops N [--seed S]
                              [--suite NAME]
+    python tools/check_ab.py PARENT_SRC CHANGE_SRC --startup N
 
 Each SRC is a directory that contains the ``qsympoly`` package (a
 checkout's ``src``).  Both packages are imported into this process, under
@@ -24,6 +25,14 @@ suite is timed: each operation is parsed and configured once per tree, the
 Gram that the ortho and norm suites read is assembled outside the timing,
 and the output compared is the suite's list of lines.  Operations that do
 not run the suite are skipped.
+
+With ``--startup N`` the tool times instead N cold interpreters per tree,
+the trees alternating, each running ``import qsympoly.cli`` and nothing
+else; an operation is then one pair of spawns, and its output the spawns'
+stdout and stderr.  Each spawn imports a fresh copy of the tree's
+``qsympoly/*.py`` under PYTHONDONTWRITEBYTECODE=1, so that neither tree
+reads a bytecode cache: compiling the package is part of every cold start
+that finds no cache, and a tree that finds one would skip it.
 """
 
 from __future__ import annotations
@@ -35,9 +44,12 @@ import importlib
 import importlib.util
 import io
 import os
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
+from glob import glob
 from itertools import islice
 from pathlib import Path
 from time import perf_counter
@@ -127,6 +139,32 @@ def compare(runs) -> tuple:
     return best[0], best[1], len(outputs) == 1
 
 
+def startup_spawn(src: str, tmpdir: str) -> tuple:
+    """(seconds, output) of one cold interpreter importing qsympoly.cli from
+    a fresh copy of the package in ``src``; output is (stdout, stderr)."""
+    root = tempfile.mkdtemp(dir=tmpdir)
+    pkg = os.path.join(root, "qsympoly")
+    os.mkdir(pkg)
+    for path in glob(os.path.join(src, "qsympoly", "*.py")):
+        shutil.copy(path, pkg)
+    env = dict(os.environ, PYTHONPATH=root, PYTHONDONTWRITEBYTECODE="1")
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, "-c", "import qsympoly.cli"], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return perf_counter() - t0, (proc.stdout, proc.stderr)
+
+
+def startup_rows(srcs: tuple, spawns: int) -> list:
+    """Rows of (parent s, change s, same output) of ``spawns`` cold starts
+    per tree, the tree that starts first alternating from row to row."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for i in range(spawns):
+            runs = {side: startup_spawn(srcs[side], tmpdir) for side in (i % 2, 1 - i % 2)}
+            rows.append((runs[0][0], runs[1][0], runs[0][1] == runs[1][1]))
+    return rows
+
+
 def verdict(rows) -> tuple:
     """(summary lines, exit code) for rows of (parent s, change s, same)."""
     ratios = [c / p for p, c, _ in rows]
@@ -146,17 +184,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
-    ap.add_argument("--workload", required=True,
-                    choices=("check-deep", "check-sweep", "evaluate"))
-    ap.add_argument("--ops", type=int, required=True)
+    ap.add_argument("--workload", choices=("check-deep", "check-sweep", "evaluate"))
+    ap.add_argument("--ops", type=int)
     ap.add_argument("--seed", type=int, default=1011)
     ap.add_argument("--suite", help="time only this check suite")
+    ap.add_argument("--startup", type=int, metavar="N",
+                    help="time N cold imports of qsympoly.cli per tree instead")
     args = ap.parse_args(argv)
-    if args.ops < 1:
-        ap.error("--ops must be at least 1")
     for src in (args.parent_src, args.change_src):
         if not os.path.isdir(os.path.join(src, "qsympoly")):
             ap.error(f"{src} has no qsympoly package")
+    if args.startup is not None:
+        if args.startup < 1:
+            ap.error("--startup must be at least 1")
+        lines, code = verdict(startup_rows((args.parent_src, args.change_src), args.startup))
+        print("\n".join(lines))
+        return code
+    if args.workload is None or args.ops is None:
+        ap.error("--workload and --ops are required without --startup")
+    if args.ops < 1:
+        ap.error("--ops must be at least 1")
     os.environ.pop("QSYMPOLY_PRECISION", None)
     parent = load_cli(args.parent_src, "tree_parent")
     change = load_cli(args.change_src, "tree_change")
