@@ -3,8 +3,8 @@
 Exit codes: 0 all good, 1 a numerical check failed beyond tolerance,
 2 usage or precondition error.  Output is deterministic: identical
 configurations produce byte-identical files (no timestamps, fixed key
-order, floats printed with 17 significant digits so they re-read
-bitwise).
+order, floats printed so that they re-read bitwise: with 17 significant
+digits in CSV, as their shortest repr in JSON).
 
 The environment variable QSYMPOLY_PRECISION, when set to a positive
 integer number of decimal digits, switches all numeric inputs to mpmath
@@ -19,6 +19,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -222,30 +223,50 @@ def _build_config(args, precision) -> None:
     }
 
 
+# The rows in one call of json's C encoder: the item separator carries the
+# newline and indent of a row's items, at nesting level 3 of the output
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _emit(args, columns, rows, errors, stream):
-    """Serialize rows (list of dicts) as JSON or CSV, deterministically."""
+    """Serialize rows (list of dicts) as JSON or CSV, deterministically.
+
+    The JSON text is byte for byte what ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes, plus a newline, for the payload {"meta":
+    args.meta, "rows": [...], "errors": errors}: each row holds the given
+    columns, with a NaN or infinite float as null and an mpf as its
+    fmt_num text.  Only the small meta and errors part goes through the
+    indenting encoder, which json runs in pure Python.
+    """
     if args.fmt == "csv":
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(columns)
         for r in rows:
             w.writerow([fmt_num(r.get(c), args.precision) if not isinstance(r.get(c), str) else r.get(c) for c in columns])
         return
-    payload = {"meta": args.meta, "rows": [], "errors": errors}
+    clean_rows = []
     for r in rows:
         clean = {}
         for c in columns:
             v = r.get(c)
-            if v is None:
-                clean[c] = None
-            elif isinstance(v, (str, int)):
+            if isinstance(v, float):
+                clean[c] = v if math.isfinite(v) else None
+            elif v is None or isinstance(v, (str, int)):
                 clean[c] = v
-            elif isinstance(v, float):
-                clean[c] = v if isfinite_(v) else None
             else:
                 clean[c] = fmt_num(v, args.precision)
-        payload["rows"].append(clean)
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+        clean_rows.append(clean)
+    body = _ROWS_ENCODER.encode(clean_rows)
+    if clean_rows:
+        # "[{" items "},\n      {" items "}]", each row with at least one
+        # column: a string escapes its newlines and a row holds no nested
+        # value, so "},\n      {" only ever separates two rows, at level 2
+        body = ("[\n    {\n      "
+                + body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                + "\n    }\n  ]")
+    head = json.dumps({"errors": errors, "meta": args.meta}, indent=2, sort_keys=True)
+    # "rows" sorts after "errors" and "meta", so it closes the object
+    stream.write(f'{head[:-2]},\n  "rows": {body}\n}}\n')
 
 
 def _write_output(args, columns, rows, errors) -> None:

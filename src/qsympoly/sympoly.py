@@ -109,15 +109,23 @@ class SymPolynomial(Record):
             raise ValueError("monic polynomial must have leading coefficient 1")
 
     def __call__(self, x):
-        t = x * x
-        acc = self.coeffs[self.degree]
-        for k in range(self.degree - 2, self.parity - 1, -2):
-            acc = acc * t + self.coeffs[k]
-        return acc * x**self.parity
+        return _sym_horner(self.coeffs, x)
 
     def magnitude(self, x):
         """Sum of |c_k| |x|**k, the natural scale of an evaluation at x."""
-        return SymPolynomial(self.degree, tuple(map(abs, self.coeffs)))(abs(x))
+        return _sym_horner(tuple(map(abs, self.coeffs)), abs(x))
+
+
+def _sym_horner(coeffs, x):
+    """sum_k coeffs[k] x^k for coefficients of one parity, that of the
+    degree len(coeffs) - 1: a Horner scheme in x**2 times x**parity."""
+    degree = len(coeffs) - 1
+    parity = degree % 2
+    t = x * x
+    acc = coeffs[degree]
+    for k in range(degree - 2, parity - 1, -2):
+        acc = acc * t + coeffs[k]
+    return acc * x**parity
 
 
 def eigenvalue(n: int, V: CharVector, ctx: QContext):
@@ -248,15 +256,15 @@ def recurrence_C_odd(m: int, V: CharVector, ctx: QContext):
     return num / den
 
 
-def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
-    """All monic polynomials phi_0 .. phi_n built by the recurrence
-    phi_{k+1} = x phi_k - C_k phi_{k-1}, phi_0 = 1, phi_1 = x."""
+def _ladder_coeffs(n: int, V: CharVector, ctx: QContext):
+    """Yield the coefficient lists of phi_0 .. phi_n, one step of
+    monic_ladder's recurrence at a time."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    out = [SymPolynomial(0, (1,))]
-    if n >= 1:
-        out.append(SymPolynomial(1, (0, 1)))
     prev, cur = [1], [0, 1]
+    yield prev
+    if n >= 1:
+        yield cur
     C_terms = _C_terms(V, ctx)
     for k in range(1, n):
         Ck = C_terms(k)[0]
@@ -266,14 +274,23 @@ def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
         for i, pi in enumerate(prev):
             if pi != 0:
                 nxt[i] = nxt[i] - Ck * pi
-        out.append(SymPolynomial(k + 1, tuple(nxt)))
+        yield nxt
         prev, cur = cur, nxt
-    return tuple(out)
+
+
+def monic_ladder(n: int, V: CharVector, ctx: QContext) -> tuple:
+    """All monic polynomials phi_0 .. phi_n built by the recurrence
+    phi_{k+1} = x phi_k - C_k phi_{k-1}, phi_0 = 1, phi_1 = x."""
+    return tuple(SymPolynomial(k, tuple(coeffs))
+                 for k, coeffs in enumerate(_ladder_coeffs(n, V, ctx)))
 
 
 def build_monic(n: int, V: CharVector, ctx: QContext) -> SymPolynomial:
-    """The monic symmetric polynomial of degree n."""
-    return monic_ladder(n, V, ctx)[n]
+    """The monic symmetric polynomial of degree n: the last rung of
+    monic_ladder(n, V, ctx), the only one wrapped and validated."""
+    for coeffs in _ladder_coeffs(n, V, ctx):
+        pass
+    return SymPolynomial(n, tuple(coeffs))
 
 
 def _explicit_coeffs(n: int, V: CharVector, ctx: QContext) -> list:

@@ -1,7 +1,7 @@
 """tools/check_ab.py times two trees and exits 1 on any differing output.
-This checks the verdict it prints, that it draws only command-line
-operations from the benchmark workloads, its timing of one check suite
-(--suite) and of cold imports (--startup)."""
+This checks the verdict it prints, overall and per operation kind, that
+it draws only command-line operations from the benchmark workloads, its
+timing of one check suite (--suite) and of cold imports (--startup)."""
 
 from pathlib import Path
 
@@ -35,6 +35,20 @@ def test_verdict(tool):
     assert lines[-1] == "outputs differ on 1 of 4 operations"
 
 
+def test_verdict_by_kind(tool):
+    rows = [(0.010, 0.007, True), (0.020, 0.016, True), (0.030, 0.030, True),
+            (0.010, 0.005, True)]
+    lines, code = tool.verdict(rows, ["table", "export-poly", "table", "export-poly"])
+    assert code == 0
+    # each kind's median follows the overall one, kinds in name order
+    assert lines[3:] == [
+        "median ratio change/parent 0.750",
+        "  export-poly: median ratio 0.650 over 2 operations",
+        "  table: median ratio 0.850 over 2 operations",
+        "outputs: all equal",
+    ]
+
+
 def test_operations_are_command_lines(tool, tmp_path):
     ops = tool.operations("evaluate", 1011, 12, str(tmp_path))
     assert len(ops) == 12
@@ -66,6 +80,8 @@ def test_suite_option(tool, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "operations 2"
+    assert out[4].startswith("  check: median ratio ")
+    assert out[4].endswith(" over 2 operations")
     assert out[-1] == "outputs: all equal"
     with pytest.raises(SystemExit) as exc:
         tool.main([SRC, SRC, "--workload", "check-sweep", "--ops", "2", "--suite", "gram"])
@@ -76,6 +92,8 @@ def test_startup_option(tool, capsys):
     code = tool.main([SRC, SRC, "--startup", "2"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
+    # a cold start has no operation kind
+    assert len(out) == 5
     assert out[0] == "operations 2"
     assert out[-1] == "outputs: all equal"
     for argv in ([SRC, SRC, "--startup", "0"], [SRC, SRC]):

@@ -1,12 +1,16 @@
 import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsympoly as qp
 from qsympoly import cli
@@ -781,6 +785,69 @@ def test_cli_import_leaves_modules_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
     assert res.stdout.strip() == "[]"
+
+
+# a row value as a command hands it to _emit in float arithmetic
+ROW_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**200, 2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf]),
+    # quotes, backslashes, control characters and non-ASCII text
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12)
+    | st.sampled_from(['say "hi"', "a\\b", "tab\tnew\nline\x00\x1f", "é ∑ 𝔮"]),
+)
+KEYS = st.text(max_size=6)
+
+
+class TestJSONOutput:
+    """_emit writes JSON through json's C encoder, byte for byte what the
+    indenting stdlib encoder writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        columns=st.lists(KEYS, min_size=1, max_size=6, unique=True),
+        rows=st.lists(st.dictionaries(KEYS, ROW_VALUES, max_size=6), max_size=5),
+        errors=st.lists(st.dictionaries(KEYS, st.one_of(KEYS, st.integers()), max_size=3),
+                        max_size=3),
+        meta=st.dictionaries(KEYS, st.one_of(KEYS, st.integers(),
+                                             st.dictionaries(KEYS, KEYS, max_size=2)),
+                             max_size=4),
+    )
+    @example(columns=["x"], rows=[], errors=[], meta={})
+    def test_emit_matches_the_stdlib_encoder(self, columns, rows, errors, meta):
+        args = types.SimpleNamespace(fmt="json", precision=None, meta=meta)
+        stream = io.StringIO()
+        cli._emit(args, columns, rows, errors, stream)
+
+        def clean(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        payload = {"meta": meta, "errors": errors,
+                   "rows": [{c: clean(r.get(c)) for c in columns} for r in rows]}
+        assert stream.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("precision", [None, "30"])
+    @pytest.mark.parametrize("argv", [
+        ["table", "--family", "chebyshev6", "--n-max", "12"],
+        ["eval", "--family", "hermite", "-p", "0.3", "-n", "7", "--grid=-0.9:0.9:5"],
+        ["export", "poly", "--family", "ultraspherical", "-n", "6"],
+        # W* diverges at x = 0: a null weight and an error entry
+        ["export", "weight", "--family", "hermite", "-p", "0.3", "--grid=-0.5:0.5:5"],
+        ["check", "all", "--family", "chebyshev5", "--n-max", "6"],
+    ], ids=["table", "eval", "export-poly", "export-weight", "check"])
+    def test_every_writer_is_canonical(self, capsys, monkeypatch, tmp_path, argv, precision):
+        if precision is not None:
+            monkeypatch.setenv("QSYMPOLY_PRECISION", precision)
+        out_path = tmp_path / "out.json"
+        code, _, err = run(capsys, argv + ["-q", "0.5", "-o", str(out_path)])
+        assert (code, err) == (0, "")
+        text = out_path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        payload = json.loads(text)
+        assert payload["rows"]
+        assert bool(payload["errors"]) == (argv[1] == "weight")
 
 
 class TestPrecisionEnv:

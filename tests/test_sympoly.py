@@ -417,6 +417,62 @@ class TestBuildMonic:
         with pytest.raises(ValueError):
             qp.SymPolynomial(2, (0.5, 0.0, 2.0))  # not monic
 
+    @pytest.mark.parametrize("arithmetic", ["float", "mpf30", "Fraction"])
+    def test_is_the_last_rung_of_the_ladder(self, arithmetic):
+        # build_monic wraps only the last coefficient list of the ladder's
+        # recurrence: the same polynomial, bit for bit
+        import mpmath
+
+        from qsympoly.families import FAMILIES
+
+        params = {"alpha": 0.4, "beta": 0.7, "p": 0.3}
+        kind = {"float": float, "mpf30": mpmath.mpf, "Fraction": Fraction}[arithmetic]
+        with mpmath.workdps(30):
+            for factory, names in FAMILIES.values():
+                fam = factory(*(params[k] for k in names), qp.QContext(0.5))
+                V, ctx = fam.V, fam.ctx
+                if kind is not float:
+                    V = qp.CharVector(*map(kind, V.as_tuple()))
+                    ctx = qp.QContext(kind(0.5))
+                ladder = qp.monic_ladder(64, V, ctx)
+                for n in range(65):
+                    assert repr(qp.build_monic(n, V, ctx)) == repr(ladder[n])
+                    if n in (0, 1, 36, 64):
+                        assert repr(qp.monic_ladder(n, V, ctx)[n]) == repr(ladder[n])
+        assert isinstance(ladder[64].coeffs[0], kind)
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            qp.build_monic(-1, V, ctx)
+
+
+def _horner_reference(coeffs, x):
+    # an independent Horner scheme in x**2 for coefficients of one parity
+    degree = len(coeffs) - 1
+    t = x * x
+    acc = coeffs[degree]
+    for k in range(degree - 2, degree % 2 - 1, -2):
+        acc = acc * t + coeffs[k]
+    return acc * x ** (degree % 2)
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("arithmetic", ["float", "mpf30"])
+    def test_value_and_magnitude_are_bitwise(self, arithmetic):
+        # the value is the Horner scheme of the c_k at x, the magnitude
+        # that of the |c_k| at |x|, bit for bit
+        import mpmath
+
+        r = rng(7)
+        with mpmath.workdps(30):
+            kind = float if arithmetic == "float" else mpmath.mpf
+            ctx = qp.QContext(kind(0.7))
+            for V in (HERMITE0.V, ULTRA.V, qp.CharVector(-1.0, 1.0, -1.5, 0.2)):
+                V = qp.CharVector(*map(kind, V.as_tuple()))
+                for poly in qp.monic_ladder(24, V, ctx):
+                    for x in [kind(r.uniform(-2, 2)) for _ in range(5)] + [kind(0), kind(-1)]:
+                        assert repr(poly(x)) == repr(_horner_reference(poly.coeffs, x))
+                        want = _horner_reference(tuple(map(abs, poly.coeffs)), abs(x))
+                        assert repr(poly.magnitude(x)) == repr(want)
+
 
 class TestExplicitForm:
     def test_degree_zero_and_one(self):

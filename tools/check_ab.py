@@ -15,10 +15,11 @@ runs 3 times on each tree, the trees alternating, and its time on a tree
 is the best of its 3.  Machine speed can drift within minutes, and
 alternating operation by operation lets both trees see the same drift.
 The tool prints each tree's mean ms/op, the median over operations of the
-time ratio change/parent, and whether every output matched: the exit
-code, stdout and the file an export writes.  It exits 1 if any output
-differs, else 0.  The process runs in float arithmetic (QSYMPOLY_PRECISION
-is removed from its environment).
+time ratio change/parent, that median for each operation kind
+(``table``, ``export-poly``, ``export-weight``, ``check``), and whether
+every output matched: the exit code, stdout and the file an export
+writes.  It exits 1 if any output differs, else 0.  The process runs in
+float arithmetic (QSYMPOLY_PRECISION is removed from its environment).
 
 With ``--suite NAME`` (a ``check`` suite such as ``limit``) only that
 suite is timed: each operation is parsed and configured once per tree, the
@@ -165,8 +166,11 @@ def startup_rows(srcs: tuple, spawns: int) -> list:
     return rows
 
 
-def verdict(rows) -> tuple:
-    """(summary lines, exit code) for rows of (parent s, change s, same)."""
+def verdict(rows, kinds=()) -> tuple:
+    """(summary lines, exit code) for rows of (parent s, change s, same).
+    With ``kinds``, the operation kind of each row, the median ratio of
+    each kind follows the overall one: a change to one kind's path is
+    diluted in the median over a mix of kinds."""
     ratios = [c / p for p, c, _ in rows]
     same = all(s for _, _, s in rows)
     lines = [
@@ -174,9 +178,15 @@ def verdict(rows) -> tuple:
         f"parent {1e3 * statistics.fmean(p for p, _, _ in rows):.2f} ms/op",
         f"change {1e3 * statistics.fmean(c for _, c, _ in rows):.2f} ms/op",
         f"median ratio change/parent {statistics.median(ratios):.3f}",
-        "outputs: all equal" if same
-        else f"outputs differ on {sum(not s for _, _, s in rows)} of {len(rows)} operations",
     ]
+    by_kind: dict = {}
+    for kind, ratio in zip(kinds, ratios):
+        by_kind.setdefault(kind, []).append(ratio)
+    for kind, group in sorted(by_kind.items()):
+        lines.append(f"  {kind}: median ratio {statistics.median(group):.3f}"
+                     f" over {len(group)} operations")
+    lines.append("outputs: all equal" if same
+                 else f"outputs differ on {sum(not s for _, _, s in rows)} of {len(rows)} operations")
     return lines, 0 if same else 1
 
 
@@ -210,7 +220,7 @@ def main(argv=None) -> int:
     if args.suite is not None and args.suite not in change.CHECK_SUITES:
         ap.error(f"--suite must be one of {', '.join(change.CHECK_SUITES)}")
     with tempfile.TemporaryDirectory() as tmpdir:
-        rows = []
+        rows, kinds = [], []
         for op in operations(args.workload, args.seed, args.ops, tmpdir):
             if args.suite is None:
                 runs = [functools.partial(run_once, cli, op) for cli in (parent, change)]
@@ -222,9 +232,10 @@ def main(argv=None) -> int:
             if not row[2]:
                 print(f"DIFF {' '.join(op.argv)}")
             rows.append(row)
+            kinds.append(op.kind)
     if not rows:
         ap.error(f"no operation of {args.workload} runs the {args.suite} suite")
-    lines, code = verdict(rows)
+    lines, code = verdict(rows, kinds)
     print("\n".join(lines))
     return code
 
