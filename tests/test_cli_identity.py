@@ -11,9 +11,17 @@ def tool():
     return load_tool("cli_identity")
 
 
-def test_matrix_has_251_distinct_runs(tool):
+def test_matrix_has_311_distinct_runs(tool):
     runs = tool.matrix()
-    assert len(runs) == len(set(runs)) == 251
+    assert len(runs) == len(set(runs)) == 311
+    # 251 in float arithmetic, 60 on the mpf output path at 30 digits
+    assert sum(precision is None for precision, _ in runs) == 251
+    assert sum(precision == "30" for precision, _ in runs) == 60
+
+
+def test_label(tool):
+    assert tool.label(None, ("check", "all", "-q", "0.5")) == "check all -q 0.5"
+    assert tool.label("30", ("table",)) == "QSYMPOLY_PRECISION=30 table"
 
 
 def test_first_difference(tool):

@@ -9,12 +9,15 @@ eval -n 6 --grid=-0.9:0.9:7, export poly, export weight json, export
 weight csv}, plus ``check all -q 0.9 --n-terms 700`` for
 ultraspherical(0.4, 0.7) and hermite(0.3), plus 9 runs whose lines FAIL:
 ``check all --tol 0 -q 0.5`` for each family and ``check all`` for
-hermite(2) at q = 0.9, whose Jackson sum diverges: 251 runs.  Every run is a
-``python -m qsympoly`` subprocess in float arithmetic (QSYMPOLY_PRECISION
-is removed from its environment), two at a time.  Each run whose
-stdout, stderr or exit code differs between the trees is listed, with
-the first pair of stdout lines that differ; the exit code is 1 if any
-run differs, else 0.
+hermite(2) at q = 0.9, whose Jackson sum diverges: 251 runs in float
+arithmetic (QSYMPOLY_PRECISION is removed from their environment).  Then
+60 runs under QSYMPOLY_PRECISION=30, which reach the mpf output path:
+ultraspherical(0.4, 0.7), chebyshev6, hermite(0.3) and the custom vector
+x q in {0.3, 0.5, 0.9} x {check all, check ortho, check norm, table json,
+table csv}: 311 runs.  Every run is a ``python -m qsympoly`` subprocess,
+two at a time.  Each run whose stdout, stderr or exit code differs
+between the trees is listed, with the first pair of stdout lines that
+differ; the exit code is 1 if any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -49,17 +52,29 @@ COMMANDS = (
     ("export", "weight", "--format", "csv"),
 )
 DEEP = (FAMILIES[0], FAMILIES[5])
+# the runs at 30 digits
+MP_FAMILIES = (FAMILIES[0], FAMILIES[3], FAMILIES[5], FAMILIES[7])
+MP_COMMANDS = (("check", "all"), ("check", "ortho"), ("check", "norm"),
+               ("table", "--format", "json"), ("table", "--format", "csv"))
+MP_DIGITS = "30"
 JOBS = 2
 
 
 def matrix() -> list:
-    """The argv of every run, in a fixed order."""
+    """(QSYMPOLY_PRECISION or None, argv) of every run, in a fixed order."""
     runs = [cmd + fam + ("-q", q) for fam in FAMILIES for q in QS for cmd in COMMANDS]
     runs += [("check", "all") + fam + ("-q", "0.9", "--n-terms", "700") for fam in DEEP]
     # lines that FAIL: an unattainable tolerance, and a divergent Jackson sum
     runs += [("check", "all", "--tol", "0") + fam + ("-q", "0.5") for fam in FAMILIES]
     runs.append(("check", "all", "--family", "hermite", "-p", "2", "-q", "0.9"))
-    return runs
+    mp_runs = [cmd + fam + ("-q", q) for fam in MP_FAMILIES for q in QS for cmd in MP_COMMANDS]
+    return [(None, argv) for argv in runs] + [(MP_DIGITS, argv) for argv in mp_runs]
+
+
+def label(precision, argv) -> str:
+    """The run as a shell command line after ``python -m qsympoly``."""
+    prefix = "" if precision is None else f"QSYMPOLY_PRECISION={precision} "
+    return prefix + " ".join(argv)
 
 
 def first_difference(old: str, new: str):
@@ -74,9 +89,11 @@ def first_difference(old: str, new: str):
     return None
 
 
-def run(src: str, argv: tuple) -> tuple:
+def run(src: str, precision, argv: tuple) -> tuple:
     env = {k: v for k, v in os.environ.items() if k != "QSYMPOLY_PRECISION"}
     env["PYTHONPATH"] = os.path.abspath(src)
+    if precision is not None:
+        env["QSYMPOLY_PRECISION"] = precision
     res = subprocess.run([sys.executable, "-m", "qsympoly", *argv],
                          capture_output=True, text=True, env=env, timeout=600)
     return res.returncode, res.stdout, res.stderr
@@ -92,18 +109,18 @@ def main(argv=None) -> int:
             ap.error(f"{src} has no qsympoly package")
     runs = matrix()
 
-    def compare(argv):
-        return run(args.parent_src, argv), run(args.change_src, argv)
+    def compare(run_spec):
+        return run(args.parent_src, *run_spec), run(args.change_src, *run_spec)
 
     with ThreadPoolExecutor(JOBS) as pool:
         results = list(pool.map(compare, runs))
     differing = 0
-    for argv, (old, new) in zip(runs, results):
+    for run_spec, (old, new) in zip(runs, results):
         parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                  if a != b]
         if parts:
             differing += 1
-            print(f"DIFF {' '.join(argv)}: {', '.join(parts)}")
+            print(f"DIFF {label(*run_spec)}: {', '.join(parts)}")
             diff = first_difference(old[1], new[1])
             if diff is not None:
                 line, a, b = diff
