@@ -25,7 +25,13 @@ from functools import partial
 from operator import mul
 from typing import Callable
 
-from .errors import AdmissibilityError, DivergenceError, QSymPolyError, ZeroDenominatorError
+from .errors import (
+    AdmissibilityError,
+    DivergenceError,
+    InvalidBaseError,
+    QSymPolyError,
+    ZeroDenominatorError,
+)
 from .qcore import (
     QContext,
     Record,
@@ -35,11 +41,13 @@ from .qcore import (
     q_shifted_factorial_inf,
     sqrt_,
 )
-from .sympoly import CharVector, _C_exact, _C_terms
-from .weights import _power_base, pearson_ratio, weight_star
+from .sympoly import CharVector, _C_exact, _C_terms, _dyadic
+from .weights import weight_star
 
-# least working precision of the Gram assembly, in decimal digits
+# least working precision of the Gram assembly, in decimal digits, and
+# in bits as mpmath counts them (mpmath.libmp.dps_to_prec(GRAM_DPS))
 GRAM_DPS = 40
+GRAM_PREC = 136
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form
 CLOSED_FORM_FLAG_TOL = 1e-6
@@ -300,48 +308,46 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     are exactly zero.  By the q-binomial theorem the moments are exact,
     m_r = prod_(i<r) (1 - q^(2i+1) beta) / (1 - q^(2i+1) gamma), and G = D
     M D^T in ints at 2^H, with D the coefficients of phi_n(alpha y) from
-    the exact C_k, each rounded once.  README "Numeric policy" gives
-    the derivation, the guard bits H and the order of the errors: the
-    family's violation, ResonanceError, a Pearson pole at alpha, a
-    vanishing norm ratio, InvalidBaseError, a zero or negative weight
-    factor on the grid, DivergenceError.  A float diagonal entry outside the
-    normal range raises QSymPolyError.
+    the exact C_k, each rounded once.  Every input is read as an exact
+    dyadic ratio of ints (float, int or mpf; any other type raises
+    QSymPolyError), so the set-up is integer arithmetic and imports mpmath
+    only to wrap an mpf q's entries.  README "Numeric policy" gives the
+    derivation, the guard bits H and the order of the errors: the family's
+    violation, ResonanceError, a vanishing norm ratio, InvalidBaseError, a
+    zero or negative weight factor on the grid, DivergenceError.  A float
+    diagonal entry outside the normal range raises QSymPolyError.
     """
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
     if fam.support is None:
         raise ValueError("orthogonality needs a family with a support endpoint")
+    V, q = _dyadic(fam.V, fam.ctx.q)
+    if isinstance(fam.ctx.q, float):
+        S, H = _assemble_gram(V, q, n_max, GRAM_PREC)
+        for n, row in enumerate(S):  # G_nn = S_nn 2^-3H, a normal float below 2^1023
+            if not -1021 <= abs(row[n]).bit_length() - 3 * H <= 1023:
+                raise QSymPolyError(f"the Gram entry G_{n},{n} leaves the float range")
+        scale = 1 << 3 * H  # int / int rounds correctly
+        return tuple(tuple(v / scale for v in row) for row in S)
     import mpmath
 
-    with mpmath.workdps(max(GRAM_DPS, mpmath.mp.dps)):
-        S, H = _assemble_gram(fam, n_max)
-    if isinstance(fam.ctx.q, mpmath.mpf):
-        return tuple(tuple(mpmath.mpf((v, -3 * H)) for v in row) for row in S)
-    for n, row in enumerate(S):  # G_nn = S_nn 2^-3H, a normal float below 2^1023
-        if not -1021 <= abs(row[n]).bit_length() - 3 * H <= 1023:
-            raise QSymPolyError(f"the Gram entry G_{n},{n} leaves the float range")
-    scale = 1 << 3 * H  # int / int rounds correctly
-    return tuple(tuple(v / scale for v in row) for row in S)
+    S, H = _assemble_gram(V, q, n_max, mpmath.libmp.dps_to_prec(max(GRAM_DPS, mpmath.mp.dps)))
+    return tuple(tuple(mpmath.mpf((v, -3 * H)) for v in row) for row in S)
 
 
-def _assemble_gram(fam, n_max):
-    import mpmath
-    from mpmath.libmp import to_fixed
-
-    mpf = mpmath.mpf
-    q = mpf(fam.ctx.q)
-    ictx = QContext(q)
-    V = CharVector(*(mpf(v) for v in fam.V.as_tuple()))
-    alpha = sqrt_(-V.b / V.a)
+def _assemble_gram(V, q, n_max, prec):
+    """(S, H): G = S 2^-3H, for V = (a, b, c, d) and q = (Q, E) as _dyadic
+    gives them, at ``prec`` bits of working precision."""
+    a, b, c, d = V
+    Q, E = q
     # C_1 .. C_n_max exactly, each as an int pair (num, den)
     Cs = _C_exact(V, q, n_max)
-    # the Pearson pole b (1 - q^(2j+2)) is nearest to zero at j = 0, so the
-    # resonance test at alpha covers the orbit
-    pearson_ratio(V, ictx, alpha)
+    # alpha^2 = an / ad > 0, as the family has a support endpoint
+    an, ad = (-b, a) if a > 0 else (b, -a)
 
     # guard bits: the largest log2 of (1 + psi_n)^2 / |C_1 ... C_n| over n <= n_max (n = 0
     # gives 2), where psi_n bounds |phi_n| on [-alpha, alpha], rounded up at 2^-32
-    A32 = psi = to_fixed(alpha._mpf_, 32) + 1
+    A32 = psi = math.isqrt((an << 64) // ad) + 1
     psi_prev, ratio_bits, worst = 1 << 32, 0.0, 2.0
     for k, (num, den) in enumerate(Cs, 1):
         if num == 0:
@@ -349,33 +355,49 @@ def _assemble_gram(fam, n_max):
         ratio_bits += math.log2(den) - math.log2(abs(num))
         worst = max(worst, 2 * math.log2((1 << 32) + psi) - 64 + ratio_bits)
         psi_prev, psi = psi, (A32 * psi - (-abs(num) << 32) // den * psi_prev >> 32) + 1
-    beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
+    # beta = 1 + d (q-1) / b = bn / bd and gamma = 1 + c (q-1) / a = gn / gd, bd, gd > 0
+    bn, bd = b * E + d * (Q - E), b * E
+    bn, bd = (bn, bd) if bd > 0 else (-bn, -bd)
+    if bn <= 0:
+        raise InvalidBaseError(f"power base 1 + d(q-1)/b = {bn / bd!r} must be positive")
+    gn, gd = a * E + c * (Q - E), a * E
+    gn, gd = (gn, gd) if gd > 0 else (-gn, -gd)
     # the factor 1 - g q^(2i) of t_(i+1) / t_i is negative while gamma q^(2i) > beta;
     # past them the weights keep the sign of W* near 0, so an odd count makes t_0
     # the first bad weight, and an even one t_1
-    s, negative = mpf(1), 0
-    while gamma * s >= beta:
-        if gamma * s == beta:
+    lhs, rhs, negative = gn * bd, bn * gd, 0
+    if lhs >= rhs:
+        def excess(i):  # the sign of gamma q^(2i) - beta, E = 2^e
+            return lhs * Q ** (2 * i) - (rhs << 2 * i * (E.bit_length() - 1))
+
+        # the last i with gamma q^(2i) >= beta: estimated in floats, settled exactly
+        k = int((math.log(lhs) - math.log(rhs)) / (2 * (math.log(E) - math.log(Q))))
+        while excess(k + 1) >= 0:
+            k += 1
+        while (last := excess(k)) < 0:
+            k -= 1
+        if last == 0:
             raise ZeroDenominatorError("weight denominator product vanishes")
-        s, negative = s * q * q, negative + 1
+        negative = k + 1
     if negative:
         raise AdmissibilityError(
             f"weight is not positive on the grid (first bad index {1 - negative % 2})"
         )
-    if q * beta >= 1:
+    if Q * bn >= E * bd:
         raise DivergenceError(
             "the Jackson sum diverges: the weight ratio t_(j+1) / t_j tends to "
-            f"q beta = {float(q * beta):.6g} >= 1"
+            f"q beta = {Q * bn / (E * bd):.6g} >= 1"
         )
 
-    H = (mpmath.mp.prec + GRAM_EXTRA_BITS + math.ceil(worst + 2 * math.log2(n_max + 1))
-         + mpmath.mag(1 / (1 - q * beta)))
+    # 1 / (1 - q beta) = top / bot lies in [2^(mag - 1), 2^mag)
+    top, bot = E * bd, E * bd - Q * bn
+    k = top.bit_length() - bot.bit_length()
+    mag = k + 1 if top >= bot << k else k
+    H = prec + GRAM_EXTRA_BITS + math.ceil(worst + 2 * math.log2(n_max + 1)) + mag
     one, hh = 1 << H, 1 << (H - 1)
-    with mpmath.workprec(H + 8):
-        beta, gamma = _power_base(V, q), 1 + V.c * (q - 1) / V.a
-        QB, QG, Q2, A = (
-            to_fixed(v._mpf_, H) for v in (q * beta, q * gamma, q * q, sqrt_(-V.b / V.a))
-        )
+    # q beta, q gamma, q^2 and alpha, each floored at 2^-H
+    QB, QG, Q2 = (Q * bn << H) // top, (Q * gn << H) // (E * gd), (Q * Q << H) // (E * E)
+    A = math.isqrt((an << 2 * H) // ad)
     M = _moments(QB, QG, Q2, n_max, H)
     # D[n][i] 2^-H = d_(n,i), the coefficient of y^i in phi_n(alpha y); phi_n_max
     # needs all C_k but the last, each rounded once to nearest at 2^-H

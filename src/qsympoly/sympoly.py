@@ -28,6 +28,7 @@ from .errors import QSymPolyError, ResonanceError, ZeroDenominatorError
 from .qcore import (
     QContext,
     Record,
+    _is_plain,
     basic_hypergeometric,
     isfinite_,
     q_binomial,
@@ -188,17 +189,39 @@ def _C_terms(V: CharVector, ctx: QContext):
     return terms
 
 
-def _C_exact(V: CharVector, q, n_max: int) -> list:
+def _dyadic(V: CharVector, q) -> tuple:
+    """((a, b, c, d), (Q, E)): ints with V = (a, b, c, d) / F and q = Q / E
+    exactly, where F and E are powers of two.  A float or an int is read by
+    ``as_integer_ratio``, an mpf by its mantissa and exponent.  Any other
+    type, such as Fraction, raises QSymPolyError, as it has no such form or
+    would be rounded into one silently."""
+
+    def pair(v):
+        if _is_plain(v):
+            return v.as_integer_ratio()
+        if not hasattr(v, "_mpf_"):
+            raise QSymPolyError(
+                f"the Gram matrix needs float, int or mpf input, not {type(v).__name__}")
+        sign, man, exp, _ = v._mpf_
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+    qn, *vs = map(pair, (q, *V.as_tuple()))
+    F = max(den for _, den in vs)
+    return tuple(num * (F // den) for num, den in vs), qn
+
+
+def _C_exact(V: tuple, q: tuple, n_max: int) -> list:
     """[(num, den)] for n = 1 .. n_max, ints with den > 0 and num / den = C_n
-    exactly, for mpf q = Q 2^-e and V: _C_terms's closed form in the same
-    grouping, each term an int at one power of two.  Step n is scaled by
-    2^(4 e n), so q^n = Q^n 2^-(e n) is the int Q^n and the ints are about
-    4 e n bits wide.  Only an exact zero den is resonant."""
-    (Q, e), *vs = [(-m if sign else m, -x) for sign, m, x, _ in
-                   (v._mpf_ for v in (q, *V.as_tuple()))]
-    f = max(x for _, x in vs)
-    a, b, c, d = (m << (f - x) for m, x in vs)
-    E = 1 << e
+    exactly, for V and q as _dyadic gives them: V as ints on one scale,
+    which C_n does not depend on, and q = Q / E with E = 2^e.  _C_terms's
+    closed form in the same grouping, each term an int at one power of
+    two: step n is scaled by 2^(4 e n), so q^n = Q^n 2^-(e n) is the int
+    Q^n and the ints are about 4 e n bits wide.  Only an exact zero den is
+    resonant."""
+    a, b, c, d = V
+    Q, E = q
+    e = E.bit_length() - 1
     ae = a * E + c * (Q - E)
     den1, den2, den3 = a * a * Q**4, ae * ae * E * E, -a * Q * (Q * Q + E * E) * ae
     dq, dq1, aqq = d * (E - Q), d * (Q - E), a * Q * Q

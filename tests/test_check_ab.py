@@ -1,7 +1,8 @@
 """tools/check_ab.py times two trees and exits 1 on any differing output.
 This checks the verdict it prints, overall and per operation kind, that
 it draws only command-line operations from the benchmark workloads, its
-timing of one check suite (--suite) and of cold imports (--startup)."""
+timing of one check suite (--suite) and of cold starts (--startup,
+with or without --command)."""
 
 from pathlib import Path
 
@@ -96,7 +97,8 @@ def test_startup_option(tool, capsys):
     assert len(out) == 5
     assert out[0] == "operations 2"
     assert out[-1] == "outputs: all equal"
-    for argv in ([SRC, SRC, "--startup", "0"], [SRC, SRC]):
+    for argv in ([SRC, SRC, "--startup", "0"], [SRC, SRC],
+                 [SRC, SRC, "--command", "check all -q 0.9"]):
         with pytest.raises(SystemExit) as exc:
             tool.main(argv)
         assert exc.value.code == 2
@@ -106,7 +108,18 @@ def test_startup_spawn_imports_an_uncached_copy(tool, tmp_path):
     # the spawn copies only the tree's sources, so it finds no bytecode
     # cache, and writes none
     seconds, output = tool.startup_spawn(SRC, str(tmp_path))
-    assert seconds > 0 and output == ("", "")
+    assert seconds > 0 and output == (0, "", "")
     [copy] = tmp_path.iterdir()
     files = sorted(p.name for p in (copy / "qsympoly").iterdir())
     assert files == sorted(p.name for p in (Path(SRC) / "qsympoly").glob("*.py"))
+
+
+def test_startup_spawn_runs_a_command(tool, tmp_path):
+    # the whole command, its exit code and output, from an uncached copy
+    seconds, (code, out, err) = tool.startup_spawn(
+        SRC, str(tmp_path), "check ortho --family hermite -p 0.3 -q 0.9")
+    assert seconds > 0 and (code, err) == (0, "")
+    assert out.startswith("PASS") and "orthogonality" in out
+    _, (code, out, err) = tool.startup_spawn(SRC, str(tmp_path), "check ortho -q 2")
+    assert code == 2 and out == "" and "q" in err
+    assert not list(tmp_path.glob("*/qsympoly/__pycache__"))

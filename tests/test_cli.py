@@ -787,6 +787,36 @@ def test_cli_import_leaves_modules_out():
     assert res.stdout.strip() == "[]"
 
 
+def test_float_checks_leave_mpmath_out():
+    # in float arithmetic the Gram is integer arithmetic on the inputs'
+    # exact ratios, so no check imports mpmath; at 30 digits the Gram
+    # entries are still mpf
+    code = """if True:
+        import contextlib, io, os, sys
+        from qsympoly import cli
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(list(argv))
+        for suite in ("all", "ortho", "norm"):
+            for fam in (("--family", "hermite", "-p", "0.3"), ("--custom=-1,1,-1.5,0.2",)):
+                assert run("check", suite, *fam, "-q", "0.9") in (0, 1)
+        print("mpmath" in sys.modules)
+        grams, real = [], cli.orthogonality_matrix
+        cli.orthogonality_matrix = lambda *a: grams.append(real(*a)) or grams[-1]
+        os.environ["QSYMPOLY_PRECISION"] = "30"
+        assert run("check", "ortho", "--family", "hermite", "-p", "0.3", "-q", "0.9") == 0
+        import mpmath
+        [G] = grams
+        print(len(G), {type(v).__name__ for row in G for v in row}, mpmath.mp.dps)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QSYMPOLY_PRECISION", None)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert res.stdout.splitlines() == ["False", "11 {'mpf'} 15"]
+
+
 # a row value as a command hands it to _emit in float arithmetic
 ROW_VALUES = st.one_of(
     st.none(),

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -300,7 +301,33 @@ class TestOrthogonalityMatrix:
         fam = qp.make_hermite(0.3, qp.QContext(0.9))
         qp.orthogonality_matrix(fam, 10)
         [(V, q, n_max)] = calls
-        assert (V.as_tuple(), q, n_max) == (fam.V.as_tuple(), 0.9, 10)
+        assert (V, q, n_max) == (*families._dyadic(fam.V, 0.9), 10)
+        # the float inputs themselves, exactly: V on one scale, q = Q / E
+        scale = V[0] / Fraction(fam.V.a)
+        assert [Fraction(v) / scale for v in V] == list(map(Fraction, fam.V.as_tuple()))
+        assert Fraction(*q) == Fraction(0.9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: qp.make_hermite(Fraction(3, 10), qp.QContext(Fraction(1, 2))),
+        lambda: qp.make_custom(-1, 1, Fraction(-3, 2), Fraction(1, 5), CTX),
+    ])
+    def test_fraction_input_is_a_typed_error(self, make):
+        # neither rounded to a dyadic value nor passed on to mpmath's TypeError
+        with pytest.raises(qp.QSymPolyError, match="needs float, int or mpf input, not Fraction"):
+            qp.orthogonality_matrix(make(), 4)
+
+    def test_float_precision_is_fixed(self):
+        # a float Gram works at GRAM_DPS digits, whatever mpmath's precision
+        from mpmath.libmp import dps_to_prec
+
+        from qsympoly import families
+
+        assert families.GRAM_PREC == dps_to_prec(families.GRAM_DPS)
+        fam = qp.make_hermite(0.3, qp.QContext(0.9))
+        G = qp.orthogonality_matrix(fam, 10)
+        with mpmath.workdps(80):
+            assert qp.orthogonality_matrix(fam, 10) == G
+        assert {type(v) for row in G for v in row} == {float}
 
     def test_mutated_C_lifts_off_diagonal(self, monkeypatch):
         # a relative change of 1e-9 in C_4, which phi_5 .. phi_10 read,
@@ -358,9 +385,31 @@ class TestOrthogonalityMatrix:
         with pytest.raises(qp.AdmissibilityError, match="first bad index 1\\)"):
             qp.orthogonality_matrix(fam, 4)
 
+    def test_weight_factor_count_is_exact(self):
+        # custom(-1, 1, c, 0) at q = 1/2: beta = 1 and gamma = 1 + c / 2, so
+        # 1 - g q^(2i) <= 0 for i <= log4(gamma), and is exactly 0 at i = k
+        # when gamma = 4^k
+        for k in range(1, 11):
+            c = 2 * 4**k - 2
+            with pytest.raises(qp.ZeroDenominatorError, match="product vanishes"):
+                qp.orthogonality_matrix(qp.make_custom(-1, 1, c, 0, CTX), 1)
+            for c, count in ((c * (1 + 2**-40), k + 1), (c * (1 - 2**-40), k)):
+                with pytest.raises(qp.AdmissibilityError,
+                                   match=f"first bad index {1 - count % 2}"):
+                    qp.orthogonality_matrix(qp.make_custom(-1, 1, c, 0, CTX), 1)
+        # about 11,500 negative factors near q = 1
+        q = 0.999
+        with mpmath.workdps(50):
+            g = 1 + mpmath.mpf(1e13) * (1 - mpmath.mpf(q))
+            count = int(mpmath.floor(mpmath.log(g) / (-2 * mpmath.log(q)))) + 1
+        assert count > 11000
+        with pytest.raises(qp.AdmissibilityError, match=f"first bad index {1 - count % 2}"):
+            qp.orthogonality_matrix(qp.make_custom(-1, 1, 1e13, 0, qp.QContext(q)), 1)
+
     def test_invalid_power_base(self):
         fam = qp.make_custom(-1, 1, 0, 2.5, CTX)  # power base 1 + d (q-1) / b = -0.25
-        with pytest.raises(qp.InvalidBaseError):
+        # the exact base, shown as a float as weight_star shows it
+        with pytest.raises(qp.InvalidBaseError, match=r"^power base .* = -0\.25 must be positive"):
             qp.orthogonality_matrix(fam, 4)
 
     def test_vanishing_norm_ratio(self):

@@ -298,23 +298,73 @@ class TestSharedCFactors:
         assert self.assert_bit_identical(cases) >= 1
 
 
+def fraction(x):
+    """The exact value of a float, int or mpf."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+class TestDyadic:
+    """_dyadic reads V and q as exact int ratios over powers of two."""
+
+    @staticmethod
+    def assert_exact(V, q):
+        from qsympoly.sympoly import _dyadic
+
+        ints, (Q, E) = _dyadic(V, q)
+        assert all(type(v) is int for v in (*ints, Q, E))
+        assert E > 0 and E & (E - 1) == 0
+        assert Fraction(Q, E) == fraction(q)
+        # one power-of-two scale F for all four entries
+        nonzero = [(i, fraction(v)) for i, v in zip(ints, V.as_tuple()) if v]
+        scale = nonzero[0][0] / nonzero[0][1]
+        assert scale.numerator & (scale.numerator - 1) == 0 and scale.denominator == 1
+        assert all(i == scale * v for i, v in zip(ints, map(fraction, V.as_tuple())))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e30, 1e30, allow_nan=False).filter(bool),
+                              st.integers(-10**20, 10**20).filter(bool)),
+                    min_size=4, max_size=4),
+           st.floats(1e-300, 1, exclude_max=True, exclude_min=True))
+    def test_float_and_int(self, V, q):
+        self.assert_exact(qp.CharVector(*V), q)
+
+    def test_mpf(self):
+        import mpmath
+
+        r = rng(31)
+        for dps in (15, 30, 100):
+            with mpmath.workdps(dps):
+                f = mpmath.mpf
+                for _ in range(10):
+                    V = qp.CharVector(*(f(r.uniform(-3, 3)) / 7 * 2 ** r.randint(-200, 200)
+                                        for _ in range(3)), f(r.randint(-9, 9)) * 2**70)
+                    self.assert_exact(V, f(r.uniform(0.01, 0.99)) / 3)
+
+    @pytest.mark.parametrize("V, q", [
+        ((-1, 1, -1.5, 0.2), Fraction(1, 2)),
+        ((-1, 1, Fraction(-3, 2), 0.2), 0.5),
+    ])
+    def test_other_types_raise(self, V, q):
+        # a Fraction has no dyadic form in general: rounding it would be silent
+        from qsympoly.sympoly import _dyadic
+
+        with pytest.raises(qp.QSymPolyError, match="needs float, int or mpf input, not Fraction"):
+            _dyadic(qp.CharVector(*V), q)
+
+
 class TestExactC:
     """The Gram's integer C_n: num / den equals _C_terms over Fraction exactly."""
 
     @staticmethod
     def assert_exact(V, q, n_max):
-        import mpmath
+        from qsympoly.sympoly import _C_exact, _C_terms, _dyadic
 
-        from qsympoly.sympoly import _C_exact, _C_terms
-
-        def fraction(x):
-            sign, man, exp, _ = x._mpf_
-            return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-        mV, mq = qp.CharVector(*(mpmath.mpf(v) for v in V.as_tuple())), mpmath.mpf(q)
-        exact = _C_terms(qp.CharVector(*map(fraction, mV.as_tuple())),
-                         qp.QContext(fraction(mq)))
-        pairs = _C_exact(mV, mq, n_max)
+        exact = _C_terms(qp.CharVector(*map(fraction, V.as_tuple())),
+                         qp.QContext(fraction(q)))
+        pairs = _C_exact(*_dyadic(V, q), n_max)
         assert len(pairs) == n_max and all(den > 0 for _, den in pairs)
         for n, (num, den) in enumerate(pairs, 1):
             assert Fraction(num, den) == exact(n)[0], (V, q, n)
@@ -355,13 +405,13 @@ class TestExactC:
     def test_only_an_exact_zero_is_resonant(self):
         import mpmath
 
-        from qsympoly.sympoly import _C_exact
+        from qsympoly.sympoly import _C_exact, _dyadic
 
         # custom(-1, 1, 2, d) at q = 1/2: the C_1 and C_2 denominators are exactly zero
         V = qp.CharVector(*(mpmath.mpf(v) for v in (-1, 1, 2, 0.2)))
-        assert _C_exact(V, mpmath.mpf(0.5), 0) == []
+        assert _C_exact(*_dyadic(V, mpmath.mpf(0.5)), 0) == []
         with pytest.raises(qp.ResonanceError, match="^C_1 denominator vanishes$"):
-            _C_exact(V, mpmath.mpf(0.5), 2)
+            _C_exact(*_dyadic(V, mpmath.mpf(0.5)), 2)
         # 2^-100 off it, where a float guard would call it vanishing
         with mpmath.workprec(128):
             self.assert_exact(qp.CharVector(-1, 1, 2 + mpmath.ldexp(1, -100), 0.2), 0.5, 4)

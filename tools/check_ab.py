@@ -3,7 +3,7 @@ in one process.
 
     python tools/check_ab.py PARENT_SRC CHANGE_SRC --workload W --ops N [--seed S]
                              [--suite NAME]
-    python tools/check_ab.py PARENT_SRC CHANGE_SRC --startup N
+    python tools/check_ab.py PARENT_SRC CHANGE_SRC --startup N [--command ARGS]
 
 Each SRC is a directory that contains the ``qsympoly`` package (a
 checkout's ``src``).  Both packages are imported into this process, under
@@ -18,8 +18,9 @@ The tool prints each tree's mean ms/op, the median over operations of the
 time ratio change/parent, that median for each operation kind
 (``table``, ``export-poly``, ``export-weight``, ``check``), and whether
 every output matched: the exit code, stdout and the file an export
-writes.  It exits 1 if any output differs, else 0.  The process runs in
-float arithmetic (QSYMPOLY_PRECISION is removed from its environment).
+writes.  It exits 1 if any output differs, else 0.  The process and every
+spawn run in float arithmetic (QSYMPOLY_PRECISION is removed from the
+environment).
 
 With ``--suite NAME`` (a ``check`` suite such as ``limit``) only that
 suite is timed: each operation is parsed and configured once per tree, the
@@ -29,8 +30,10 @@ not run the suite are skipped.
 
 With ``--startup N`` the tool times instead N cold interpreters per tree,
 the trees alternating, each running ``import qsympoly.cli`` and nothing
-else; an operation is then one pair of spawns, and its output the spawns'
-stdout and stderr.  Each spawn imports a fresh copy of the tree's
+else, or with ``--command ARGS`` the whole command ``python -m qsympoly
+ARGS`` (say ``--command "check all -q 0.9"``); an operation is then one
+pair of spawns, and its output the spawns' exit code, stdout and stderr.
+Each spawn imports a fresh copy of the tree's
 ``qsympoly/*.py`` under PYTHONDONTWRITEBYTECODE=1, so that neither tree
 reads a bytecode cache: compiling the package is part of every cold start
 that finds no cache, and a tree that finds one would skip it.
@@ -45,6 +48,7 @@ import importlib
 import importlib.util
 import io
 import os
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -140,28 +144,33 @@ def compare(runs) -> tuple:
     return best[0], best[1], len(outputs) == 1
 
 
-def startup_spawn(src: str, tmpdir: str) -> tuple:
-    """(seconds, output) of one cold interpreter importing qsympoly.cli from
-    a fresh copy of the package in ``src``; output is (stdout, stderr)."""
+def startup_spawn(src: str, tmpdir: str, command: str | None = None) -> tuple:
+    """(seconds, output) of one cold interpreter importing qsympoly.cli, or
+    running ``python -m qsympoly`` with the arguments ``command``, from a
+    fresh copy of the package in ``src``; output is (exit code, stdout,
+    stderr)."""
     root = tempfile.mkdtemp(dir=tmpdir)
     pkg = os.path.join(root, "qsympoly")
     os.mkdir(pkg)
     for path in glob(os.path.join(src, "qsympoly", "*.py")):
         shutil.copy(path, pkg)
     env = dict(os.environ, PYTHONPATH=root, PYTHONDONTWRITEBYTECODE="1")
+    argv = ["-c", "import qsympoly.cli"] if command is None else [
+        "-m", "qsympoly", *shlex.split(command)]
     t0 = perf_counter()
-    proc = subprocess.run([sys.executable, "-c", "import qsympoly.cli"], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    return perf_counter() - t0, (proc.stdout, proc.stderr)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    return perf_counter() - t0, (proc.returncode, proc.stdout, proc.stderr)
 
 
-def startup_rows(srcs: tuple, spawns: int) -> list:
+def startup_rows(srcs: tuple, spawns: int, command: str | None = None) -> list:
     """Rows of (parent s, change s, same output) of ``spawns`` cold starts
     per tree, the tree that starts first alternating from row to row."""
     rows = []
     with tempfile.TemporaryDirectory() as tmpdir:
         for i in range(spawns):
-            runs = {side: startup_spawn(srcs[side], tmpdir) for side in (i % 2, 1 - i % 2)}
+            runs = {side: startup_spawn(srcs[side], tmpdir, command)
+                    for side in (i % 2, 1 - i % 2)}
             rows.append((runs[0][0], runs[1][0], runs[0][1] == runs[1][1]))
     return rows
 
@@ -200,21 +209,26 @@ def main(argv=None) -> int:
     ap.add_argument("--suite", help="time only this check suite")
     ap.add_argument("--startup", type=int, metavar="N",
                     help="time N cold imports of qsympoly.cli per tree instead")
+    ap.add_argument("--command", metavar="ARGS",
+                    help="with --startup, spawn `python -m qsympoly ARGS` instead")
     args = ap.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not os.path.isdir(os.path.join(src, "qsympoly")):
             ap.error(f"{src} has no qsympoly package")
+    os.environ.pop("QSYMPOLY_PRECISION", None)
+    if args.command is not None and args.startup is None:
+        ap.error("--command needs --startup")
     if args.startup is not None:
         if args.startup < 1:
             ap.error("--startup must be at least 1")
-        lines, code = verdict(startup_rows((args.parent_src, args.change_src), args.startup))
+        lines, code = verdict(startup_rows((args.parent_src, args.change_src), args.startup,
+                                           args.command))
         print("\n".join(lines))
         return code
     if args.workload is None or args.ops is None:
         ap.error("--workload and --ops are required without --startup")
     if args.ops < 1:
         ap.error("--ops must be at least 1")
-    os.environ.pop("QSYMPOLY_PRECISION", None)
     parent = load_cli(args.parent_src, "tree_parent")
     change = load_cli(args.change_src, "tree_change")
     if args.suite is not None and args.suite not in change.CHECK_SUITES:
