@@ -44,9 +44,8 @@ from .qcore import (
 from .sympoly import CharVector, _C_exact, _C_terms, _dyadic
 from .weights import weight_star
 
-# least working precision of the Gram assembly, in decimal digits, and
-# in bits as mpmath counts them (mpmath.libmp.dps_to_prec(GRAM_DPS))
-GRAM_DPS = 40
+# least working precision of the Gram assembly in bits: 40 decimal digits
+# as mpmath counts them, mpmath.libmp.dps_to_prec(40)
 GRAM_PREC = 136
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form
@@ -311,11 +310,13 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     the exact C_k, each rounded once.  Every input is read as an exact
     dyadic ratio of ints (float, int or mpf; any other type raises
     QSymPolyError), so the set-up is integer arithmetic and imports mpmath
-    only to wrap an mpf q's entries.  README "Numeric policy" gives the
-    derivation, the guard bits H and the order of the errors: the family's
-    violation, ResonanceError, a vanishing norm ratio, InvalidBaseError, a
-    zero or negative weight factor on the grid, DivergenceError.  A float
-    diagonal entry outside the normal range raises QSymPolyError.
+    only to wrap an mpf q's entries.  H holds GRAM_PREC bits, or an mpf q's
+    precision where it is higher, plus guard bits.  README "Numeric policy"
+    gives the derivation and the order of the errors: the family's
+    violation, an exactly zero C_k denominator (ResonanceError), a vanishing
+    norm ratio, InvalidBaseError, a zero or negative weight factor on the
+    grid, DivergenceError.  A float diagonal entry outside the normal range
+    raises QSymPolyError.
     """
     if fam.violation is not None:
         raise AdmissibilityError(fam.violation)
@@ -331,7 +332,7 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
         return tuple(tuple(v / scale for v in row) for row in S)
     import mpmath
 
-    S, H = _assemble_gram(V, q, n_max, mpmath.libmp.dps_to_prec(max(GRAM_DPS, mpmath.mp.dps)))
+    S, H = _assemble_gram(V, q, n_max, max(GRAM_PREC, mpmath.libmp.dps_to_prec(mpmath.mp.dps)))
     return tuple(tuple(mpmath.mpf((v, -3 * H)) for v in row) for row in S)
 
 

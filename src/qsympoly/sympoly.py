@@ -14,10 +14,8 @@ monic normalization factor, exact q-difference-equation residuals, and
 the positive/quasi-definite classification.
 
 Recurrence denominators can vanish on a q-geometric set of parameters;
-that resonance is detected (denominator below a guard times its largest
-additive term: 1e-13 for floats, 1e-13 * 2^(53 - prec) for mpf at prec
-bits, 0 for exact int and Fraction input) and reported via
-ResonanceError, never regularized.
+_resonant states the one test of that resonance for each arithmetic, and
+it is reported via ResonanceError, never regularized.
 """
 
 from __future__ import annotations
@@ -38,28 +36,26 @@ from .qcore import (
 )
 
 # |denominator| below this multiple of its largest additive term counts as
-# vanishing in float arithmetic; _resonance_guard scales it to other types
+# vanishing in float arithmetic; _resonant scales it to an mpf's precision
 RESONANCE_GUARD = 1e-13
-
-
-def _resonance_guard(den):
-    """The guard for den's arithmetic: RESONANCE_GUARD for a float,
-    RESONANCE_GUARD 2^(53 - prec) for an mpf at the working precision,
-    and 0 for an exact int or Fraction, which vanishes only when it is 0."""
-    if isinstance(den, float):
-        return RESONANCE_GUARD
-    if isinstance(den, (int, Fraction)):
-        return 0
-    import mpmath
-
-    return mpmath.ldexp(RESONANCE_GUARD, 53 - mpmath.mp.prec)
 
 
 def _resonant(den, t1, t2, t3=0) -> bool:
     """True when den, the sum of the additive terms t1, t2 (and t3), vanishes
-    against the largest of them: the one resonance test of the package."""
+    against the largest of them: the one resonance test of the package.  An
+    exact int or Fraction den vanishes only when it is 0.  A float vanishes
+    within RESONANCE_GUARD of the largest term, and an mpf within
+    RESONANCE_GUARD 2^(53 - prec) of it at the working precision."""
+    if isinstance(den, float):
+        guard = RESONANCE_GUARD
+    elif isinstance(den, (int, Fraction)):
+        return den == 0
+    else:
+        import mpmath
+
+        guard = mpmath.ldexp(RESONANCE_GUARD, 53 - mpmath.mp.prec)
     scale = max(abs(t1), abs(t2), abs(t3))
-    return scale == 0 or abs(den) <= _resonance_guard(den) * scale
+    return scale == 0 or abs(den) <= guard * scale
 
 
 class CharVector(Record):
@@ -217,8 +213,8 @@ def _C_exact(V: tuple, q: tuple, n_max: int) -> list:
     which C_n does not depend on, and q = Q / E with E = 2^e.  _C_terms's
     closed form in the same grouping, each term an int at one power of
     two: step n is scaled by 2^(4 e n), so q^n = Q^n 2^-(e n) is the int
-    Q^n and the ints are about 4 e n bits wide.  Only an exact zero den is
-    resonant."""
+    Q^n and the ints are about 4 e n bits wide.  The int den is resonant
+    only when it is 0, so it is compared with 0 here, as _resonant would."""
     a, b, c, d = V
     Q, E = q
     e = E.bit_length() - 1
@@ -232,7 +228,9 @@ def _C_exact(V: tuple, q: tuple, n_max: int) -> list:
     for n in range(1, n_max + 1):
         W, X = e * n, X * Q
         X2 = X * X
-        den = _checked_den(den1 << 4 * W, X2 * X2 * den2, X2 * den3 << 2 * W, n)
+        den = (den1 << 4 * W) + X2 * X2 * den2 + (X2 * den3 << 2 * W)
+        if den == 0:
+            raise ResonanceError(f"C_{n} denominator vanishes")
         num = Q * X * (X2 * u1[n % 2] + (X * u2 << W) + (t3s[(n - 1) % 2] << 2 * W)) << W
         out.append((-num, -den) if den < 0 else (num, den))
     return out

@@ -307,6 +307,26 @@ class TestOrthogonalityMatrix:
         assert [Fraction(v) / scale for v in V] == list(map(Fraction, fam.V.as_tuple()))
         assert Fraction(*q) == Fraction(0.9)
 
+    def test_no_resonance_test_by_the_float_guard(self):
+        # the Gram's C_k denominators are ints, compared with 0 in _C_exact:
+        # no _resonant call, where there were n_max per Gram
+        from qsympoly import sympoly
+
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is sympoly._resonant.__code__:
+                calls.append(frame)
+
+        fam = qp.make_hermite(0.3, qp.QContext(0.9))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            qp.orthogonality_matrix(fam, 10)
+        finally:
+            sys.setprofile(previous)
+        assert calls == []
+
     @pytest.mark.parametrize("make", [
         lambda: qp.make_hermite(Fraction(3, 10), qp.QContext(Fraction(1, 2))),
         lambda: qp.make_custom(-1, 1, Fraction(-3, 2), Fraction(1, 5), CTX),
@@ -317,12 +337,12 @@ class TestOrthogonalityMatrix:
             qp.orthogonality_matrix(make(), 4)
 
     def test_float_precision_is_fixed(self):
-        # a float Gram works at GRAM_DPS digits, whatever mpmath's precision
+        # a float Gram works at 40 digits, whatever mpmath's precision
         from mpmath.libmp import dps_to_prec
 
         from qsympoly import families
 
-        assert families.GRAM_PREC == dps_to_prec(families.GRAM_DPS)
+        assert families.GRAM_PREC == dps_to_prec(40)
         fam = qp.make_hermite(0.3, qp.QContext(0.9))
         G = qp.orthogonality_matrix(fam, 10)
         with mpmath.workdps(80):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qsympoly as qp
@@ -97,15 +97,49 @@ class TestResonanceGuard:
     def vector(c):
         return qp.CharVector(-1, 1, c, Fraction(1, 5))
 
-    def test_guard_follows_the_arithmetic(self):
+    def test_float_guard_is_1e13_of_the_largest_term(self):
+        import math
+
+        from qsympoly.sympoly import RESONANCE_GUARD, _resonant
+
+        assert RESONANCE_GUARD == 1e-13
+        edge = 1e-13 * 3.0
+        for den in (edge, -edge):
+            assert _resonant(den, 3.0, -2.5, 0.5)
+            assert not _resonant(math.nextafter(den, 2 * den), 3.0, -2.5, 0.5)
+        assert _resonant(0.0, 0.0, -0.0)
+
+    @pytest.mark.parametrize("dps,prec", [(30, 103), (40, 136)])
+    def test_mpf_guard_scales_with_the_precision(self, dps, prec):
         import mpmath
 
-        from qsympoly.sympoly import RESONANCE_GUARD, _resonance_guard
+        from qsympoly.sympoly import _resonant
 
-        assert _resonance_guard(0.5) == RESONANCE_GUARD == 1e-13
-        assert _resonance_guard(Fraction(1, 2)) == _resonance_guard(1) == 0
-        with mpmath.workdps(40):
-            assert _resonance_guard(mpmath.mpf(1)) == mpmath.mpf(1e-13) * 2.0 ** (53 - 136)
+        with mpmath.workdps(dps):
+            assert mpmath.mp.prec == prec
+            f = mpmath.mpf
+            edge = mpmath.ldexp(1e-13, 53 - prec) * 3
+            assert _resonant(edge, f(3), f(-2.5), f(0.5))
+            assert _resonant(-edge, f(3), f(-2.5))
+            assert not _resonant(edge + mpmath.ldexp(edge, 2 - prec), f(3), f(-2.5))
+            # a float guard would call this vanishing
+            assert not _resonant(f(1e-20), f(3), f(-3))
+
+    exact = st.one_of(st.integers(), st.fractions())
+
+    @given(exact, exact, st.sampled_from(
+        [0, 1, -1, Fraction(1, 10**30), Fraction(-7, 2**200), Fraction(10**9, 3)]))
+    @example(0, 0, 0)
+    @example(Fraction(0), Fraction(0), 0)
+    def test_exact_vanishes_only_at_zero(self, t1, t3, off):
+        # t2 puts the sum `off` away from 0: resonant exactly at off = 0,
+        # all three terms zero at t1 = t3 = off = 0
+        from qsympoly.sympoly import _resonant
+
+        t2 = off - t1 - t3
+        den = t1 + t2 + t3
+        assert den == off and type(den) in (int, Fraction)
+        assert _resonant(den, t1, t2, t3) is (off == 0)
 
     def test_exact_resonance_raises(self):
         ctx = qp.QContext(Fraction(1, 2))
