@@ -321,14 +321,14 @@ def cmd_table(args) -> int:
     rows = []
     errors = []
     have_closed = args.fam.closed_norm is not None
-    # C_n is read once per row, for its column and for favard_norm(n), which
-    # is carried over from n - 1 in the same order; once a C_k raises, every
-    # later product raises with it
+    # C_n (n >= 1; C_0 = 0 as phi_1 = x phi_0) is read once per row, for its
+    # column and for favard_norm(n), which is carried over from n - 1 in the
+    # same order; once a C_k raises, every later product raises with it
     fav, fav_error = 1, None
     for n in range(args.n_max + 1):
         row = {"n": n, "classification": cls.kind}
         try:
-            C, C_error = C_terms(n)[0], None
+            C, C_error = C_terms(n)[0] if n else 0 * ctx.q, None
         except QSymPolyError as exc:
             C, C_error = None, exc
         if n and fav_error is None:

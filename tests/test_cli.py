@@ -217,17 +217,34 @@ class TestTable:
             {"n": 4, "error": "C_1 denominator vanishes"},
         ]
         assert [r["favard_norm"] for r in payload["rows"]] == [1, None, None, None, None]
-        assert (len(made), reads) == (1, list(range(n_max + 1)))
+        assert (len(made), reads) == (1, list(range(1, n_max + 1)))
+
+    def test_row_zero_from_its_definitions(self, capsys, monkeypatch):
+        # C_0 is no coefficient of the recurrence (phi_1 = x phi_0): row 0
+        # prints 0 and the empty Favard product 1, not the closed form at
+        # n = 0, which left rounding noise and, at c = a, a resonance
+        made, reads = self.count_C_reads(monkeypatch)
+        code, out, _ = run(capsys, ["table", "--custom=-1,1,-1,0.2", "-q", "0.5",
+                                    "--n-max", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert [e["n"] for e in payload["errors"]] == [1, 2]
+        assert (payload["rows"][0]["C"], payload["rows"][0]["favard_norm"]) == (0.0, 1)
+        assert reads == [1, 2]
+        code, out, _ = run(capsys, ["table", "--family", "hermite", "-p", "0.3", "-q", "0.3",
+                                    "--format", "csv", "--n-max", "1"])
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3:5] == ["0", "1"]
 
     def test_favard_column_is_favard_norm(self, capsys, monkeypatch):
         # the product is carried, not recomputed, and shares each row's C_n:
-        # n_max + 1 reads of one set of factors, where one favard_norm per
-        # row makes 91
+        # n_max reads of one set of factors, where one favard_norm per row
+        # makes 91
         made, reads = self.count_C_reads(monkeypatch)
         code, out, _ = run(capsys, ["table", "--family", "hermite", "-p", "0.3",
                                     "-q", "0.9", "--n-max", "12"])
         assert code == 0
-        assert (len(made), reads) == (1, list(range(13)))
+        assert (len(made), reads) == (1, list(range(1, 13)))
         ctx = qp.QContext(0.9)
         V = qp.make_hermite(0.3, ctx).V
         assert [r["favard_norm"] for r in json.loads(out)["rows"]] == [
