@@ -452,8 +452,6 @@ def _check_lines_pearson(args, tol, gram) -> list:
 
 
 def _check_lines_limit(args, tol, gram) -> list:
-    if args.n_max < 1:
-        raise CLIError("the limit suite needs --n-max >= 1")
     # every report rebuilds the family at the same contexts: build each once
     subject = functools.cache(args.fam.rebuild)
     degrees = range(1, min(args.n_max, 10) + 1)
@@ -507,6 +505,9 @@ def cmd_check(args) -> int:
     gram = None
     for s in selected:
         suite, default_tol = CHECK_SUITES[s]
+        # ortho compares same-parity pairs n < m, and limit the degrees n >= 1
+        if args.n_max < (least := {"ortho": 2, "limit": 1}.get(s, 0)):
+            raise CLIError(f"the {s} suite needs --n-max >= {least}")
         tol = args.tol if args.tol is not None else default_tol
         if s in GRAM_LINES:
             if gram is None:

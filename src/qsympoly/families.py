@@ -44,8 +44,7 @@ from .qcore import (
 from .sympoly import CharVector, _C_exact, _C_terms, _dyadic
 from .weights import weight_star
 
-# least working precision of the Gram assembly in bits: 40 decimal digits
-# as mpmath counts them, mpmath.libmp.dps_to_prec(40)
+# least working precision of the Gram assembly in bits: mpmath.libmp.dps_to_prec(40)
 GRAM_PREC = 136
 # relative deviation of a tabulated norm from the Favard product above
 # which norm_triple_report flags the tabulated form

@@ -779,10 +779,14 @@ NO_SUPPORT = "--custom=0,-1,1.5,0.45"
     (["export", "weight", NO_SUPPORT], {}, "weight export needs a family with a support endpoint"),
     # no degree to compare: the three limit lines used to PASS at 0.000e+00
     (["check", "limit", "--n-max", "0"], {}, "the limit suite needs --n-max >= 1"),
-    (["check", "all", "--n-max", "0"], {}, "the limit suite needs --n-max >= 1"),
+    # no same-parity pair: the off-diagonal line used to PASS at 0.000e+00;
+    # `check all` meets the ortho suite before the limit suite
+    (["check", "ortho", "--n-max", "1"], {}, "the ortho suite needs --n-max >= 2"),
+    (["check", "all", "--n-max", "1"], {}, "the ortho suite needs --n-max >= 2"),
+    (["check", "all", "--n-max", "0"], {}, "the ortho suite needs --n-max >= 2"),
 ], ids=["custom-count", "custom-parse", "grid-spec", "grid-count", "precision", "q-parse",
         "x-parse", "pearson-support", "ortho-support", "export-support", "limit-n-max-0",
-        "all-n-max-0"])
+        "ortho-n-max-1", "all-n-max-1", "all-n-max-0"])
 def test_input_error_exits_two(capsys, monkeypatch, argv, env, message):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
