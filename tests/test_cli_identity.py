@@ -11,11 +11,11 @@ def tool():
     return load_tool("cli_identity")
 
 
-def test_matrix_has_311_distinct_runs(tool):
+def test_matrix_has_314_distinct_runs(tool):
     runs = tool.matrix()
-    assert len(runs) == len(set(runs)) == 311
-    # 251 in float arithmetic, 60 on the mpf output path at 30 digits
-    assert sum(precision is None for precision, _ in runs) == 251
+    assert len(runs) == len(set(runs)) == 314
+    # 254 in float arithmetic, 60 on the mpf output path at 30 digits
+    assert sum(precision is None for precision, _ in runs) == 254
     assert sum(precision == "30" for precision, _ in runs) == 60
 
 

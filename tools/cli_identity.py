@@ -9,12 +9,14 @@ eval -n 6 --grid=-0.9:0.9:7, export poly, export weight json, export
 weight csv}, plus ``check all -q 0.9 --n-terms 700`` for
 ultraspherical(0.4, 0.7) and hermite(0.3), plus 9 runs whose lines FAIL:
 ``check all --tol 0 -q 0.5`` for each family and ``check all`` for
-hermite(2) at q = 0.9, whose Jackson sum diverges: 251 runs in float
-arithmetic (QSYMPOLY_PRECISION is removed from their environment).  Then
-60 runs under QSYMPOLY_PRECISION=30, which reach the mpf output path:
+hermite(2) at q = 0.9, whose Jackson sum diverges, plus 3 edge runs:
+``table --custom=-1,1,-1,0.2 -q 0.5``, whose C_1 resonates, and ``check
+ortho --n-max 1`` and ``check all --n-max 1``, which exit 2: 254 runs in
+float arithmetic (QSYMPOLY_PRECISION is removed from their environment).
+Then 60 runs under QSYMPOLY_PRECISION=30, which reach the mpf output path:
 ultraspherical(0.4, 0.7), chebyshev6, hermite(0.3) and the custom vector
 x q in {0.3, 0.5, 0.9} x {check all, check ortho, check norm, table json,
-table csv}: 311 runs.  Every run is a ``python -m qsympoly`` subprocess,
+table csv}: 314 runs.  Every run is a ``python -m qsympoly`` subprocess,
 two at a time.  Each run whose stdout, stderr or exit code differs
 between the trees is listed, with the first pair of stdout lines that
 differ; the exit code is 1 if any run differs, else 0.
@@ -67,6 +69,9 @@ def matrix() -> list:
     # lines that FAIL: an unattainable tolerance, and a divergent Jackson sum
     runs += [("check", "all", "--tol", "0") + fam + ("-q", "0.5") for fam in FAMILIES]
     runs.append(("check", "all", "--family", "hermite", "-p", "2", "-q", "0.9"))
+    # a resonant C_1 at c = a, and checks with no pair to compare
+    runs += [("table", "--custom=-1,1,-1,0.2", "-q", "0.5"),
+             ("check", "ortho", "--n-max", "1"), ("check", "all", "--n-max", "1")]
     mp_runs = [cmd + fam + ("-q", q) for fam in MP_FAMILIES for q in QS for cmd in MP_COMMANDS]
     return [(None, argv) for argv in runs] + [(MP_DIGITS, argv) for argv in mp_runs]
 
