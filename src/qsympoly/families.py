@@ -309,8 +309,8 @@ def orthogonality_matrix(fam: FamilyDescriptor, n_max: int) -> tuple:
     the exact C_k, each rounded once.  Every input is read as an exact
     dyadic ratio of ints (float, int or mpf; any other type raises
     QSymPolyError), so the set-up is integer arithmetic and imports mpmath
-    only to wrap an mpf q's entries.  H holds GRAM_PREC bits, or an mpf q's
-    precision where it is higher, plus guard bits.  README "Numeric policy"
+    only to wrap an mpf q's entries.  H holds GRAM_PREC bits (for an mpf q,
+    mpmath's precision where it is higher) and guard bits.  README "Numeric policy"
     gives the derivation and the order of the errors: the family's
     violation, an exactly zero C_k denominator (ResonanceError), a vanishing
     norm ratio, InvalidBaseError, a zero or negative weight factor on the
