@@ -11,12 +11,15 @@ def tool():
     return load_tool("cli_identity")
 
 
-def test_matrix_has_314_distinct_runs(tool):
+def test_matrix_has_322_distinct_runs(tool):
     runs = tool.matrix()
-    assert len(runs) == len(set(runs)) == 314
-    # 254 in float arithmetic, 60 on the mpf output path at 30 digits
-    assert sum(precision is None for precision, _ in runs) == 254
-    assert sum(precision == "30" for precision, _ in runs) == 60
+    assert len(runs) == len(set(runs)) == 322
+    # 258 in float arithmetic, 64 on the mpf output path at 30 digits
+    assert sum(precision is None for precision, _ in runs) == 258
+    assert sum(precision == "30" for precision, _ in runs) == 64
+    # the explicit form at n = 32 in float and n = 64 at 30 digits
+    assert sum(argv[:3] == ("eval", "-n", "32") for precision, argv in runs if precision is None) == 4
+    assert sum(argv[:3] == ("eval", "-n", "64") for precision, argv in runs if precision) == 4
 
 
 def test_label(tool):

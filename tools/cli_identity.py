@@ -11,13 +11,16 @@ ultraspherical(0.4, 0.7) and hermite(0.3), plus 9 runs whose lines FAIL:
 ``check all --tol 0 -q 0.5`` for each family and ``check all`` for
 hermite(2) at q = 0.9, whose Jackson sum diverges, plus 3 edge runs:
 ``table --custom=-1,1,-1,0.2 -q 0.5``, whose C_1 resonates, and ``check
-ortho --n-max 1`` and ``check all --n-max 1``, which exit 2: 254 runs in
-float arithmetic (QSYMPOLY_PRECISION is removed from their environment).
-Then 60 runs under QSYMPOLY_PRECISION=30, which reach the mpf output path:
-ultraspherical(0.4, 0.7), chebyshev6, hermite(0.3) and the custom vector
-x q in {0.3, 0.5, 0.9} x {check all, check ortho, check norm, table json,
-table csv}: 314 runs.  Every run is a ``python -m qsympoly`` subprocess,
-two at a time.  Each run whose stdout, stderr or exit code differs
+ortho --n-max 1`` and ``check all --n-max 1``, which exit 2, plus 4 runs of
+``eval -n 32 --grid=-0.9:0.9:7 -q 0.9``, whose explicit form sums 17
+terms: 258 runs in float arithmetic (QSYMPOLY_PRECISION is removed from
+their environment).  Then 64 runs under QSYMPOLY_PRECISION=30, which reach
+the mpf output path: ultraspherical(0.4, 0.7), chebyshev6, hermite(0.3)
+and the custom vector x q in {0.3, 0.5, 0.9} x {check all, check ortho,
+check norm, table json, table csv}, plus ``eval -n 64 -x 0.5 -q 0.9``,
+the largest degree the command line takes: 322 runs.  The 4 high-degree
+``eval`` runs in float are of the same four families.  Every run is a
+``python -m qsympoly`` subprocess, two at a time.  Each run whose stdout, stderr or exit code differs
 between the trees is listed, with the first pair of stdout lines that
 differ; the exit code is 1 if any run differs, else 0.
 """
@@ -59,6 +62,9 @@ MP_FAMILIES = (FAMILIES[0], FAMILIES[3], FAMILIES[5], FAMILIES[7])
 MP_COMMANDS = (("check", "all"), ("check", "ortho"), ("check", "norm"),
                ("table", "--format", "json"), ("table", "--format", "csv"))
 MP_DIGITS = "30"
+# the explicit form at high degree, over MP_FAMILIES at q = 0.9
+HIGH_EVAL = ("eval", "-n", "32", "--grid=-0.9:0.9:7")
+MP_HIGH_EVAL = ("eval", "-n", "64", "-x", "0.5")
 JOBS = 2
 
 
@@ -72,7 +78,9 @@ def matrix() -> list:
     # a resonant C_1 at c = a, and checks with no pair to compare
     runs += [("table", "--custom=-1,1,-1,0.2", "-q", "0.5"),
              ("check", "ortho", "--n-max", "1"), ("check", "all", "--n-max", "1")]
+    runs += [HIGH_EVAL + fam + ("-q", "0.9") for fam in MP_FAMILIES]
     mp_runs = [cmd + fam + ("-q", q) for fam in MP_FAMILIES for q in QS for cmd in MP_COMMANDS]
+    mp_runs += [MP_HIGH_EVAL + fam + ("-q", "0.9") for fam in MP_FAMILIES]
     return [(None, argv) for argv in runs] + [(MP_DIGITS, argv) for argv in mp_runs]
 
 
