@@ -29,7 +29,6 @@ from .qcore import (
     _is_plain,
     basic_hypergeometric,
     isfinite_,
-    q_binomial,
     q_number,
     q_shifted_factorial,
     sigma_parity,
@@ -314,38 +313,17 @@ def build_monic(n: int, V: CharVector, ctx: QContext) -> SymPolynomial:
     return SymPolynomial(n, tuple(coeffs))
 
 
-def _explicit_coeffs(n: int, V: CharVector, ctx: QContext) -> list:
-    """The coefficients e_k = q^(k(k-1)) [M choose k]_{q^2} P_(M-k) of
-    x^(n-2k) in eval_explicit, k = 0 .. M = n // 2, with P_t the product
-    over j < t of the ratios (a [2j+s+n-1] + c q^(2j+s+n-1)) /
-    (b [2j+e+2] + d q^(2j+e+2)), s the parity of n and e = (-1)^(n+1)."""
-    q = ctx.q
-    a, b, c, d = V.as_tuple()
-    M = n // 2
-    s = sigma_parity(n)
-    e = 1 if s else -1
-    prods = [1]
-    for j in range(M):
-        i_num = 2 * j + s + n - 1
-        i_den = 2 * j + e + 2
-        t1 = b * q_number(i_den, ctx)
-        t2 = d * q**i_den
-        den = t1 + t2
-        if _resonant(den, t1, t2):
-            raise ZeroDenominatorError(
-                f"explicit-form denominator b[{i_den}] + d q^{i_den} vanishes"
-            )
-        prods.append(prods[-1] * (a * q_number(i_num, ctx) + c * q**i_num) / den)
-    return [q ** (k * (k - 1)) * q_binomial(M, k, ctx, base=q * q) * prods[M - k]
-            for k in range(M + 1)]
-
-
 def _explicit_coeffs_by_degree(V: CharVector, ctx: QContext, n_max: int):
-    """n -> _explicit_coeffs(n, V, ctx) for 0 <= n <= n_max, bit for bit,
-    with the n-independent values formed once: the powers q^i and q-numbers
+    """n -> the coefficients e_k = q^(k(k-1)) [M choose k]_{q^2} P_(M-k) of
+    x^(n-2k) in eval_explicit, k = 0 .. M = n // 2, for 0 <= n <= n_max.
+    P_t is the product over j < t of the ratios (a [2j+s+n-1] + c q^(2j+s+n-1))
+    / (b [2j+e+2] + d q^(2j+e+2)), with s the parity of n and e = (-1)^(n+1).
+    The n-independent values are formed once: the powers q^i and q-numbers
     [i], each ratio's numerator and denominator by its index, and the prefix
-    (q^2; q^2)_i, whose quotients are the Gaussian binomials.  Each value
-    keeps the operand order of the single-degree form."""
+    (q^2; q^2)_i, whose quotients are the Gaussian binomials.  A vanishing
+    denominator raises ZeroDenominatorError when a degree reads it.  The
+    limit suite reads every degree of one closure; eval_explicit builds one
+    with n_max = n for its single degree."""
     q = ctx.q
     a, b, c, d = V.as_tuple()
     half = n_max // 2
@@ -399,7 +377,7 @@ def eval_explicit(n: int, V: CharVector, ctx: QContext, x):
 
         sum_k q^(k(k-1)) x^(n-2k) [n/2 choose k]_{q^2} prod_j (ratio_j).
     """
-    return _explicit_sum(n, _explicit_coeffs(n, V, ctx), x)
+    return _explicit_sum(n, _explicit_coeffs_by_degree(V, ctx, n)(n), x)
 
 
 def eval_explicit_monic(n: int, V: CharVector, ctx: QContext, x):
@@ -408,7 +386,7 @@ def eval_explicit_monic(n: int, V: CharVector, ctx: QContext, x):
     Dividing by the leading product keeps this form usable when a or b is
     zero, where the 2phi1 normalization below is unavailable.
     """
-    coeffs = _explicit_coeffs(n, V, ctx)
+    coeffs = _explicit_coeffs_by_degree(V, ctx, n)(n)
     if coeffs[0] == 0:
         raise ZeroDenominatorError("leading coefficient of the explicit form vanishes")
     return _explicit_sum(n, coeffs, x) / coeffs[0]

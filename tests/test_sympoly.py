@@ -558,6 +558,33 @@ class TestEvaluation:
                         assert repr(poly.magnitude(x)) == repr(want)
 
 
+def _explicit_coeffs_reference(n, V, ctx):
+    # the single-degree explicit coefficients with each Gaussian binomial
+    # formed by q_binomial, verbatim as the library had them before it
+    # formed them from one (q^2; q^2)_i prefix
+    from qsympoly.sympoly import _resonant
+
+    q = ctx.q
+    a, b, c, d = V.as_tuple()
+    M = n // 2
+    s = qp.sigma_parity(n)
+    e = 1 if s else -1
+    prods = [1]
+    for j in range(M):
+        i_num = 2 * j + s + n - 1
+        i_den = 2 * j + e + 2
+        t1 = b * qp.q_number(i_den, ctx)
+        t2 = d * q**i_den
+        den = t1 + t2
+        if _resonant(den, t1, t2):
+            raise qp.ZeroDenominatorError(
+                f"explicit-form denominator b[{i_den}] + d q^{i_den} vanishes"
+            )
+        prods.append(prods[-1] * (a * qp.q_number(i_num, ctx) + c * q**i_num) / den)
+    return [q ** (k * (k - 1)) * qp.q_binomial(M, k, ctx, base=q * q) * prods[M - k]
+            for k in range(M + 1)]
+
+
 class TestExplicitForm:
     def test_degree_zero_and_one(self):
         assert qp.eval_explicit(0, ULTRA.V, CTX, 0.37) == 1
@@ -569,19 +596,43 @@ class TestExplicitForm:
         got = qp.eval_explicit_monic(4, fam.V, CTX, 0.7)
         assert rel(got, poly(0.7)) < 1e-11
 
-    def test_monic_forms_the_ratio_products_once(self, monkeypatch):
-        # each ratio of the explicit form reads one q-number in its
-        # numerator and one in its denominator
+    def test_monic_builds_the_coefficients_once(self, monkeypatch):
+        # one coefficient build per call, whose leading coefficient divides
+        # the sum of eval_explicit
         from qsympoly import sympoly
 
+        builds = []
+        real = sympoly._explicit_coeffs_by_degree
+        monkeypatch.setattr(sympoly, "_explicit_coeffs_by_degree",
+                            lambda V, ctx, n_max: builds.append(n_max) or real(V, ctx, n_max))
+        for n in (0, 1, 8, 9):
+            value = qp.eval_explicit_monic(n, ULTRA.V, CTX, 0.3)
+            assert builds == [n]
+            assert value == qp.eval_explicit(n, ULTRA.V, CTX, 0.3) / real(ULTRA.V, CTX, n)(n)[0]
+            builds.clear()
+
+    def test_monic_makes_no_q_binomial_call(self):
+        # the Gaussian binomials are quotients of one (q^2; q^2)_i prefix
+        import sys
+
+        from qsympoly import qcore
+        from qsympoly.sympoly import _explicit_sum
+
         calls = []
-        real = sympoly.q_number
-        monkeypatch.setattr(sympoly, "q_number", lambda z, ctx: calls.append(z) or real(z, ctx))
-        value = qp.eval_explicit_monic(9, ULTRA.V, CTX, 0.3)
-        assert len(calls) == 2 * (9 // 2)
-        monkeypatch.undo()
-        assert value == qp.eval_explicit(9, ULTRA.V, CTX, 0.3) / sympoly._explicit_coeffs(
-            9, ULTRA.V, CTX)[0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is qcore.q_binomial.__code__:
+                calls.append(frame)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            value = qp.eval_explicit_monic(32, ULTRA.V, CTX, 0.3)
+        finally:
+            sys.setprofile(previous)
+        assert calls == []
+        want = _explicit_coeffs_reference(32, ULTRA.V, CTX)
+        assert value == _explicit_sum(32, want, 0.3) / want[0]
 
     def test_zero_denominator_reported(self):
         # b [1]_q + d q = 0 at d = -b [1]/q = 1/q
@@ -607,8 +658,9 @@ class TestExplicitForm:
 
 
 class TestExplicitCoeffsByDegree:
-    """The degree-batched explicit coefficients, bit for bit _explicit_coeffs's,
-    errors included."""
+    """The explicit coefficients, batched over degrees and for one degree
+    as eval_explicit forms them, bit for bit those of the q_binomial
+    reference, errors included."""
 
     @staticmethod
     def outcome(f, n):
@@ -621,13 +673,13 @@ class TestExplicitCoeffsByDegree:
             return repr(exc)
 
     def assert_bit_identical(self, real, full=False):
-        from qsympoly.sympoly import _explicit_coeffs, _explicit_coeffs_by_degree
+        from qsympoly.sympoly import _explicit_coeffs_by_degree
 
         r = rng(31)
         zeros = 0
         for q in ("0.3", "0.99", "0.999", "0.9999"):
             ctx = qp.QContext(real(q))
-            # the old form's q-binomials cost seconds over the whole registry
+            # the reference's q-binomials cost seconds over the whole registry
             # at 30 digits and in Fraction, so those run chebyshev6 alone
             registry = TestSharedCFactors.registry(ctx)
             vectors = registry if full else registry[3:4]
@@ -639,9 +691,11 @@ class TestExplicitCoeffsByDegree:
             for V in vectors:
                 batched = _explicit_coeffs_by_degree(V, ctx, 40)
                 for n in range(41):
-                    want = self.outcome(lambda n: _explicit_coeffs(n, V, ctx), n)
+                    want = self.outcome(lambda n: _explicit_coeffs_reference(n, V, ctx), n)
                     zeros += isinstance(want, str)
                     assert self.outcome(batched, n) == want, (V, q, n)
+                    single = _explicit_coeffs_by_degree(V, ctx, n)
+                    assert self.outcome(single, n) == want, (V, q, n)
         return zeros
 
     # per q, the i = 1 vanishing stops the 20 even n >= 2, and i = 3 the
@@ -673,11 +727,11 @@ class TestHypergeometricForm:
 
     def test_proportional_to_explicit(self):
         # the ratio explicit/2phi1 is constant in x (it is the leading product)
-        from qsympoly.sympoly import _explicit_coeffs
+        from qsympoly.sympoly import _explicit_coeffs_by_degree
 
         r = rng(7)
         for n in range(2, 11):
-            lead = _explicit_coeffs(n, ULTRA.V, CTX)[0]
+            lead = _explicit_coeffs_by_degree(ULTRA.V, CTX, n)(n)[0]
             mf = qp.monic_factor(n, ULTRA.V, CTX)
             for _ in range(5):
                 x = r.uniform(0.05, 0.95)
