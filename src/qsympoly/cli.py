@@ -501,13 +501,15 @@ CHECK_SUITES = {
 
 def cmd_check(args) -> int:
     selected = list(CHECK_SUITES) if args.suite == "all" else [args.suite]
+    # before any suite runs: ortho compares same-parity pairs n < m, and
+    # limit the degrees n >= 1
+    for s in selected:
+        if args.n_max < (least := {"ortho": 2, "limit": 1}.get(s, 0)):
+            raise CLIError(f"the {s} suite needs --n-max >= {least}")
     lines = []
     gram = None
     for s in selected:
         suite, default_tol = CHECK_SUITES[s]
-        # ortho compares same-parity pairs n < m, and limit the degrees n >= 1
-        if args.n_max < (least := {"ortho": 2, "limit": 1}.get(s, 0)):
-            raise CLIError(f"the {s} suite needs --n-max >= {least}")
         tol = args.tol if args.tol is not None else default_tol
         if s in GRAM_LINES:
             if gram is None:
