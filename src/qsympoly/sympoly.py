@@ -489,7 +489,9 @@ def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
 
 class OrthogonalityClassification(Record):
     """Sign pattern of C_1 .. C_nmax and the induced orthogonality class
-    ``kind``: "positive-definite", "quasi-definite" or "weak"."""
+    ``kind``: "positive-definite", "quasi-definite", "weak" or "undefined",
+    the last where the closed form of some C_n is resonant, so that the
+    recurrence breaks there."""
 
     __slots__ = ("kind", "coefficients", "negative_indices", "zero_indices", "resonant_indices")
 
@@ -499,11 +501,12 @@ def classify_orthogonality(
 ) -> OrthogonalityClassification:
     """Scan C_n for n = 1 .. n_max and classify.
 
+    undefined: the closed form of some C_n is resonant, and those indices
+    are reported separately and do not enter the sign scan; otherwise
     positive-definite: all C_n > 0; quasi-definite: all nonzero but some
     negative; weak: some C_n vanishes, that is, the sum of its numerator's
     additive terms vanishes against the largest of them.  C_n decays like
-    q^n, so no absolute threshold tells a zero.  Indices where the closed
-    form is resonant are reported separately and do not enter the sign scan.
+    q^n, so no absolute threshold tells a zero.
     """
     coeffs = []
     neg, zero, reso = [], [], []
@@ -520,7 +523,9 @@ def classify_orthogonality(
             zero.append(n)
         elif cn < 0:
             neg.append(n)
-    if zero:
+    if reso:
+        kind = "undefined"
+    elif zero:
         kind = "weak"
     elif neg:
         kind = "quasi-definite"

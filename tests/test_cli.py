@@ -236,6 +236,21 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[1].split(",")[3:5] == ["0", "1"]
 
+    def test_resonant_table_is_undefined(self, capsys):
+        # the C_1 denominator vanishes exactly: the later C_n are positive,
+        # but a recurrence that breaks at n = 1 is not positive-definite
+        argv = ["table", "--custom=-1,1,-1,0.2", "-q", "0.5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["errors"][0]["n"] == 1
+        assert {r["classification"] for r in payload["rows"]} == {"undefined"}
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split(",")[-1] == "classification"
+        assert {line.split(",")[-1] for line in lines[1:]} == {"undefined"}
+
     def test_favard_column_is_favard_norm(self, capsys, monkeypatch):
         # the product is carried, not recomputed, and shares each row's C_n:
         # n_max reads of one set of factors, where one favard_norm per row

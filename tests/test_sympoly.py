@@ -886,6 +886,16 @@ class TestClassify:
         assert out.coefficients[1] == 0
         assert out.kind == "weak" and out.zero_indices == (2,)
 
+    def test_resonant_is_undefined(self):
+        # c = a gives a + c (q - 1) = a q, and the C_1 denominator
+        # a^2 q^4 + q^4 (a q)^2 - a (q^3 + q) q^2 (a q) is 0 at every q;
+        # the later C_n are positive
+        V = qp.make_custom(-1.0, 1.0, -1.0, 0.2, CTX).V
+        out = qp.classify_orthogonality(V, CTX, 10)
+        assert out.resonant_indices == (1,) and out.coefficients[0] is None
+        assert all(c > 0 for c in out.coefficients[1:])
+        assert out.kind == "undefined"
+
     def test_hermite_quasi_definite(self):
         # p (1 - q^2) = 3.75 > 1 makes C_1 negative
         out = qp.classify_orthogonality(qp.make_hermite(5.0, CTX).V, CTX, 64)
