@@ -20,9 +20,10 @@ and the custom vector x q in {0.3, 0.5, 0.9} x {check all, check ortho,
 check norm, table json, table csv}, plus ``eval -n 64 -x 0.5 -q 0.9``,
 the largest degree the command line takes: 322 runs.  The 4 high-degree
 ``eval`` runs in float are of the same four families.  Every run is a
-``python -m qsympoly`` subprocess, two at a time.  Each run whose stdout, stderr or exit code differs
-between the trees is listed, with the first pair of stdout lines that
-differ; the exit code is 1 if any run differs, else 0.
+``python -m qsympoly`` subprocess, two at a time.  Each run whose stdout,
+stderr or exit code differs between the trees is listed, with the first
+pair of stdout lines that differ; the exit code is 1 if any run differs,
+else 0.
 """
 
 from __future__ import annotations
