@@ -25,6 +25,7 @@ arithmetic but not switched on automatically.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 from .errors import ZeroDenominatorError
@@ -181,12 +182,12 @@ _QUANTITIES = {
 
 
 def _report(quantity, n, x, values, target, scale) -> LimitReport:
-    raw_errors = tuple(abs(v - target) / scale for v in values)
+    raw_errors = tuple([abs(v - target) / scale for v in values])
     extrap = _neville_at_zero(LIMIT_EPS, values)
     # positional: Record binds keywords in Python, and this runs per degree
     return LimitReport(
         quantity, n, x, LIMIT_EPS, tuple(values), target, raw_errors,
-        all(e1 >= e2 for e1, e2 in zip(raw_errors, raw_errors[1:])),
+        all(map(operator.ge, raw_errors, raw_errors[1:])),
         extrap, abs(extrap - target) / scale,
     )
 

@@ -220,11 +220,17 @@ def _log_tail_sum(tn, td, lb, eps):
     two terms together are at most eps, which t = 0 and an underflowed
     t^k reach too.
     """
+    if _is_plain(lb):  # every k lb has the type of lb: choose expm1 once
+        expm1 = math.expm1
+    else:
+        import mpmath
+
+        expm1 = mpmath.expm1
     total = 0
     tnk, tdk = tn, td
     k = 1
     while True:
-        scale = -k * expm1_(k * lb)
+        scale = -k * expm1(k * lb)
         total = total + (tdk - tnk) / scale
         if abs(tnk) + abs(tdk) <= eps * scale:
             return total

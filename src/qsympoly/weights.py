@@ -85,20 +85,28 @@ def _weight_star_grid(V: CharVector, ctx: QContext, alpha, n: int) -> list:
     """The pairs (x_j, weight_star(x_j)) at x_j = alpha q^j != 0, j = 0 .. n.
 
     One weight_star call at alpha, then the Pearson step
-    W*(q x) = q^2 pearson_ratio(x) W*(x).  The denominator factors of W*
-    at alpha q^j are a suffix of those at alpha, and pearson_ratio's
-    denominator at alpha q^j is b (1 - q^(2j+2)) != 0 when alpha is the
-    support endpoint, so every error comes from that one call.  Against
-    weight_star at 30 digits at the same float inputs (four families, q
-    in {0.3, 0.5, 0.9}, n = 128) the float grid errs by at most 1.6e-14
-    relative, and pointwise float weight_star by 2.3e-14.
+    W*(q x) = q^2 pearson_ratio(x) W*(x), bit for bit: its x-free factors
+    are formed once, and each step keeps its operand order and resonance
+    test.  The denominator factors of W* at alpha q^j are a suffix of those
+    at alpha.  At the support endpoint pearson_ratio's denominator at
+    alpha q^j is b (1 - q^(2j+2)) != 0, so every error comes from that one
+    call; at any other alpha a step's resonance test can raise too.
+    Against weight_star at 30 digits at the same float inputs (four
+    families, q in {0.3, 0.5, 0.9}, n = 128) the float grid errs by at
+    most 1.6e-14 relative, and pointwise float weight_star by 2.3e-14.
     """
     q = ctx.q
+    qq, aqq = q * q, V.a * q * q
+    ae, dq1 = V.a + V.c * (q - 1), V.d * (q - 1)
     x = alpha
     w = weight_star(V, ctx, alpha)
     grid = [(x, w)]
     for j in range(1, n + 1):
-        w = w * (q * q * pearson_ratio(V, ctx, x))
+        t1 = aqq * x * x
+        den = t1 + V.b
+        if _resonant(den, t1, V.b):
+            raise ZeroDenominatorError("Pearson ratio pole: a q^2 x^2 = -b")
+        w = w * (qq * ((x * x * ae + V.b + dq1) / (qq * den)))
         x = alpha * q**j
         grid.append((x, w))
     return grid

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qsympoly as qp
 from qsympoly import cli
 from qsympoly.classical import LIMIT_EPS
+from qsympoly.sympoly import ode_terms
 
 
 def run(capsys, argv):
@@ -457,8 +458,10 @@ class TestCheck:
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
         nan = float("nan")
-        # the suite reads its terms from one ode_terms function per degree
-        monkeypatch.setattr(cli, "ode_terms", lambda *args: lambda x: (nan, nan, nan))
+        # the suite reads the coefficient lists of phi_0 .. phi_n_max from
+        # one _ladder_coeffs generator
+        monkeypatch.setattr(cli, "_ladder_coeffs",
+                            lambda n, V, ctx: ([nan] * (k + 1) for k in range(n + 1)))
         code, out, _ = run(
             capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "--n-max", "2"]
         )
@@ -467,26 +470,33 @@ class TestCheck:
 
     @pytest.mark.parametrize("precision", [None, 30])
     def test_ode_suite_matches_pointwise(self, precision):
-        # the suite builds each polynomial once; its worst residual must
-        # equal, bit for bit, the one from ode_residual_terms point by point
+        # the suite forms its degree- and point-independent factors once;
+        # its worst residual must equal, bit for bit, the one from
+        # ode_residual_terms point by point, here with its ode_terms
+        # closure formed once per degree (at 30 digits and n_max = 40 the
+        # pointwise call builds 41 ladders per degree and takes about 10 s)
         import mpmath
 
-        argv = ["check", "ode", "--family", "ultraspherical"]
         scope = mpmath.workdps(precision) if precision else contextlib.nullcontext()
-        with scope:
-            args = cli._build_parser().parse_args(argv)
-            cli._build_config(args, precision)
-            [(_, worst, _, _, _)] = cli._check_lines_ode(args, 1e-10, None)
-            fam, ctx = args.fam, args.fam.ctx
-            support = fam.support + 0 * ctx.q
-            expected = 0.0
-            for n in range(args.n_max + 1):
-                for i in range(1, 11):
-                    t1, t2, t3 = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
-                    scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
-                    expected = max(expected, abs(t1 + t2 + t3) / scale)
-        assert type(worst) is type(expected) is (mpmath.mpf if precision else float)
-        assert worst == expected > 0
+        for name in cli.FAMILIES:
+            for q in ("0.3", "0.5", "0.9"):
+                for n_max in ("10", "40"):
+                    argv = ["check", "ode", "--family", name, "-q", q, "--n-max", n_max]
+                    with scope:
+                        args = cli._build_parser().parse_args(argv)
+                        cli._build_config(args, precision)
+                        [(_, worst, _, _, _)] = cli._check_lines_ode(args, 1e-10, None)
+                        fam, ctx = args.fam, args.fam.ctx
+                        support = fam.support + 0 * ctx.q
+                        expected = 0.0
+                        for n in range(args.n_max + 1):
+                            terms = ode_terms(qp.build_monic(n, fam.V, ctx), fam.V, ctx)
+                            for i in range(1, 11):
+                                t1, t2, t3 = terms(support * i / 11)
+                                scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
+                                expected = max(expected, abs(t1 + t2 + t3) / scale)
+                    assert type(worst) is type(expected) is (mpmath.mpf if precision else float)
+                    assert worst == expected > 0, argv
 
     def test_limit_with_vanishing_target(self, capsys):
         # the q -> 1 limit of C_1 is exactly 0 at p = 1/2, and the even
@@ -813,14 +823,17 @@ def test_input_error_exits_two(capsys, monkeypatch, argv, env, message):
 @pytest.mark.parametrize("n_max", ["1", "0"])
 def test_n_max_checked_before_any_suite(capsys, monkeypatch, n_max):
     # `check all` runs the ode suite first; a later suite's usage error
-    # must stop the command before the ode suite forms a term, with the
-    # first selected suite's message
+    # must stop the command before the ode suite builds a polynomial, with
+    # the first selected suite's message
     calls = []
-    real = cli.ode_terms
-    monkeypatch.setattr(cli, "ode_terms", lambda *args: calls.append(args) or real(*args))
+    real = cli._ladder_coeffs
+    monkeypatch.setattr(cli, "_ladder_coeffs", lambda *args: calls.append(args) or real(*args))
     code, out, err = run(capsys, ["check", "all", "--n-max", n_max])
     assert (code, out, err) == (2, "", "error: the ortho suite needs --n-max >= 2\n")
     assert calls == []
+    # the patch is seen: the ode suite alone calls it once
+    assert run(capsys, ["check", "ode", "--n-max", n_max])[0] == 0
+    assert len(calls) == 1
 
 
 def test_cli_import_leaves_modules_out():

@@ -253,6 +253,35 @@ class TestWeightStarGrid:
             # the reference there reads every 8th point of the grid
             assert self.worst_deviation(fam, ctx, step=8 if q == 0.9 else 1) <= 1e-35
 
+    @staticmethod
+    def pearson_loop(V, ctx, alpha, n):
+        """The grid as a loop of pearson_ratio calls, one per step."""
+        q, x = ctx.q, alpha
+        w = qp.weight_star(V, ctx, alpha)
+        grid = [(x, w)]
+        for j in range(1, n + 1):
+            w = w * (q * q * qp.pearson_ratio(V, ctx, x))
+            x = alpha * q**j
+            grid.append((x, w))
+        return grid
+
+    @pytest.mark.parametrize("precision", [None, 30])
+    @pytest.mark.parametrize("q", ["0.3", "0.5", "0.9"])
+    def test_bits_of_the_pearson_ratio_loop(self, q, precision):
+        # the x-free factors formed once leave every bit of the loop
+        with mpmath.workdps(precision or 15):
+            ctx = qp.QContext(mpmath.mpf(q) if precision else float(q))
+            for make in GRID_FAMILIES.values():
+                fam = make(ctx)
+                for alpha, n in ((fam.support, 128), (fam.support / ctx.q**2, 1)):
+                    grid = weights._weight_star_grid(fam.V, ctx, alpha, n)
+                    assert repr(grid) == repr(self.pearson_loop(fam.V, ctx, alpha, n))
+                # off the endpoint the second step's denominator
+                # a q^2 (alpha q)^2 + b vanishes: both raise there
+                for steps in (weights._weight_star_grid, self.pearson_loop):
+                    with pytest.raises(qp.ZeroDenominatorError, match="Pearson ratio pole"):
+                        steps(fam.V, ctx, fam.support / ctx.q**2, 2)
+
     @pytest.mark.parametrize("q", [0.5, 0.9])
     def test_vanishing_denominator(self, q):
         # (a + c(q-1)) / (b + d(q-1)) = -1 puts the factor 1 - 1 at alpha = 1
