@@ -1,14 +1,16 @@
 """tools/check_ab.py times two trees and exits 1 on any differing output.
 This checks the verdict it prints, overall and per operation kind, that
-it draws only command-line operations from the benchmark workloads, its
-timing of one check suite (--suite) and of cold starts (--startup,
-with or without --command)."""
+it draws the benchmark workloads' operations, library ones too, and runs
+a library one on the given tree, its timing of one check suite (--suite)
+and of cold starts (--startup, with or without --command)."""
 
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import load_tool
 
+import qsympoly
 from qsympoly import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -50,11 +52,46 @@ def test_verdict_by_kind(tool):
     ]
 
 
-def test_operations_are_command_lines(tool, tmp_path):
+def test_operations_include_the_library_ones(tool, tmp_path):
     ops = tool.operations("evaluate", 1011, 12, str(tmp_path))
     assert len(ops) == 12
-    assert all(op.argv for op in ops)
-    assert {op.kind for op in ops} <= {"table", "export-poly", "export-weight"}
+    assert {op.kind for op in ops if op.argv} <= {"table", "export-poly", "export-weight"}
+    assert {op.kind for op in ops if op.argv is None} == {"eval", "quadrature"}
+
+
+@pytest.fixture
+def probe(tool):
+    """The cli of a second copy of this tree, the package tree_probe."""
+    yield tool.load_cli(SRC, "tree_probe")
+    for name in [m for m in sys.modules if m.partition(".")[0] == "tree_probe"]:
+        del sys.modules[name]
+
+
+def test_library_run_reads_the_trees_package(tool, probe, tmp_path, monkeypatch):
+    ops = tool.operations("evaluate", 1011, 12, str(tmp_path))
+    evals = next(op for op in ops if op.kind == "eval")
+    quad = next(op for op in ops if op.kind == "quadrature")
+    library = tool.bench_module("ops").LIBRARY
+    for op in (evals, quad):
+        seconds, output = tool.library_run(cli, op)
+        assert seconds > 0 and output == repr(library[op.kind](op))
+        assert tool.library_run(probe, op)[1] == output
+    # a change to the probe's library shows in its output alone, and the
+    # name qsympoly is bound back to this process's package
+    monkeypatch.setattr(sys.modules[probe.__package__].sympoly, "eval_explicit_monic",
+                        lambda n, V, ctx, x: 0.0)
+    assert tool.library_run(probe, evals)[1] != tool.library_run(cli, evals)[1]
+    assert sys.modules["qsympoly"] is qsympoly
+
+
+def test_evaluate_compares_library_operations(tool, capsys):
+    code = tool.main([SRC, SRC, "--workload", "evaluate", "--ops", "9"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "operations 9"
+    kinds = [line.split(":")[0].strip() for line in out if line.startswith("  ")]
+    assert {"eval", "quadrature"} <= set(kinds)
+    assert out[-1] == "outputs: all equal"
 
 
 def test_compare_flags_differing_outputs(tool):

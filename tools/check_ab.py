@@ -8,17 +8,21 @@ in one process.
 Each SRC is a directory that contains the ``qsympoly`` package (a
 checkout's ``src``).  Both packages are imported into this process, under
 the names ``tree_parent`` and ``tree_change``.  The operations are the
-first N command-line operations of the workload's seeded rounds, drawn
-from ``bench/workloads.py``; library operations (``eval`` and
-``quadrature``) have no command line and are skipped.  Each operation
+first N operations of the workload's seeded rounds, drawn from
+``bench/workloads.py``.  A command-line operation runs through the tree's
+``cli.main``.  A library operation (``eval`` and ``quadrature``) runs the
+benchmark's own function for it, ``bench/ops.py`` ``LIBRARY``, with the
+name ``qsympoly`` bound to the tree's package for the call.  Each operation
 runs 3 times on each tree, the trees alternating, and its time on a tree
 is the best of its 3.  Machine speed can drift within minutes, and
 alternating operation by operation lets both trees see the same drift.
 The tool prints each tree's mean ms/op, the median over operations of the
 time ratio change/parent, that median for each operation kind
-(``table``, ``export-poly``, ``export-weight``, ``check``), and whether
-every output matched: the exit code, stdout and the file an export
-writes.  It exits 1 if any output differs, else 0.  The process and every
+(``table``, ``export-poly``, ``export-weight``, ``check``, ``eval``,
+``quadrature``), and whether every output matched: the exit code, stdout
+and the file an export writes, or the repr of a library operation's
+value (every float of its value columns, to the bit) or of the error it
+raised.  It exits 1 if any output differs, else 0.  The process and every
 spawn run in float arithmetic (QSYMPOLY_PRECISION is removed from the
 environment).
 
@@ -76,16 +80,19 @@ def load_cli(src: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def operations(workload: str, seed: int, count: int, tmpdir: str) -> list:
-    """The first ``count`` command-line operations of the workload."""
+def bench_module(name: str):
+    """The module ``name`` of ``bench/``, such as ``workloads``."""
     sys.path.insert(0, str(BENCH))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    ops = (op for rnd in workloads.WORKLOADS[workload](seed, tmpdir) for op in rnd
-           if op.argv is not None)
-    return list(islice(ops, count))
+
+
+def operations(workload: str, seed: int, count: int, tmpdir: str) -> list:
+    """The first ``count`` operations of the workload."""
+    rounds = bench_module("workloads").WORKLOADS[workload](seed, tmpdir)
+    return list(islice((op for rnd in rounds for op in rnd), count))
 
 
 def run_once(cli, op) -> tuple:
@@ -102,11 +109,34 @@ def run_once(cli, op) -> tuple:
     return seconds, (code, out.getvalue(), written)
 
 
+def library_run(cli, op) -> tuple:
+    """(seconds, output) of one run of the library operation op on the
+    tree of ``cli``; output is the repr of its value or of its error."""
+    run = bench_module("ops").LIBRARY[op.kind]
+    real = sys.modules.get("qsympoly")
+    # the package that ``from qsympoly import ...`` in bench/ops.py reads
+    sys.modules["qsympoly"] = sys.modules[cli.__package__]
+    t0 = perf_counter()
+    try:
+        value = run(op)
+    except Exception as exc:  # the benchmark counts a failed operation
+        value = exc
+    finally:
+        seconds = perf_counter() - t0
+        if real is None:
+            del sys.modules["qsympoly"]
+        else:
+            sys.modules["qsympoly"] = real
+    return seconds, repr(value)
+
+
 def suite_run(cli, op, name):
     """A no-argument run of the check suite ``name`` on op's parsed and
     configured arguments, returning (seconds, output), where output is the
     repr of the suite's lines or of the error it raised; None when op does
     not run that suite."""
+    if op.argv is None:
+        return None
     args = cli._build_parser().parse_args(list(op.argv))
     if args.command != "check" or args.suite not in ("all", name):
         return None
@@ -237,14 +267,16 @@ def main(argv=None) -> int:
         rows, kinds = [], []
         for op in operations(args.workload, args.seed, args.ops, tmpdir):
             if args.suite is None:
-                runs = [functools.partial(run_once, cli, op) for cli in (parent, change)]
+                run = run_once if op.argv is not None else library_run
+                runs = [functools.partial(run, cli, op) for cli in (parent, change)]
             else:
                 runs = [suite_run(cli, op, args.suite) for cli in (parent, change)]
                 if None in runs:
                     continue
             row = compare(runs)
             if not row[2]:
-                print(f"DIFF {' '.join(op.argv)}")
+                what = op.argv or [op.kind, op.family, f"{op.params}", f"-q{op.q!r}", f"-n{op.n}"]
+                print(f"DIFF {' '.join(what)}")
             rows.append(row)
             kinds.append(op.kind)
     if not rows:
