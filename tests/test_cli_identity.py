@@ -11,16 +11,21 @@ def tool():
     return load_tool("cli_identity")
 
 
-def test_matrix_has_322_distinct_runs(tool):
+def test_matrix_has_354_distinct_runs(tool):
     runs = tool.matrix()
-    assert len(runs) == len(set(runs)) == 322
-    # 258 in float arithmetic, 64 on the mpf output path at 30 digits
-    assert sum(precision is None for precision, _ in runs) == 258
-    assert sum(precision == "30" for precision, _ in runs) == 64
+    assert len(runs) == len(set(runs)) == 354
+    # 288 in float arithmetic, 66 on the mpf output path at 30 digits
+    assert sum(precision is None for precision, _ in runs) == 288
+    assert sum(precision == "30" for precision, _ in runs) == 66
     # the explicit form at n = 32 in float and n = 64 at 30 digits
     evals = [(precision, argv[:3]) for precision, argv in runs if argv[:2] == ("eval", "-n")]
     assert evals.count((None, ("eval", "-n", "32"))) == 4
     assert evals.count(("30", ("eval", "-n", "64"))) == 4
+    # the ode residual past the default --n-max 10
+    odes = [(precision, argv[argv.index("--n-max") + 1]) for precision, argv in runs
+            if argv[:2] == ("check", "ode") and "--n-max" in argv]
+    assert sorted(odes, key=str) == sorted(
+        [(None, n) for n in ("24", "40", "64") for _ in range(10)] + [("30", "40")] * 2, key=str)
 
 
 def test_label(tool):

@@ -13,13 +13,18 @@ hermite(2) at q = 0.9, whose Jackson sum diverges, plus 3 edge runs:
 ``table --custom=-1,1,-1,0.2 -q 0.5``, whose C_1 resonates, and ``check
 ortho --n-max 1`` and ``check all --n-max 1``, which exit 2, plus 4 runs of
 ``eval -n 32 --grid=-0.9:0.9:7 -q 0.9``, whose explicit form sums 17
-terms: 258 runs in float arithmetic (QSYMPOLY_PRECISION is removed from
-their environment).  Then 64 runs under QSYMPOLY_PRECISION=30, which reach
+terms, plus 30 runs of ``check ode`` for those four families and
+chebyshev5 x q in {0.5, 0.9} x ``--n-max`` in {24, 40, 64}, where the
+ladder's rounding makes the residual's bits most fragile (some of them
+FAIL): 288 runs in float arithmetic (QSYMPOLY_PRECISION is removed from
+their environment).  Then 66 runs under QSYMPOLY_PRECISION=30, which reach
 the mpf output path: ultraspherical(0.4, 0.7), chebyshev6, hermite(0.3)
 and the custom vector x q in {0.3, 0.5, 0.9} x {check all, check ortho,
 check norm, table json, table csv}, plus ``eval -n 64 -x 0.5 -q 0.9``,
-the largest degree the command line takes: 322 runs.  The 4 high-degree
-``eval`` runs in float are of the same four families.  Every run is a
+the largest degree the command line takes, plus ``check ode -q 0.9
+--n-max 40`` for ultraspherical(0.4, 0.7) and hermite(0.3): 354 runs.
+The 4 high-degree ``eval`` runs in float are of the same four families
+as the 30-digit runs.  Every run is a
 ``python -m qsympoly`` subprocess, two at a time.  Each run whose stdout,
 stderr or exit code differs between the trees is listed, with the first
 pair of stdout lines that differ; the exit code is 1 if any run differs,
@@ -66,6 +71,12 @@ MP_DIGITS = "30"
 # the explicit form at high degree, over MP_FAMILIES at q = 0.9
 HIGH_EVAL = ("eval", "-n", "32", "--grid=-0.9:0.9:7")
 MP_HIGH_EVAL = ("eval", "-n", "64", "-x", "0.5")
+# the ode residual at high degree: in float over ODE_FAMILIES, at 30 digits
+# over DEEP at q = 0.9
+ODE_FAMILIES = (FAMILIES[0], FAMILIES[2], FAMILIES[3], FAMILIES[5], FAMILIES[7])
+HIGH_ODE_QS = ("0.5", "0.9")
+HIGH_ODE_N_MAX = ("24", "40", "64")
+MP_HIGH_ODE = ("check", "ode", "-q", "0.9", "--n-max", "40")
 JOBS = 2
 
 
@@ -80,8 +91,11 @@ def matrix() -> list:
     runs += [("table", "--custom=-1,1,-1,0.2", "-q", "0.5"),
              ("check", "ortho", "--n-max", "1"), ("check", "all", "--n-max", "1")]
     runs += [HIGH_EVAL + fam + ("-q", "0.9") for fam in MP_FAMILIES]
+    runs += [("check", "ode") + fam + ("-q", q, "--n-max", n)
+             for fam in ODE_FAMILIES for q in HIGH_ODE_QS for n in HIGH_ODE_N_MAX]
     mp_runs = [cmd + fam + ("-q", q) for fam in MP_FAMILIES for q in QS for cmd in MP_COMMANDS]
     mp_runs += [MP_HIGH_EVAL + fam + ("-q", "0.9") for fam in MP_FAMILIES]
+    mp_runs += [MP_HIGH_ODE + fam for fam in DEEP]
     return [(None, argv) for argv in runs] + [(MP_DIGITS, argv) for argv in mp_runs]
 
 
