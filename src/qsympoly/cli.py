@@ -35,9 +35,7 @@ from .families import (
 from .qcore import QContext, isfinite_, max_or_nan
 from .sympoly import (
     _C_terms,
-    _ladder_coeffs,
-    _polyval,
-    _sym_horner,
+    _ode_terms_by_degree,
     build_monic,
     classify_orthogonality,
     delta,
@@ -373,27 +371,12 @@ GRAM_LINES = {
 
 def _check_lines_ode(args, tol, gram) -> list:
     fam = args.fam
-    V, q = fam.V, fam.ctx.q
     # sample points in the type of q, so mpf runs do not round them to float
-    support = (fam.support if fam.support is not None else 1.0) + 0 * q
-    # ode_terms's factors in its operand order, bit for bit, each formed once:
-    # [k]_q and [k]_{1/q} by k, and x^2, x^2 (a x^2 + b), x (c x^2 + d) by point
-    qn = [(q**k - 1) / (q - 1) for k in range(args.n_max + 1)]
-    qinv = [(q ** (-k) - 1) / (1 / q - 1) for k in range(args.n_max + 1)]
-    points = []
-    for i in range(1, 11):
-        x = support * i / 11
-        x2 = x * x
-        points.append((x, x2, x2 * (V.a * x2 + V.b), x * (V.c * x2 + V.d)))
+    support = (fam.support if fam.support is not None else 1.0) + 0 * fam.ctx.q
+    xs = [support * i / 11 for i in range(1, 11)]
     residuals = []
-    for n, coeffs in enumerate(_ladder_coeffs(args.n_max, V, fam.ctx)):
-        lam = eigenvalue(n, V, fam.ctx)
-        dq1 = [qn[k] * coeffs[k] for k in range(1, n + 1)]
-        ddq = [qn[k] * (qinv[k + 1] * coeffs[k + 1]) for k in range(1, n)]
-        for x, x2, A, B in points:
-            t1 = A * _polyval(ddq, x)
-            t2 = B * _polyval(dq1, x)
-            t3 = (lam * x2 - n % 2 * V.d) * _sym_horner(coeffs, x)
+    for terms in _ode_terms_by_degree(args.n_max, fam.V, fam.ctx, xs):
+        for t1, t2, t3 in terms:
             scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
             residuals.append(abs(t1 + t2 + t3) / scale)
     worst = max_or_nan(residuals)

@@ -443,19 +443,6 @@ def monic_factor(n: int, V: CharVector, ctx: QContext):
     return ratio**M * q ** (-2 * M) * num / den
 
 
-def _dq_coeffs(coeffs, ctx: QContext) -> tuple:
-    # D_q maps x^k to [k]_q x^(k-1)
-    return tuple(q_number(k, ctx) * coeffs[k] for k in range(1, len(coeffs)))
-
-
-def _dqinv_coeffs(coeffs, ctx: QContext) -> tuple:
-    # D_{1/q} maps x^k to [k]_{1/q} x^(k-1)
-    q = ctx.q
-    return tuple(
-        (q ** (-k) - 1) / (1 / q - 1) * coeffs[k] for k in range(1, len(coeffs))
-    )
-
-
 def _polyval(coeffs, x):
     acc = 0
     for ck in reversed(coeffs):
@@ -463,28 +450,37 @@ def _polyval(coeffs, x):
     return acc
 
 
-def ode_terms(poly: SymPolynomial, V: CharVector, ctx: QContext):
-    """x -> the three summands of the q-difference equation at x for poly,
-    a monic polynomial of V, with all but x formed once.  The q-derivatives
-    act on the coefficient sequence (x^k -> [k] x^(k-1)), not by divided
-    differences, so the residual is free of subtractive grid cancellation."""
-    lam = eigenvalue(poly.degree, V, ctx)
-    dq1 = _dq_coeffs(poly.coeffs, ctx)
-    ddq = _dq_coeffs(_dqinv_coeffs(poly.coeffs, ctx), ctx)
-
-    def terms(x):
+def _ode_terms_by_degree(n_max: int, V: CharVector, ctx: QContext, xs):
+    """Yield, for n = 0 .. n_max, the list over the points x of xs of the
+    three summands of the q-difference equation for phi_n of the ladder:
+    x^2 (a x^2 + b) D_q D_{1/q} phi_n, x (c x^2 + d) D_q phi_n and
+    (lambda_n x^2 - sigma_n d) phi_n.  The q-derivatives act on the
+    coefficient sequence (x^k -> [k] x^(k-1)), not by divided differences,
+    so the residual is free of subtractive grid cancellation.  [k]_q and
+    [k]_{1/q} are formed once, and x^2, x^2 (a x^2 + b) and x (c x^2 + d)
+    once per point; the operand order fixes every bit of a residual."""
+    q = ctx.q
+    qn = [(q**k - 1) / (q - 1) for k in range(n_max + 1)]
+    qinv = [(q ** (-k) - 1) / (1 / q - 1) for k in range(n_max + 1)]
+    points = []
+    for x in xs:
         x2 = x * x
-        t1 = x2 * (V.a * x2 + V.b) * _polyval(ddq, x)
-        t2 = x * (V.c * x2 + V.d) * _polyval(dq1, x)
-        t3 = (lam * x2 - poly.parity * V.d) * poly(x)
-        return t1, t2, t3
-
-    return terms
+        points.append((x, x2, x2 * (V.a * x2 + V.b), x * (V.c * x2 + V.d)))
+    for n, coeffs in enumerate(_ladder_coeffs(n_max, V, ctx)):
+        lam = eigenvalue(n, V, ctx)
+        dq1 = [qn[k] * coeffs[k] for k in range(1, n + 1)]
+        ddq = [qn[k] * (qinv[k + 1] * coeffs[k + 1]) for k in range(1, n)]
+        yield [(A * _polyval(ddq, x), B * _polyval(dq1, x),
+                (lam * x2 - n % 2 * V.d) * _sym_horner(coeffs, x))
+               for x, x2, A, B in points]
 
 
 def ode_residual_terms(n: int, V: CharVector, ctx: QContext, x):
-    """ode_terms at x for phi_n built by the recurrence."""
-    return ode_terms(build_monic(n, V, ctx), V, ctx)(x)
+    """The three summands of the q-difference equation at x for phi_n
+    built by the recurrence, whose sum is the residual."""
+    for terms in _ode_terms_by_degree(n, V, ctx, (x,)):
+        pass
+    return terms[0]
 
 
 class OrthogonalityClassification(Record):

@@ -13,9 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsympoly as qp
-from qsympoly import cli
+from qsympoly import cli, sympoly
 from qsympoly.classical import LIMIT_EPS
-from qsympoly.sympoly import ode_terms
 
 
 def run(capsys, argv):
@@ -460,7 +459,7 @@ class TestCheck:
         nan = float("nan")
         # the suite reads the coefficient lists of phi_0 .. phi_n_max from
         # one _ladder_coeffs generator
-        monkeypatch.setattr(cli, "_ladder_coeffs",
+        monkeypatch.setattr(sympoly, "_ladder_coeffs",
                             lambda n, V, ctx: ([nan] * (k + 1) for k in range(n + 1)))
         code, out, _ = run(
             capsys, ["check", "ode", "--family", "hermite", "-q", "0.5", "--n-max", "2"]
@@ -472,15 +471,14 @@ class TestCheck:
     def test_ode_suite_matches_pointwise(self, precision):
         # the suite forms its degree- and point-independent factors once;
         # its worst residual must equal, bit for bit, the one from
-        # ode_residual_terms point by point, here with its ode_terms
-        # closure formed once per degree (at 30 digits and n_max = 40 the
-        # pointwise call builds 41 ladders per degree and takes about 10 s)
+        # ode_residual_terms point by point (at 30 digits and n_max = 40
+        # the pointwise loop takes seconds per case, so it runs at 10 only)
         import mpmath
 
         scope = mpmath.workdps(precision) if precision else contextlib.nullcontext()
         for name in cli.FAMILIES:
             for q in ("0.3", "0.5", "0.9"):
-                for n_max in ("10", "40"):
+                for n_max in ("10",) if precision else ("10", "40"):
                     argv = ["check", "ode", "--family", name, "-q", q, "--n-max", n_max]
                     with scope:
                         args = cli._build_parser().parse_args(argv)
@@ -490,9 +488,8 @@ class TestCheck:
                         support = fam.support + 0 * ctx.q
                         expected = 0.0
                         for n in range(args.n_max + 1):
-                            terms = ode_terms(qp.build_monic(n, fam.V, ctx), fam.V, ctx)
                             for i in range(1, 11):
-                                t1, t2, t3 = terms(support * i / 11)
+                                t1, t2, t3 = qp.ode_residual_terms(n, fam.V, ctx, support * i / 11)
                                 scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
                                 expected = max(expected, abs(t1 + t2 + t3) / scale)
                     assert type(worst) is type(expected) is (mpmath.mpf if precision else float)
@@ -826,8 +823,8 @@ def test_n_max_checked_before_any_suite(capsys, monkeypatch, n_max):
     # must stop the command before the ode suite builds a polynomial, with
     # the first selected suite's message
     calls = []
-    real = cli._ladder_coeffs
-    monkeypatch.setattr(cli, "_ladder_coeffs", lambda *args: calls.append(args) or real(*args))
+    real = sympoly._ladder_coeffs
+    monkeypatch.setattr(sympoly, "_ladder_coeffs", lambda *args: calls.append(args) or real(*args))
     code, out, err = run(capsys, ["check", "all", "--n-max", n_max])
     assert (code, out, err) == (2, "", "error: the ortho suite needs --n-max >= 2\n")
     assert calls == []
