@@ -849,6 +849,43 @@ class TestOdeResidual:
                     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
                     assert abs(t1 + t2 + t3) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("q", [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)])
+    @pytest.mark.parametrize("make", [
+        lambda ctx: qp.make_ultraspherical(Fraction(2, 5), Fraction(7, 10), ctx),
+        qp.make_chebyshev5,
+        qp.make_chebyshev6,
+        lambda ctx: qp.make_hermite(Fraction(3, 10), ctx),
+        lambda ctx: qp.make_hermite(0, ctx),
+    ], ids=["ultraspherical", "chebyshev5", "chebyshev6", "hermite(3/10)", "hermite(0)"])
+    def test_exact_summands_cancel(self, make, q, monkeypatch):
+        # in Fraction arithmetic the summands of every degree sum to exactly
+        # 0, and a 1e-9 relative change in any one C_k of the ladder leaves
+        # some sum nonzero
+        from qsympoly import sympoly
+
+        ctx = qp.QContext(q)
+        V = make(ctx).V
+        xs = (Fraction(1, 3), Fraction(-5, 7), Fraction(1, 2))
+
+        def sums():
+            return [t1 + t2 + t3 for terms in sympoly._ode_terms_by_degree(12, V, ctx, xs)
+                    for t1, t2, t3 in terms]
+
+        assert sums() == [0] * (13 * len(xs))
+        real = sympoly._C_terms
+        for k in range(1, 12):
+            def nudged(V, ctx, k=k):
+                terms = real(V, ctx)
+
+                def at(n):
+                    C, parts = terms(n)
+                    return (C * (1 + Fraction(1, 10**9)) if n == k else C), parts
+
+                return at
+
+            monkeypatch.setattr(sympoly, "_C_terms", nudged)
+            assert any(sums()), k
+
 
 class TestClassify:
     def test_hermite_positive_definite(self):
