@@ -44,7 +44,7 @@ def _typed(name: str) -> Callable:
     return typed
 
 
-exp_, log_, expm1_, sqrt_, isfinite_ = map(_typed, ("exp", "log", "expm1", "sqrt", "isfinite"))
+exp_, log_, sqrt_, isfinite_ = map(_typed, ("exp", "log", "sqrt", "isfinite"))
 
 
 class Record:
