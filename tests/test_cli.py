@@ -469,8 +469,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("precision", [None, 30])
     def test_ode_suite_matches_pointwise(self, precision):
-        # the suite forms its degree- and point-independent factors once;
-        # its worst residual must equal, bit for bit, the one from
+        # the suite reads every degree and point from one walk of the
+        # ladder; its worst residual must equal, bit for bit, the one from
         # ode_residual_terms point by point (at 30 digits and n_max = 40
         # the pointwise loop takes seconds per case, so it runs at 10 only)
         import mpmath
